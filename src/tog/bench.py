@@ -7,7 +7,8 @@ flipping, optionally degrades it (corner occlusion, Gaussian jitter,
 neighborhood smoothing), then runs recognition, registration, and planning
 and scores the outcome against the ground-truth labels. Per-trial random
 streams are derived from (master seed, condition index, trial index), so
-any single trial can be replayed in isolation.
+any single trial can be replayed in isolation. Trials call the pipeline's
+`select_templates` and `register_all`, so they measure the shipped stages.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from scipy.spatial.transform import Rotation
 
 from .errors import SceneSpecError, TogError
 from .geometry import PointCloud, RigidTransform, aabb, apply_transform, knn_indices_batch
+from .pipeline import register_all, select_templates
 from .planning import check_placement, check_stick, plan, points_in_closure
 from .recognition import recognize
-from .registration import register
 from .templates import GripperConfig, Template, build_template, default_gripper
 
 HPR_RADIUS_FACTOR = 100.0
@@ -630,16 +631,10 @@ def run_trial(
         selected = (
             {tid: templates[tid] for tid in condition.template_ids}
             if condition.template_ids
-            else {
-                tid: t
-                for tid, t in templates.items()
-                if t.object_class == condition.object_class
-            }
-        )
-        if not selected:
-            raise SceneSpecError(
-                f"no templates available for class '{condition.object_class}'"
+            else select_templates(
+                templates, condition.object_class, condition.part_path
             )
+        )
         dims = (
             perturbed_dims(condition.object_class, rng, condition.dims_fraction)
             if condition.dims_fraction > 0
@@ -680,14 +675,9 @@ def run_trial(
         if not report.recognized:
             return report
 
-        registrations = {}
-        for i, (tid, template) in enumerate(selected.items()):
-            try:
-                registrations[tid] = register(
-                    scene, recognition, template, leaf=leaf, seed=trial_index * 1000 + i
-                )
-            except TogError:
-                continue
+        registrations, _errors = register_all(
+            scene, recognition, selected, leaf, trial_index
+        )
         candidates = plan(
             scene, recognition, registrations, selected, gripper=gripper
         )

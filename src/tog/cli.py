@@ -8,6 +8,11 @@ and ``--no-timings`` the same inputs produce byte-identical output.
 Setting precedence is CLI flag > environment variable > config file
 (``--config`` names a JSON file). Chat backends: ``--fixtures`` replays
 canned responses, ``--endpoint`` talks to a live chat-completion service.
+
+``recognize`` and ``register`` call the pipeline's stage helpers
+(``select_templates``, ``register_all``, ``registration_payload``,
+``cluster_cloud``); ``db build`` and ``bench run`` share one ``--synthetic``
+build loop.
 """
 
 from __future__ import annotations
@@ -19,12 +24,9 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from .bench import Condition, build_class_templates, run_suite
 from .cloud_io import load_cloud, save_ply
 from .errors import SceneSpecError, TogError
-from .geometry import PointCloud
 from .ontology import (
     ENDPOINT_ENV,
     FIXTURES_ENV,
@@ -40,9 +42,17 @@ from .ontology import (
     optimize_prompt,
     resolve,
 )
-from .pipeline import PipelineConfig, export_artifacts, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    cluster_cloud,
+    export_artifacts,
+    register_all,
+    registration_payload,
+    run_pipeline,
+    select_templates,
+)
 from .recognition import recognize
-from .registration import best_registration, register
+from .registration import best_registration
 from .templates import (
     GripperConfig,
     build_template,
@@ -147,27 +157,32 @@ class _Context:
 
 
 def _parse_pair(text: str, what: str) -> tuple[str, str]:
-    if "=" not in text:
-        raise SceneSpecError(f"{what} must look like name=value, got '{text}'")
-    left, right = text.split("=", 1)
-    if not left or not right:
+    left, sep, right = text.partition("=")
+    if not (sep and left and right):
         raise SceneSpecError(f"{what} must look like name=value, got '{text}'")
     return left, right
 
 
-def _class_templates(ctx: _Context, db: dict, object_class: str | None, part: str):
-    """Templates to match: one class if given, else all carrying the part."""
-    if object_class:
-        chosen = {
-            tid: t for tid, t in db.items() if t.object_class == object_class
-        }
-        if not chosen:
-            raise SceneSpecError(f"database has no class '{object_class}'")
-    else:
-        chosen = {tid: t for tid, t in db.items() if part in t.parts}
-        if not chosen:
-            raise SceneSpecError(f"database has no templates with part '{part}'")
-    return dict(list(chosen.items())[: ctx.template_cap])
+def _synthetic_templates(ctx: _Context, specs, graph) -> dict:
+    """Templates built by the shape generators from CLASS=COUNT specs."""
+    templates = {}
+    for spec in specs:
+        object_class, count = _parse_pair(spec, "--synthetic")
+        if not count.isdecimal():
+            raise SceneSpecError(
+                f"--synthetic count must be a whole number, got '{spec}'"
+            )
+        templates.update(
+            build_class_templates(
+                object_class,
+                count=int(count),
+                leaf=ctx.leaf,
+                gripper=ctx.gripper,
+                rng_seed=ctx.rng_seed,
+                graph=graph,
+            )
+        )
+    return templates
 
 
 # ---------------------------------------------------------------------------
@@ -194,18 +209,7 @@ def cmd_db_build(args) -> int:
             rng=(ctx.rng_seed, i),
         )
         templates[template.id] = template
-    for spec in args.synthetic or ():
-        object_class, count = _parse_pair(spec, "--synthetic")
-        templates.update(
-            build_class_templates(
-                object_class,
-                count=int(count),
-                leaf=ctx.leaf,
-                gripper=ctx.gripper,
-                rng_seed=ctx.rng_seed,
-                graph=graph,
-            )
-        )
+    templates.update(_synthetic_templates(ctx, args.synthetic or (), graph))
     out_dir = save_db(templates.values(), args.out)
     _emit(
         {
@@ -294,14 +298,10 @@ def cmd_recognize(args) -> int:
     ctx = _Context(args)
     scene = load_cloud(args.scene)
     db = load_db(ctx.require_db())
-    templates = _class_templates(ctx, db, args.object_class, args.part)
+    templates = select_templates(db, args.object_class, args.part, ctx.template_cap)
     result = recognize(scene, list(templates.values()), args.part)
     if args.save_cluster:
-        member_set = set(int(i) for i in result.members)
-        labels = [
-            "cluster" if i in member_set else "rest" for i in range(len(scene))
-        ]
-        save_ply(PointCloud(scene.points, labels), args.save_cluster)
+        save_ply(cluster_cloud(scene, result), args.save_cluster)
     _emit(
         {
             "schema_version": 1,
@@ -323,27 +323,15 @@ def cmd_register(args) -> int:
     ctx = _Context(args)
     scene = load_cloud(args.scene)
     db = load_db(ctx.require_db())
-    templates = _class_templates(ctx, db, args.object_class, args.part)
+    templates = select_templates(db, args.object_class, args.part, ctx.template_cap)
     if args.template:
         if args.template not in templates:
             raise SceneSpecError(f"template '{args.template}' not in the match set")
         templates = {args.template: templates[args.template]}
     recognition = recognize(scene, list(templates.values()), args.part)
-    registrations = {}
-    failures = {}
-    for i, (tid, template) in enumerate(templates.items()):
-        try:
-            registrations[tid] = register(
-                scene,
-                recognition,
-                template,
-                leaf=ctx.leaf,
-                seed=ctx.rng_seed * 1000 + i,
-            )
-        except TogError as exc:
-            failures[tid] = f"{exc.code}: {exc}"
-    if not registrations:
-        raise SceneSpecError(f"every template registration failed: {failures}")
+    registrations, failures = register_all(
+        scene, recognition, templates, ctx.leaf, ctx.rng_seed
+    )
     _emit(
         {
             "schema_version": 1,
@@ -351,33 +339,29 @@ def cmd_register(args) -> int:
             "winning_template": best_registration(registrations),
             "failures": failures,
             "registrations": {
-                tid: {
-                    "fitness": float(reg.fitness),
-                    "rmse": float(reg.rmse),
-                    "correspondence_count": int(reg.correspondence_count),
-                    "t_loc": reg.t_loc.matrix.tolist(),
-                    "t_opt": reg.t_opt.matrix.tolist(),
-                    "t_icp": reg.t_icp.matrix.tolist(),
-                    "t_total": reg.t_total.matrix.tolist(),
-                }
-                for tid, reg in registrations.items()
+                tid: registration_payload(reg) for tid, reg in registrations.items()
             },
         }
     )
     return 0
 
 
-def cmd_plan(args) -> int:
+def _run_pipeline(args, **options):
+    """`run_pipeline` on the instruction and scene flags of plan and export."""
     ctx = _Context(args)
-    result = run_pipeline(
+    return run_pipeline(
         ctx.pipeline_config(),
         args.instruction,
         args.scene,
         ctx.chat_client(),
         novel_extension=args.novel,
         target_class_hint=args.hint,
-        include_timings=not args.no_timings,
+        **options,
     )
+
+
+def cmd_plan(args) -> int:
+    result = _run_pipeline(args, include_timings=not args.no_timings)
     report = result.report
     if args.select:
         report = dict(report)
@@ -389,17 +373,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ctx = _Context(args)
-    result = run_pipeline(
-        ctx.pipeline_config(),
-        args.instruction,
-        args.scene,
-        ctx.chat_client(),
-        novel_extension=args.novel,
-        target_class_hint=args.hint,
-        include_timings=False,
-        strict=False,
-    )
+    result = _run_pipeline(args, include_timings=False, strict=False)
     written = export_artifacts(result, args.out)
     _emit(
         {
@@ -454,18 +428,9 @@ def cmd_bench_run(args) -> int:
     if ctx.db_path:
         templates = load_db(ctx.db_path)
     else:
-        templates = {}
-        for spec in args.synthetic or ("mug=3", "bottle=3"):
-            object_class, count = _parse_pair(spec, "--synthetic")
-            templates.update(
-                build_class_templates(
-                    object_class,
-                    count=int(count),
-                    leaf=ctx.leaf,
-                    gripper=ctx.gripper,
-                    rng_seed=ctx.rng_seed,
-                )
-            )
+        templates = _synthetic_templates(
+            ctx, args.synthetic or ("mug=3", "bottle=3"), ctx.graph()
+        )
     report = run_suite(
         _bench_conditions(args),
         templates,

@@ -17,8 +17,13 @@ class TogError(Exception):
     code = "error"
 
     def __init__(self, message: str, stage: str | None = None):
+        super().__init__(message)
         self.stage = stage
-        super().__init__(message if stage is None else f"[{stage}] {message}")
+
+    def __str__(self) -> str:
+        # built on each call, so a stage tagged after construction shows too
+        message = super().__str__()
+        return message if self.stage is None else f"[{self.stage}] {message}"
 
 
 class EmptyCloudError(TogError):

@@ -1,9 +1,9 @@
 """Point-cloud primitives shared by the whole engine.
 
 Clouds are immutable after construction (their backing arrays are marked
-read-only and the kd-tree is built once, lazily); every operation here is a
-pure function, so recognition and registration can fan out over threads
-without locking. Units are meters throughout.
+read-only; the kd-tree and other derived data are built once, lazily);
+every operation here is a pure function, so recognition and registration
+can fan out over threads without locking. Units are meters throughout.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class PointCloud:
         index-for-index with ``points``.
     """
 
-    __slots__ = ("points", "labels", "_tree")
+    __slots__ = ("points", "labels", "_tree", "_derived")
 
     def __init__(self, points, labels=None):
         pts = np.asarray(points, dtype=np.float64)
@@ -50,6 +50,7 @@ class PointCloud:
         else:
             self.labels = None
         self._tree = None
+        self._derived = {}
 
     def __len__(self) -> int:
         return len(self.points)
@@ -66,6 +67,12 @@ class PointCloud:
                 raise EmptyCloudError("cannot build a kd-tree over an empty cloud")
             self._tree = cKDTree(self.points)
         return self._tree
+
+    def derived(self, key, compute):
+        """`compute()` cached under `key`, for values of the points alone."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]
 
     def select(self, indices) -> "PointCloud":
         """Sub-cloud at the given indices (labels follow along)."""

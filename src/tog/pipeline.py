@@ -4,11 +4,16 @@
 provenance report (what was resolved, which template won, every transform,
 score, and stage timing). `export_artifacts` writes the intermediate and
 final geometry as PLY snapshots any external viewer can open.
+
+The CLI and the benchmark call the same stage helpers: `select_templates`,
+`register_all` (seeds and failure capture), `registration_payload` and
+`cluster_cloud`.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,19 +75,76 @@ class PipelineResult:
     report: dict
 
 
+@contextmanager
 def _stage(name: str):
     """Tag any engine error escaping the enclosed stage with its name."""
+    try:
+        yield
+    except TogError as exc:
+        if exc.stage is None:
+            exc.stage = name
+        raise
 
-    class _Tagger:
-        def __enter__(self):
-            return self
 
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, TogError) and exc.stage is None:
-                exc.stage = name
-            return False
+def select_templates(
+    db: dict, object_class: str | None, part_path: str, cap: int | None = None
+) -> dict[str, Template]:
+    """Templates to match, in database order, at most `cap` of them.
 
-    return _Tagger()
+    With `object_class` the templates of that class, else every template
+    carrying `part_path`. Raises SceneSpecError when none qualifies.
+    """
+    if object_class:
+        chosen = {tid: t for tid, t in db.items() if t.object_class == object_class}
+        what = f"of class '{object_class}'"
+    else:
+        chosen = {tid: t for tid, t in db.items() if part_path in t.parts}
+        what = f"with part '{part_path}'"
+    if not chosen:
+        raise SceneSpecError(f"database has no templates {what}")
+    return dict(list(chosen.items())[:cap])
+
+
+def register_all(
+    scene, recognition, templates: dict, leaf: float, seed_base: int, strict=True
+) -> tuple[dict[str, RegistrationResult], dict[str, str]]:
+    """Register every template to the recognized part.
+
+    The i-th template uses seed `seed_base * 1000 + i`. Returns the
+    registrations and, per failed template, its "code: message". With
+    `strict`, raises SceneSpecError naming each failure when none succeeds.
+    """
+    registrations: dict[str, RegistrationResult] = {}
+    errors: dict[str, str] = {}
+    for i, (tid, template) in enumerate(templates.items()):
+        try:
+            registrations[tid] = register(
+                scene, recognition, template, leaf=leaf, seed=seed_base * 1000 + i
+            )
+        except TogError as exc:
+            errors[tid] = f"{exc.code}: {exc}"
+    if not registrations and strict:
+        raise SceneSpecError(f"every template registration failed: {errors}")
+    return registrations, errors
+
+
+def registration_payload(reg: RegistrationResult) -> dict:
+    """JSON form of one registration: quality and every transform."""
+    return {
+        "fitness": float(reg.fitness),
+        "rmse": float(reg.rmse),
+        "correspondence_count": int(reg.correspondence_count),
+        "t_total": reg.t_total.matrix.tolist(),
+        "t_loc": reg.t_loc.matrix.tolist(),
+        "t_opt": reg.t_opt.matrix.tolist(),
+        "t_icp": reg.t_icp.matrix.tolist(),
+    }
+
+
+def cluster_cloud(scene: PointCloud, recognition: RecognitionResult) -> PointCloud:
+    """The scene with the recognized cluster labeled "cluster", the rest "rest"."""
+    inside = np.isin(np.arange(len(scene)), recognition.members)
+    return PointCloud(scene.points, np.where(inside, "cluster", "rest"))
 
 
 def _grasp_payload(candidate: GraspCandidate) -> dict:
@@ -138,39 +200,18 @@ def run_pipeline(
         timings["resolve_seconds"] = time.perf_counter() - t0
 
     with _stage("recognize"):
-        selected = {
-            tid: t
-            for tid, t in db.items()
-            if t.object_class == resolved.object_class
-        }
-        if not selected:
-            raise SceneSpecError(
-                f"database has no templates of class '{resolved.object_class}'"
-            )
-        selected = dict(list(selected.items())[: config.template_cap])
+        selected = select_templates(
+            db, resolved.object_class, resolved.part_path, config.template_cap
+        )
         t0 = time.perf_counter()
         recognition = recognize(scene, list(selected.values()), resolved.part_path)
         timings["recognize_seconds"] = time.perf_counter() - t0
 
     with _stage("register"):
         t0 = time.perf_counter()
-        registrations: dict[str, RegistrationResult] = {}
-        errors: dict[str, str] = {}
-        for i, (tid, template) in enumerate(selected.items()):
-            try:
-                registrations[tid] = register(
-                    scene,
-                    recognition,
-                    template,
-                    leaf=config.leaf,
-                    seed=config.rng_seed * 1000 + i,
-                )
-            except TogError as exc:
-                errors[tid] = f"{exc.code}: {exc}"
-        if not registrations and strict:
-            raise SceneSpecError(
-                f"every template registration failed: {errors}"
-            )
+        registrations, errors = register_all(
+            scene, recognition, selected, config.leaf, config.rng_seed, strict=strict
+        )
         winning = best_registration(registrations) if registrations else None
         timings["register_seconds"] = time.perf_counter() - t0
 
@@ -207,16 +248,7 @@ def run_pipeline(
             },
         },
         "registrations": {
-            tid: {
-                "fitness": float(reg.fitness),
-                "rmse": float(reg.rmse),
-                "correspondence_count": int(reg.correspondence_count),
-                "t_total": reg.t_total.matrix.tolist(),
-                "t_loc": reg.t_loc.matrix.tolist(),
-                "t_opt": reg.t_opt.matrix.tolist(),
-                "t_icp": reg.t_icp.matrix.tolist(),
-            }
-            for tid, reg in registrations.items()
+            tid: registration_payload(reg) for tid, reg in registrations.items()
         },
         "registration_errors": errors,
         "winning_template": winning,
@@ -274,18 +306,13 @@ def export_artifacts(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    scene_path = out_dir / "scene.ply"
-    save_ply(result.scene, scene_path)
-    written.append(scene_path)
+    def write(name: str, cloud: PointCloud) -> None:
+        path = out_dir / name
+        save_ply(cloud, path)
+        written.append(path)
 
-    member_set = set(int(i) for i in result.recognition.members)
-    cluster_labels = [
-        "cluster" if i in member_set else "rest" for i in range(len(result.scene))
-    ]
-    cluster_path = out_dir / "cluster.ply"
-    save_ply(PointCloud(result.scene.points, cluster_labels), cluster_path)
-    written.append(cluster_path)
-
+    write("scene.ply", result.scene)
+    write("cluster.ply", cluster_cloud(result.scene, result.recognition))
     if result.winning_template in result.registrations:
         reg = result.registrations[result.winning_template]
         template_cloud = result.templates[result.winning_template].full_cloud
@@ -294,15 +321,7 @@ def export_artifacts(
             np.vstack([result.scene.points, aligned.points]),
             ["scene"] * len(result.scene) + ["template"] * len(aligned),
         )
-        overlay_path = out_dir / "overlay.ply"
-        save_ply(overlay, overlay_path)
-        written.append(overlay_path)
-
+        write("overlay.ply", overlay)
     if result.candidates:
-        grasp_path = out_dir / "grasps.ply"
-        save_ply(
-            _triad_cloud(result.candidates, axis_length, points_per_axis),
-            grasp_path,
-        )
-        written.append(grasp_path)
+        write("grasps.ply", _triad_cloud(result.candidates, axis_length, points_per_axis))
     return written

@@ -135,8 +135,15 @@ def fpfh(cloud: PointCloud, radius: float, normals: np.ndarray | None = None) ->
 
     Simplified-histogram features per point are accumulated from its radius
     neighborhood, then blended with distance-weighted neighbor histograms
-    and block-normalized to unit sum.
+    and block-normalized to unit sum. Without `normals` the read-only result
+    is cached on the cloud, so registration retries compute it once.
     """
+    if normals is None:
+        return cloud.derived(("fpfh", radius), lambda: _fpfh(cloud, radius, None))
+    return _fpfh(cloud, radius, normals)
+
+
+def _fpfh(cloud: PointCloud, radius: float, normals: np.ndarray | None) -> np.ndarray:
     n = len(cloud)
     if n < 3:
         raise InsufficientPointsError("descriptors need >= 3 points")
@@ -173,6 +180,7 @@ def fpfh(cloud: PointCloud, radius: float, normals: np.ndarray | None = None) ->
     out = spfh.reshape(n, 3, FPFH_BINS)
     sums = out.sum(axis=2, keepdims=True)
     out = np.divide(out, sums, out=np.zeros_like(out), where=sums > 0)
+    out.setflags(write=False)
     return out.reshape(n, 3 * FPFH_BINS)
 
 

@@ -272,7 +272,9 @@ def build_template(
     The cloud is voxel-downsampled once; each part is the exact subset of
     the downsampled cloud carrying that label (or a descendant label, for
     ancestor paths). When an ontology graph is given, every label must be a
-    part path of `object_class` there.
+    part path of `object_class` there. A part with no antipodal grasp, such
+    as one wider than the gripper opening, gets an empty grasp set, and
+    planning on it raises NoGraspError.
     """
     gripper = gripper or default_gripper()
     if labeled_cloud.labels is None:
@@ -300,9 +302,12 @@ def build_template(
         parts[path] = part
     grasps = {}
     for i, path in enumerate(paths):
-        grasps[path] = sample_antipodal_grasps(
-            parts[path], gripper, target_count=grasp_target, rng=(rng, i)
-        )
+        try:
+            grasps[path] = sample_antipodal_grasps(
+                parts[path], gripper, target_count=grasp_target, rng=(rng, i)
+            )
+        except NoGraspError:
+            grasps[path] = ()
     return Template(
         id=template_id or object_class,
         object_class=object_class,

@@ -32,7 +32,7 @@ from tog.bench import (
     run_trial,
     truth_mask,
 )
-from tog.errors import SceneSpecError
+from tog.errors import CoarseFailureError, SceneSpecError
 from tog.geometry import PointCloud, apply_transform
 from tog.planning import GraspCandidate
 from tog.templates import GripperConfig, default_gripper
@@ -452,6 +452,21 @@ class TestTrials:
         report = run_trial(condition, mug_templates, np.random.default_rng(0))
         assert report.error is not None and report.error.startswith("spec")
         assert not report.recognized and not report.planned
+
+    def test_trial_names_every_registration_failure(self, mug_templates, monkeypatch):
+        def failing_register(*args, **kwargs):
+            raise CoarseFailureError("no hypothesis", stage="coarse")
+
+        monkeypatch.setattr("tog.pipeline.register", failing_register)
+        condition = Condition(
+            name="noreg", object_class="mug", part_path="handle", partial=False,
+            n_points=1200,
+        )
+        report = run_trial(condition, mug_templates, np.random.default_rng(5))
+        assert report.recognized and not report.planned
+        assert report.error.startswith("spec: every template registration failed")
+        for tid in mug_templates:
+            assert f"'{tid}': 'coarse-failure: [coarse] no hypothesis'" in report.error
 
     def test_trial_deterministic(self, mug_templates):
         condition = Condition(

@@ -100,6 +100,13 @@ class TestDb:
         )
         assert err["code"] == "spec"
 
+    def test_synthetic_count_not_a_number(self, capsys, tmp_path):
+        err = run_error(
+            capsys,
+            ["db", "build", "--out", str(tmp_path / "x"), "--synthetic", "mug=x"],
+        )
+        assert err["code"] == "spec"
+
     def test_inspect_missing_db(self, capsys, tmp_path):
         err = run_error(capsys, ["db", "inspect", "--db", str(tmp_path / "void")])
         assert err["code"] == "schema"
@@ -261,6 +268,28 @@ class TestExportCli:
             "scene.ply", "cluster.ply", "overlay.ply", "grasps.ply",
         ]
         assert payload["grasp_count"] > 0
+
+
+class TestCallersAgree:
+    def test_register_and_recognize_match_plan_and_export(self, ws, capsys, tmp_path):
+        seed = ["--rng-seed", "2"]
+        scene = ["--db", ws["db"], "--scene", ws["scene"]]
+        pipeline = [*scene, *seed, "--fixtures", ws["chat"], "--instruction", POUR]
+        registered = run_json(
+            capsys, ["register", *scene, *seed, "--part", "handle", "--class", "mug"]
+        )
+        planned = run_json(capsys, ["plan", *pipeline, "--no-timings"])
+        assert registered["registrations"] == planned["registrations"]
+
+        cluster_path = tmp_path / "cluster.ply"
+        run_json(
+            capsys,
+            ["recognize", *scene, "--part", "handle", "--class", "mug",
+             "--save-cluster", str(cluster_path)],
+        )
+        run_json(capsys, ["export", *pipeline, "--out", str(tmp_path / "snaps")])
+        exported = (tmp_path / "snaps" / "cluster.ply").read_bytes()
+        assert cluster_path.read_bytes() == exported
 
 
 class TestBenchCli:

@@ -9,6 +9,7 @@ from tog.bench import build_class_templates, desk_pose, generate_object
 from tog.cloud_io import load_ply, save_json
 from tog.errors import (
     CloudParseError,
+    CoarseFailureError,
     SceneSpecError,
     TogError,
     UnresolvedPartError,
@@ -24,9 +25,11 @@ from tog.pipeline import (
     PipelineConfig,
     PipelineResult,
     export_artifacts,
+    register_all,
     run_pipeline,
+    select_templates,
 )
-from tog.templates import GripperConfig, save_db
+from tog.templates import GripperConfig, load_db, save_db
 
 POUR = "Pour the water out of the mug."
 SHAKE = "Shake the bottle before I drink it."
@@ -138,6 +141,7 @@ class TestRunPipeline:
                 workspace["client"],
             )
         assert info.value.stage == "resolve"
+        assert str(info.value).startswith("[resolve] ")
 
     def test_setup_failure_tagged(self, workspace, tmp_path):
         config = PipelineConfig(db_path=workspace["db"])
@@ -154,6 +158,7 @@ class TestRunPipeline:
                 config, SHAKE, workspace["scene"], workspace["client"]
             )
         assert info.value.stage == "recognize"
+        assert str(info.value).startswith("[recognize] ")
 
     def test_blocked_gripper_strict_vs_tolerant(self, workspace):
         # jaws this deep collide with the mug body for every candidate
@@ -174,6 +179,36 @@ class TestRunPipeline:
         assert result.candidates == []
         assert result.report["grasps"] == []
         assert result.winning_template is not None
+
+
+class TestStages:
+    def test_select_templates(self, workspace):
+        db = load_db(workspace["db"])
+        assert list(select_templates(db, "mug", "handle")) == ["mug-0", "mug-1"]
+        assert list(select_templates(db, None, "handle", cap=1)) == ["mug-0"]
+        with pytest.raises(SceneSpecError, match="of class 'bottle'"):
+            select_templates(db, "bottle", "handle")
+        with pytest.raises(SceneSpecError, match="with part 'cap'"):
+            select_templates(db, None, "cap")
+
+    def test_register_all_seeds_and_captures_errors(self, monkeypatch):
+        seeds = []
+
+        def fake_register(scene, recognition, template, leaf, seed):
+            seeds.append(seed)
+            if template == "bad":
+                raise CoarseFailureError("no hypothesis", stage="coarse")
+            return template
+
+        monkeypatch.setattr("tog.pipeline.register", fake_register)
+        templates = {"a": "ok", "b": "bad", "c": "ok"}
+        registrations, errors = register_all(None, None, templates, 0.005, 7)
+        assert seeds == [7000, 7001, 7002]
+        assert registrations == {"a": "ok", "c": "ok"}
+        assert errors == {"b": "coarse-failure: [coarse] no hypothesis"}
+        with pytest.raises(SceneSpecError, match="every template registration failed"):
+            register_all(None, None, {"b": "bad"}, 0.005, 0)
+        assert register_all(None, None, {"b": "bad"}, 0.005, 0, strict=False)[0] == {}
 
 
 class TestExport:

@@ -17,6 +17,7 @@ from tog.recognition import RecognitionResult
 from tog.registration import (
     best_registration,
     coarse_align,
+    fpfh,
     icp,
     optimize_rotation,
     register,
@@ -100,6 +101,19 @@ class TestIcp:
         transform, fitness, rmse = icp(cloud, cloud, max_corr_dist=0.01)
         assert fitness == 1.0 and rmse < 1e-12
         assert isinstance(transform, RigidTransform)
+
+
+class TestFpfh:
+    def test_cached_per_cloud_and_read_only(self):
+        rng = np.random.default_rng(11)
+        cloud = PointCloud(torus_arc(rng, n=300))
+        first = fpfh(cloud, 0.025)
+        assert fpfh(cloud, 0.025) is first
+        assert not first.flags.writeable
+        assert first.shape == (300, 33)
+        # a fresh cloud over the same points computes the same features
+        assert np.array_equal(fpfh(PointCloud(cloud.points), 0.025), first)
+        assert fpfh(cloud, 0.02) is not first
 
 
 class TestCoarseAlign:

@@ -12,6 +12,7 @@ from tog.errors import (
 )
 from tog.geometry import PointCloud, RigidTransform, aabb
 from tog.ontology import default_graph
+from tog.planning import transfer_grasps
 from tog.templates import (
     GraspPose,
     GripperConfig,
@@ -320,6 +321,19 @@ class TestBuildTemplate:
         )
         with pytest.raises(DegeneratePartError):
             build_template(cloud, "bottle")
+
+    def test_part_wider_than_gripper_keeps_no_grasps(self):
+        body = sphere_cloud(radius=0.06).points
+        handle = grid_cylinder(0.015, 0.03, 0.004, center=(0.2, 0.0, 0.0))
+        cloud = PointCloud(
+            np.vstack([body, handle]), ["body"] * len(body) + ["handle"] * len(handle)
+        )
+        t = build_template(cloud, "mug")
+        assert t.grasps["body"] == ()
+        assert len(t.grasps["handle"]) > 0
+        assert template_from_dict(template_to_dict(t)).grasps["body"] == ()
+        with pytest.raises(NoGraspError):
+            transfer_grasps(t, "body", RigidTransform.identity())
 
     def test_build_deterministic(self):
         cloud = labeled_mug(spacing=0.004)
