@@ -628,13 +628,15 @@ def run_trial(
     report = TrialReport(condition=condition.name, trial_index=trial_index)
     t_start = time.perf_counter()
     try:
-        selected = (
-            {tid: templates[tid] for tid in condition.template_ids}
-            if condition.template_ids
-            else select_templates(
+        if condition.template_ids:
+            missing = [tid for tid in condition.template_ids if tid not in templates]
+            if missing:
+                raise SceneSpecError(f"template ids {missing} are not in the bank")
+            selected = {tid: templates[tid] for tid in condition.template_ids}
+        else:
+            selected = select_templates(
                 templates, condition.object_class, condition.part_path
             )
-        )
         dims = (
             perturbed_dims(condition.object_class, rng, condition.dims_fraction)
             if condition.dims_fraction > 0

@@ -103,7 +103,10 @@ def load_ply(path) -> PointCloud:
         if unknown:
             raise CloudParseError(f"{path}: label ids {sorted(unknown)} not declared")
         labels = [id_to_name[i] for i in ids]
-    return PointCloud(points, labels)
+    try:
+        return PointCloud(points, labels)
+    except ValueError as exc:
+        raise CloudParseError(f"{path}: {exc}") from exc
 
 
 def cloud_to_dict(cloud: PointCloud) -> dict:

@@ -319,29 +319,61 @@ def rotation_candidates():
     return triples, mats
 
 
+def _grid_classes():
+    """Grid matrices and angles, each entry's class and each class's first entry.
+
+    Two entries share a class when their matrices agree after rounding to
+    1e-9; members of a class differ by rounding error only.
+    """
+    _, mats = rotation_candidates()
+    angles = np.arccos(np.clip((np.einsum("mii->m", mats) - 1.0) / 2.0, -1.0, 1.0))
+    keys = np.rint(mats.reshape(len(mats), 9) * 1e9).astype(np.int64)
+    _, first, cls = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    mats.setflags(write=False)
+    return mats, angles, cls.reshape(-1), first
+
+
+_GRID_MATS, _GRID_ANGLES, _GRID_CLASS, _GRID_FIRST = _grid_classes()
+
+
+def _mean_nn_distance(mats, base, pivot, target: PointCloud) -> np.ndarray:
+    rotated = np.einsum("mij,nj->mni", mats, base) + pivot
+    d, _ = target.tree.query(rotated.reshape(-1, 3), workers=-1)
+    return d.reshape(len(mats), -1).mean(axis=1)
+
+
 def optimize_rotation(
     o_all: PointCloud,
     seed,
     m_all: PointCloud,
     t_loc: RigidTransform,
 ) -> RigidTransform:
-    """Grid search over 512 rotations about the locally aligned seed.
+    """Grid search over the rotations of `rotation_candidates` about the seed.
 
     Objective: mean nearest-neighbor distance from the rotated observed
     cloud to the template (one-directional, since the observation is
-    partial). Ties prefer the smallest rotation angle, then grid order.
+    partial). The winner is the grid entry with the lowest objective, ties
+    going to the smallest rotation angle, then to grid order.
+
+    The 512 Euler triples hold only 208 distinct rotations (192 written
+    twice, 16 eight times), whose copies differ by rounding error. So the
+    objective is computed once per distinct rotation, on its first grid
+    entry; then every entry of each rotation scoring within 1e-9 (relative
+    to the coordinate and objective scale) of the best is scored itself and
+    ranked by the order above. The distance is 1-Lipschitz, so that set
+    holds the full grid's winner, and the result is bitwise the one a
+    search over all 512 entries returns.
     """
     pivot = t_loc.apply(np.asarray(seed, dtype=np.float64).reshape(3))
     base = t_loc.apply(o_all.points) - pivot
-    _, mats = rotation_candidates()
-    rotated = np.einsum("mij,nj->mni", mats, base) + pivot
-    d, _ = m_all.tree.query(rotated.reshape(-1, 3), workers=-1)
-    objectives = d.reshape(len(mats), -1).mean(axis=1)
-    traces = np.einsum("mii->m", mats)
-    angles = np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
-    order = np.lexsort((np.arange(len(mats)), angles, objectives))
-    best = mats[order[0]]
-    return RigidTransform(best, pivot - best @ pivot)
+    per_class = _mean_nn_distance(_GRID_MATS[_GRID_FIRST], base, pivot, m_all)
+    best = per_class.min()
+    tol = 1e-9 * (1.0 + np.abs(base).max() + np.abs(pivot).max() + best)
+    near = np.flatnonzero(np.isin(_GRID_CLASS, np.flatnonzero(per_class <= best + tol)))
+    objectives = _mean_nn_distance(_GRID_MATS[near], base, pivot, m_all)
+    win = near[np.lexsort((near, _GRID_ANGLES[near], objectives))[0]]
+    rot = _GRID_MATS[win]
+    return RigidTransform(rot, pivot - rot @ pivot)
 
 
 @dataclass(frozen=True)

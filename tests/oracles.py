@@ -7,10 +7,13 @@ test, so agreement is meaningful.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 
 def knn_linear(points: np.ndarray, query, k: int) -> list[int]:
@@ -208,3 +211,29 @@ def antipodal_ok(
         if angle > limit:
             return False
     return True
+
+
+def rotation_grid_search(o_points: np.ndarray, seed, m_points: np.ndarray, t_loc):
+    """Full 512-entry rotation grid search about the locally aligned seed.
+
+    Every Euler triple over {-180..135 step 45} per axis (extrinsic x, y, z)
+    is scored by the mean nearest-neighbor distance from the rotated
+    observed points to the template points; the lowest wins, ties to the
+    smallest rotation angle, then grid order. Returns (rotation, translation).
+    """
+    def move(p):
+        return np.asarray(p, dtype=np.float64) @ t_loc.rotation.T + t_loc.translation
+
+    degrees = range(-180, 180, 45)
+    triples = np.array(list(itertools.product(degrees, repeat=3)), dtype=np.float64)
+    mats = Rotation.from_euler("xyz", triples, degrees=True).as_matrix()
+    pivot = move(np.asarray(seed, dtype=np.float64).reshape(3))
+    base = move(o_points) - pivot
+    rotated = np.einsum("mij,nj->mni", mats, base) + pivot
+    d, _ = cKDTree(m_points).query(rotated.reshape(-1, 3), workers=-1)
+    objectives = d.reshape(len(mats), -1).mean(axis=1)
+    traces = np.einsum("mii->m", mats)
+    angles = np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
+    order = np.lexsort((np.arange(len(mats)), angles, objectives))
+    best = mats[order[0]]
+    return best, pivot - best @ pivot

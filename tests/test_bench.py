@@ -453,6 +453,15 @@ class TestTrials:
         assert report.error is not None and report.error.startswith("spec")
         assert not report.recognized and not report.planned
 
+    def test_trial_records_unknown_template_ids(self, mug_templates):
+        condition = Condition(
+            name="ghost", object_class="mug", part_path="handle",
+            template_ids=("nope", *mug_templates),
+        )
+        report = run_trial(condition, mug_templates, np.random.default_rng(0))
+        assert report.error == "spec: template ids ['nope'] are not in the bank"
+        assert not report.recognized and not report.planned
+
     def test_trial_names_every_registration_failure(self, mug_templates, monkeypatch):
         def failing_register(*args, **kwargs):
             raise CoarseFailureError("no hypothesis", stage="coarse")

@@ -207,6 +207,20 @@ class TestRecognizeRegister:
         )
         assert err["code"] == "spec"
 
+    def test_non_finite_scene_is_parse_error(self, ws, capsys, tmp_path):
+        scene = tmp_path / "scene.ply"
+        scene.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n0 nan 0\n"
+        )
+        err = run_error(
+            capsys,
+            ["recognize", "--db", ws["db"], "--scene", str(scene), "--part", "handle"],
+        )
+        assert err["code"] == "parse"
+        assert "finite" in err["message"]
+
     def test_recognize_no_part_carrier(self, ws, capsys):
         err = run_error(
             capsys,
@@ -318,6 +332,21 @@ class TestBenchCli:
         assert set(payload["conditions"]) == {"quick"}
         assert len(payload["trials"]) == 2
         assert json.loads(out_path.read_text()) == payload
+
+    def test_unknown_template_id_recorded_on_the_trial(self, ws, capsys, tmp_path):
+        conditions = [
+            {"name": "ghost", "object_class": "mug", "part_path": "handle",
+             "template_ids": ["mug-0", "mug-9"]}
+        ]
+        cond_path = tmp_path / "conditions.json"
+        cond_path.write_text(json.dumps(conditions))
+        payload = run_json(
+            capsys,
+            ["bench", "run", "--db", ws["db"], "--conditions", str(cond_path),
+             "--trials", "1"],
+        )
+        (trial,) = payload["trials"]
+        assert trial["error"] == "spec: template ids ['mug-9'] are not in the bank"
 
     def test_bad_conditions_file(self, ws, capsys, tmp_path):
         cond_path = tmp_path / "conditions.json"

@@ -75,6 +75,16 @@ class TestPly:
         with pytest.raises(CloudParseError, match="label ids"):
             load_ply(path)
 
+    def test_rejects_non_finite_coordinate(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n0 0 0\n1 nan 1\n"
+        )
+        with pytest.raises(CloudParseError, match="finite"):
+            load_cloud(path)
+
     def test_rejects_binary_format(self, tmp_path):
         path = tmp_path / "c.ply"
         path.write_text(

@@ -1,11 +1,14 @@
 """Registration-stage tests: ICP, coarse RANSAC, rotation grid, full stack."""
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+import oracles
+from tog import registration
 from tog.errors import (
     CoarseFailureError,
     InsufficientPointsError,
@@ -229,6 +232,72 @@ class TestOptimizeRotation:
             return d.mean()
 
         assert objective(t_opt) <= objective(RigidTransform.identity()) + 1e-12
+
+    def test_grid_holds_208_distinct_rotations(self):
+        _, mats = rotation_candidates()
+        keys = [tuple(np.round(m, 9).ravel() + 0.0) for m in mats]
+        classes: dict = {}
+        for i, key in enumerate(keys):
+            classes.setdefault(key, []).append(i)
+        sizes = sorted(len(members) for members in classes.values())
+        assert len(classes) == 208
+        assert sizes == [2] * 192 + [8] * 16
+        for members in classes.values():
+            assert np.abs(mats[members] - mats[members[0]]).max() < 1e-15
+        # the module's partition and representatives are the same
+        cls, first = registration._GRID_CLASS, registration._GRID_FIRST
+        for members in classes.values():
+            assert len(set(cls[members].tolist())) == 1
+            assert first[cls[members[0]]] == members[0]
+
+    @staticmethod
+    def assert_matches_oracle(o_pts, seed, m_pts, t_loc):
+        t_opt = optimize_rotation(PointCloud(o_pts), seed, PointCloud(m_pts), t_loc)
+        rot, trans = oracles.rotation_grid_search(o_pts, seed, m_pts, t_loc)
+        assert t_opt.rotation.tobytes() == rot.tobytes()
+        assert t_opt.translation.tobytes() == trans.tobytes()
+        return t_opt
+
+    def test_bitwise_equal_to_full_grid_on_random_clouds(self):
+        rng = np.random.default_rng(17)
+        _, mats = rotation_candidates()
+        for case in range(40):
+            o_pts = rng.uniform(-0.05, 0.05, (int(rng.integers(20, 200)), 3))
+            if case % 2:
+                # template is a grid rotation of the observation, slightly noisy
+                seed = o_pts[int(rng.integers(len(o_pts)))]
+                rot = mats[int(rng.integers(len(mats)))]
+                m_pts = (o_pts - seed) @ rot.T + seed + rng.normal(0, 1e-4, o_pts.shape)
+                t_loc = RigidTransform.identity()
+            else:
+                seed = rng.uniform(-0.05, 0.05, 3)
+                m_pts = rng.uniform(-0.05, 0.05, (int(rng.integers(20, 200)), 3))
+                t_loc = random_pose(rng)
+            self.assert_matches_oracle(o_pts, seed, m_pts, t_loc)
+
+    def test_bitwise_equal_to_full_grid_on_symmetric_clouds(self):
+        # rings sampled every 45 degrees about z, and a cubic lattice: many
+        # grid rotations map these onto themselves, so classes tie
+        angles = np.deg2rad(np.arange(0, 360, 45))
+        ring = np.stack([np.cos(angles), np.sin(angles), np.zeros(8)], axis=1)
+        cylinder_pts = np.vstack([0.04 * ring + [0, 0, h] for h in (-0.03, 0.0, 0.03)])
+        lattice = 0.01 * np.array(
+            list(itertools.product((-1.0, 0.0, 1.0), repeat=3))
+        )
+        shift = RigidTransform(np.eye(3), [0.3, -0.2, 0.1])
+        for pts in (cylinder_pts, lattice):
+            t_opt = self.assert_matches_oracle(pts, np.zeros(3), pts, RigidTransform.identity())
+            assert t_opt.rotation_angle() < 1e-12
+            self.assert_matches_oracle(pts, np.zeros(3), shift.apply(pts), shift)
+
+    def test_bitwise_equal_to_full_grid_when_every_point_is_the_seed(self):
+        rng = np.random.default_rng(19)
+        spot = np.full((30, 3), 0.02)
+        m_pts = rng.uniform(-0.05, 0.05, (100, 3))
+        for t_loc in (RigidTransform.identity(), random_pose(rng)):
+            t_opt = self.assert_matches_oracle(spot, spot[0], m_pts, t_loc)
+            # all 512 entries tie, so the first zero-angle (identity) entry wins
+            assert np.abs(t_opt.rotation - np.eye(3)).max() < 1e-15
 
 
 def make_mug_stub(rng, n_body=500, n_handle=260):
