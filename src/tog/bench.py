@@ -616,7 +616,6 @@ def run_trial(
     templates: dict,
     rng,
     gripper: GripperConfig | None = None,
-    leaf: float = 0.005,
     trial_index: int = 0,
 ) -> TrialReport:
     """One generate-degrade-recognize-register-plan-score round trip.
@@ -677,9 +676,7 @@ def run_trial(
         if not report.recognized:
             return report
 
-        registrations, _errors = register_all(
-            scene, recognition, selected, leaf, trial_index
-        )
+        registrations, _errors = register_all(scene, recognition, selected, trial_index)
         candidates = plan(
             scene, recognition, registrations, selected, gripper=gripper
         )
@@ -720,7 +717,6 @@ def run_suite(
     trials_per_condition: int = 10,
     master_seed: int = 0,
     gripper: GripperConfig | None = None,
-    leaf: float = 0.005,
 ) -> BenchReport:
     """Run every condition for `trials_per_condition` independent trials."""
     if trials_per_condition < 1:
@@ -734,14 +730,7 @@ def run_suite(
                 np.random.SeedSequence((master_seed, c_idx, t_idx))
             )
             rows.append(
-                run_trial(
-                    condition,
-                    templates,
-                    rng,
-                    gripper=gripper,
-                    leaf=leaf,
-                    trial_index=t_idx,
-                )
+                run_trial(condition, templates, rng, gripper=gripper, trial_index=t_idx)
             )
         per_condition[condition.name] = ConditionMetrics.from_trials(rows)
         all_trials.extend(rows)

@@ -6,8 +6,13 @@ output is key-sorted and versioned with ``schema_version``; with fixtures
 and ``--no-timings`` the same inputs produce byte-identical output.
 
 Setting precedence is CLI flag > environment variable > config file
-(``--config`` names a JSON file). Chat backends: ``--fixtures`` replays
-canned responses, ``--endpoint`` talks to a live chat-completion service.
+(``--config`` names a JSON file) > default. Every subcommand resolves its
+settings once into one ``PipelineConfig``, which checks types and ranges,
+so a bad value is a ``spec`` error before any work. Templates register at
+the leaf they were built at, so only the two commands that build templates,
+``db build`` and ``bench run --synthetic``, take ``--leaf`` (config
+``leaf``); ``build_template`` checks it. Chat backends: ``--fixtures``
+replays canned responses, ``--endpoint`` talks to a live service.
 
 ``recognize`` and ``register`` call the pipeline's stage helpers
 (``select_templates``, ``register_all``, ``registration_payload``,
@@ -35,8 +40,6 @@ from .ontology import (
     FixtureChatClient,
     HttpChatClient,
     Instruction,
-    OntologyGraph,
-    default_graph,
     make_scripted_evaluator,
     make_terminal_evaluator,
     optimize_prompt,
@@ -53,13 +56,7 @@ from .pipeline import (
 )
 from .recognition import recognize
 from .registration import best_registration
-from .templates import (
-    GripperConfig,
-    build_template,
-    default_gripper,
-    load_db,
-    save_db,
-)
+from .templates import DEFAULT_LEAF, GripperConfig, build_template, load_db, save_db
 
 DB_ENV = "TOG_DB"
 ONTOLOGY_ENV = "TOG_ONTOLOGY"
@@ -92,10 +89,10 @@ def _setting(cli_value, env_name, config, key, default=None):
     return default
 
 
-def _gripper_from_config(config: dict) -> GripperConfig:
+def _gripper_from_config(config: dict) -> GripperConfig | None:
     payload = config.get("gripper")
     if payload is None:
-        return default_gripper()
+        return None
     if not isinstance(payload, dict):
         raise SceneSpecError("config 'gripper' must be an object of numbers")
     try:
@@ -105,31 +102,30 @@ def _gripper_from_config(config: dict) -> GripperConfig:
 
 
 class _Context:
-    """Settings shared by every subcommand, resolved once per invocation."""
+    """Settings shared by every subcommand, resolved once per invocation.
+
+    `settings` holds every source-less setting at its `PipelineConfig`
+    default; `leaf` is set only on the template-building subcommands.
+    """
 
     def __init__(self, args):
-        self.config = _load_config_file(args.config)
-        self.db_path = _setting(args.db, DB_ENV, self.config, "db")
-        self.ontology_path = _setting(
-            args.ontology, ONTOLOGY_ENV, self.config, "ontology"
+        config = _load_config_file(args.config)
+        values = {
+            "db_path": _setting(args.db, DB_ENV, config, "db"),
+            "ontology_path": _setting(args.ontology, ONTOLOGY_ENV, config, "ontology"),
+            "gripper": _gripper_from_config(config),
+            "template_cap": _setting(args.template_cap, None, config, "template_cap"),
+            "rng_seed": _setting(args.rng_seed, None, config, "rng_seed"),
+        }
+        self.settings = PipelineConfig(
+            **{name: value for name, value in values.items() if value is not None}
         )
-        self.leaf = float(_setting(args.leaf, None, self.config, "leaf", 0.005))
-        self.rng_seed = int(
-            _setting(args.rng_seed, None, self.config, "rng_seed", 0)
-        )
-        self.template_cap = int(
-            _setting(args.template_cap, None, self.config, "template_cap", 3)
-        )
-        self.gripper = _gripper_from_config(self.config)
-        self.fixtures = _setting(args.fixtures, FIXTURES_ENV, self.config, "fixtures")
-        self.endpoint = _setting(args.endpoint, ENDPOINT_ENV, self.config, "endpoint")
-        self.api_key = _setting(args.api_key, API_KEY_ENV, self.config, "api_key")
-        self.model = _setting(args.model, MODEL_ENV, self.config, "model")
-
-    def graph(self) -> OntologyGraph:
-        if self.ontology_path:
-            return OntologyGraph.load(self.ontology_path)
-        return default_graph()
+        if "leaf" in args:
+            self.leaf = _setting(args.leaf, None, config, "leaf", DEFAULT_LEAF)
+        self.fixtures = _setting(args.fixtures, FIXTURES_ENV, config, "fixtures")
+        self.endpoint = _setting(args.endpoint, ENDPOINT_ENV, config, "endpoint")
+        self.api_key = _setting(args.api_key, API_KEY_ENV, config, "api_key")
+        self.model = _setting(args.model, MODEL_ENV, config, "model")
 
     def chat_client(self):
         if self.fixtures:
@@ -139,21 +135,11 @@ class _Context:
         )
 
     def require_db(self) -> str:
-        if not self.db_path:
+        if not self.settings.db_path:
             raise SceneSpecError(
                 "no template database given (use --db, TOG_DB, or config 'db')"
             )
-        return self.db_path
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            db_path=self.require_db(),
-            ontology_path=self.ontology_path,
-            leaf=self.leaf,
-            gripper=self.gripper,
-            template_cap=self.template_cap,
-            rng_seed=self.rng_seed,
-        )
+        return self.settings.db_path
 
 
 def _parse_pair(text: str, what: str) -> tuple[str, str]:
@@ -177,8 +163,8 @@ def _synthetic_templates(ctx: _Context, specs, graph) -> dict:
                 object_class,
                 count=int(count),
                 leaf=ctx.leaf,
-                gripper=ctx.gripper,
-                rng_seed=ctx.rng_seed,
+                gripper=ctx.settings.gripper,
+                rng_seed=ctx.settings.rng_seed,
                 graph=graph,
             )
         )
@@ -193,7 +179,8 @@ def cmd_db_build(args) -> int:
     ctx = _Context(args)
     if not args.labeled and not args.synthetic:
         raise SceneSpecError("db build needs --labeled and/or --synthetic inputs")
-    graph = ctx.graph()
+    settings = ctx.settings
+    graph = settings.graph()
     templates = {}
     for i, spec in enumerate(args.labeled or ()):
         object_class, path = _parse_pair(spec, "--labeled")
@@ -202,11 +189,11 @@ def cmd_db_build(args) -> int:
             cloud,
             object_class,
             leaf=ctx.leaf,
-            gripper=ctx.gripper,
+            gripper=settings.gripper,
             graph=graph,
             template_id=Path(path).stem,
             grasp_target=args.grasp_target,
-            rng=(ctx.rng_seed, i),
+            rng=(settings.rng_seed, i),
         )
         templates[template.id] = template
     templates.update(_synthetic_templates(ctx, args.synthetic or (), graph))
@@ -246,7 +233,7 @@ def cmd_db_inspect(args) -> int:
 def cmd_ontology_resolve(args) -> int:
     ctx = _Context(args)
     resolved = resolve(
-        ctx.graph(),
+        ctx.settings.graph(),
         Instruction(args.text, target_class_hint=args.hint),
         ctx.chat_client(),
         novel_extension=args.novel,
@@ -298,7 +285,8 @@ def cmd_recognize(args) -> int:
     ctx = _Context(args)
     scene = load_cloud(args.scene)
     db = load_db(ctx.require_db())
-    templates = select_templates(db, args.object_class, args.part, ctx.template_cap)
+    cap = ctx.settings.template_cap
+    templates = select_templates(db, args.object_class, args.part, cap)
     result = recognize(scene, list(templates.values()), args.part)
     if args.save_cluster:
         save_ply(cluster_cloud(scene, result), args.save_cluster)
@@ -323,14 +311,15 @@ def cmd_register(args) -> int:
     ctx = _Context(args)
     scene = load_cloud(args.scene)
     db = load_db(ctx.require_db())
-    templates = select_templates(db, args.object_class, args.part, ctx.template_cap)
+    cap = ctx.settings.template_cap
+    templates = select_templates(db, args.object_class, args.part, cap)
     if args.template:
         if args.template not in templates:
             raise SceneSpecError(f"template '{args.template}' not in the match set")
         templates = {args.template: templates[args.template]}
     recognition = recognize(scene, list(templates.values()), args.part)
     registrations, failures = register_all(
-        scene, recognition, templates, ctx.leaf, ctx.rng_seed
+        scene, recognition, templates, ctx.settings.rng_seed
     )
     _emit(
         {
@@ -349,8 +338,9 @@ def cmd_register(args) -> int:
 def _run_pipeline(args, **options):
     """`run_pipeline` on the instruction and scene flags of plan and export."""
     ctx = _Context(args)
+    ctx.require_db()
     return run_pipeline(
-        ctx.pipeline_config(),
+        ctx.settings,
         args.instruction,
         args.scene,
         ctx.chat_client(),
@@ -425,19 +415,20 @@ def _bench_conditions(args) -> list[Condition]:
 
 def cmd_bench_run(args) -> int:
     ctx = _Context(args)
-    if ctx.db_path:
-        templates = load_db(ctx.db_path)
+    if ctx.settings.db_path:
+        if args.leaf is not None:
+            raise SceneSpecError("--leaf applies to --synthetic templates, not --db")
+        templates = load_db(ctx.settings.db_path)
     else:
         templates = _synthetic_templates(
-            ctx, args.synthetic or ("mug=3", "bottle=3"), ctx.graph()
+            ctx, args.synthetic or ("mug=3", "bottle=3"), ctx.settings.graph()
         )
     report = run_suite(
         _bench_conditions(args),
         templates,
         trials_per_condition=args.trials,
         master_seed=args.master_seed,
-        gripper=ctx.gripper,
-        leaf=ctx.leaf,
+        gripper=ctx.settings.gripper,
     )
     payload = report.to_dict()
     if args.out:
@@ -456,7 +447,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ontology", help=f"ontology JSON file (env {ONTOLOGY_ENV}; default built-in)"
     )
-    parser.add_argument("--leaf", type=float, help="voxel size in meters")
     parser.add_argument("--rng-seed", type=int, help="master random seed")
     parser.add_argument(
         "--template-cap", type=int, help="max templates matched per class"
@@ -496,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CLASS=COUNT",
         help="generate templates from the built-in shape generators",
     )
+    p_build.add_argument("--leaf", type=float, help="template voxel size in meters")
     p_build.add_argument(
         "--grasp-target", type=int, default=50, help="grasps to sample per part"
     )
@@ -581,6 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CLASS=COUNT",
         help="build synthetic templates instead of loading --db",
     )
+    p_run.add_argument("--leaf", type=float, help="template voxel size in meters")
     p_run.add_argument("--out", help="also write the report JSON here")
     p_run.set_defaults(func=cmd_bench_run)
 

@@ -43,10 +43,23 @@ def save_ply(cloud: PointCloud, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CloudParseError(f"{path}: cannot read ({exc})") from exc
+
+
+def _count(text: str, path, what: str) -> int:
+    """A non-negative header integer, else CloudParseError."""
+    if not text.isdecimal() or len(text) > 18:  # int64 range
+        raise CloudParseError(f"{path}: {what} must be a whole number, got '{text}'")
+    return int(text)
+
+
 def load_ply(path) -> PointCloud:
     """Read an ASCII PLY written by `save_ply` (or any x/y/z[/label] PLY)."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise CloudParseError(f"{path}: not a PLY file")
     id_to_name: dict[int, str] = {}
@@ -59,15 +72,17 @@ def load_ply(path) -> PointCloud:
         if not parts:
             continue
         if parts[0] == "format":
-            if parts[1] != "ascii":
+            if parts[1:2] != ["ascii"]:
                 raise CloudParseError(f"{path}: only ascii PLY is supported")
         elif parts[0] == "comment":
             if len(parts) >= 4 and parts[1] == "label":
-                id_to_name[int(parts[2])] = " ".join(parts[3:])
+                id_to_name[_count(parts[2], path, "label id")] = " ".join(parts[3:])
         elif parts[0] == "element":
+            if len(parts) < 3:
+                raise CloudParseError(f"{path}: element line needs a name and a count")
             in_vertex_element = parts[1] == "vertex"
             if in_vertex_element:
-                n_vertices = int(parts[2])
+                n_vertices = _count(parts[2], path, "vertex count")
             elif n_vertices is None:
                 raise CloudParseError(f"{path}: first element must be vertex")
         elif parts[0] == "property" and in_vertex_element:
@@ -89,6 +104,8 @@ def load_ply(path) -> PointCloud:
         data = np.array([r.split() for r in rows], dtype=np.float64)
     except ValueError as exc:
         raise CloudParseError(f"{path}: bad vertex row ({exc})") from exc
+    if not rows:  # np.array([]) has no column axis
+        data = np.empty((0, len(properties)))
     if data.shape[1] != len(properties):
         raise CloudParseError(
             f"{path}: vertex rows have {data.shape[1]} columns, "
@@ -122,7 +139,7 @@ def cloud_from_dict(data: dict) -> PointCloud:
         raise CloudParseError("cloud JSON must be an object with a 'points' key")
     try:
         return PointCloud(data["points"], data.get("labels"))
-    except ValueError as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CloudParseError(str(exc)) from exc
 
 
@@ -132,8 +149,8 @@ def save_json(cloud: PointCloud, path) -> None:
 
 def load_json(path) -> PointCloud:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(_read_text(path))
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CloudParseError(f"{path}: invalid JSON ({exc})") from exc
     return cloud_from_dict(data)
 

@@ -75,7 +75,7 @@ class OptimizationIncompleteError(TogError):
 
     def __init__(self, message: str, transcript=None, stage=None):
         super().__init__(message, stage=stage)
-        self.transcript = transcript or []
+        self.transcript = [] if transcript is None else transcript
 
 
 class RegistrationFailureError(TogError):

@@ -77,9 +77,9 @@ class OntologyGraph:
     @classmethod
     def load(cls, path) -> "OntologyGraph":
         try:
-            data = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid ontology JSON ({exc})") from exc
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise SchemaError(f"{path}: cannot read ontology JSON ({exc})") from exc
         return cls(data)
 
     def save(self, path) -> None:
@@ -493,14 +493,11 @@ def optimize_prompt(
         entry["improver_reply"] = reply
         revised = _extract_revised_prompt(reply)
         if revised is None:
-            err = OptimizationIncompleteError(
-                f"round {round_no}: improver reply lacks a Revised Prompt marker"
+            raise OptimizationIncompleteError(
+                f"round {round_no}: improver reply lacks a Revised Prompt marker",
+                transcript=transcript,
             )
-            err.transcript = transcript
-            raise err
         current = revised
-    err = OptimizationIncompleteError(
-        f"no acceptance within {max_rounds} rounds"
+    raise OptimizationIncompleteError(
+        f"no acceptance within {max_rounds} rounds", transcript=transcript
     )
-    err.transcript = transcript
-    raise err

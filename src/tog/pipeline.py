@@ -15,6 +15,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral
+from os import PathLike
 from pathlib import Path
 
 import numpy as np
@@ -40,27 +42,38 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything `run_pipeline` needs besides the instruction and scene.
+    """The validated settings of a run, shared by the API and every CLI command.
 
-    `ontology_path` of None selects the built-in graph. `template_cap`
-    bounds how many templates of the resolved class are matched and
-    registered (insertion order of the database index).
+    `run_pipeline` needs `db_path`; `ontology_path` of None selects the
+    built-in graph. `template_cap` bounds how many templates of the resolved
+    class are matched and registered (database index order). There is no
+    leaf: each template registers at its own `Template.leaf`. A bad type or
+    range raises SceneSpecError.
     """
 
-    db_path: str
+    db_path: str | None = None
     ontology_path: str | None = None
-    leaf: float = 0.005
     gripper: GripperConfig = field(default_factory=default_gripper)
     template_cap: int = 3
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.leaf <= 0:
-            raise SceneSpecError("leaf must be positive")
-        if self.template_cap < 1:
-            raise SceneSpecError("template_cap must be at least 1")
-        if self.rng_seed < 0:
-            raise SceneSpecError("rng_seed must be non-negative")
+        for name in ("db_path", "ontology_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, PathLike)):
+                raise SceneSpecError(f"{name} must be a path, got {value!r}")
+        for name, low in (("template_cap", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise SceneSpecError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise SceneSpecError(f"{name} must be at least {low}, got {value}")
+
+    def graph(self) -> OntologyGraph:
+        """The ontology at `ontology_path`, else the built-in graph."""
+        if self.ontology_path:
+            return OntologyGraph.load(self.ontology_path)
+        return default_graph()
 
 
 @dataclass
@@ -106,20 +119,22 @@ def select_templates(
 
 
 def register_all(
-    scene, recognition, templates: dict, leaf: float, seed_base: int, strict=True
+    scene, recognition, templates: dict, seed_base: int, strict=True
 ) -> tuple[dict[str, RegistrationResult], dict[str, str]]:
     """Register every template to the recognized part.
 
-    The i-th template uses seed `seed_base * 1000 + i`. Returns the
-    registrations and, per failed template, its "code: message". With
-    `strict`, raises SceneSpecError naming each failure when none succeeds.
+    Each template registers at its own `leaf`, and the i-th uses seed
+    `seed_base * 1000 + i`. Returns the registrations and, per failed
+    template, its "code: message". With `strict`, raises SceneSpecError
+    naming each failure when none succeeds.
     """
     registrations: dict[str, RegistrationResult] = {}
     errors: dict[str, str] = {}
     for i, (tid, template) in enumerate(templates.items()):
         try:
             registrations[tid] = register(
-                scene, recognition, template, leaf=leaf, seed=seed_base * 1000 + i
+                scene, recognition, template, leaf=template.leaf,
+                seed=seed_base * 1000 + i,
             )
         except TogError as exc:
             errors[tid] = f"{exc.code}: {exc}"
@@ -181,11 +196,9 @@ def run_pipeline(
     timings: dict[str, float] = {}
 
     with _stage("setup"):
-        graph = (
-            OntologyGraph.load(config.ontology_path)
-            if config.ontology_path
-            else default_graph()
-        )
+        if not config.db_path:
+            raise SceneSpecError("no template database given (db_path is unset)")
+        graph = config.graph()
         db = load_db(config.db_path)
         scene = load_cloud(scene_cloud_path)
 
@@ -210,7 +223,7 @@ def run_pipeline(
     with _stage("register"):
         t0 = time.perf_counter()
         registrations, errors = register_all(
-            scene, recognition, selected, config.leaf, config.rng_seed, strict=strict
+            scene, recognition, selected, config.rng_seed, strict=strict
         )
         winning = best_registration(registrations) if registrations else None
         timings["register_seconds"] = time.perf_counter() - t0

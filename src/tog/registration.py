@@ -296,13 +296,12 @@ def register_local(
             return result
         if best is None or result.correspondences > best.correspondences:
             best = result
-    err = LocalRegistrationFailureError(
+    raise LocalRegistrationFailureError(
         f"no attempt exceeded {len(o_part) // 2} correspondences "
         f"in {LOCAL_ATTEMPTS} tries" + (f" (last error: {failure})" if failure else ""),
+        best_attempt=best,
         stage="local",
     )
-    err.best_attempt = best
-    raise err
 
 
 _GRID_DEGREES = tuple(range(-180, 180, 45))  # 8 values per axis, 512 triples

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     CloudParseError,
     DegeneratePartError,
     NoGraspError,
+    SceneSpecError,
     SchemaError,
 )
 from .geometry import (
@@ -38,6 +40,13 @@ GRASP_TARGET = 50
 FRICTION_HALF_ANGLE_DEG = 10.0
 DEDUP_CENTER_DIST = 0.005
 DEDUP_AXIS_ANGLE_DEG = 10.0
+
+
+def _is_leaf(value) -> bool:
+    """Whether `value` is a usable voxel size: a finite positive number."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return False
+    return 0 < value < math.inf
 
 
 @dataclass(frozen=True)
@@ -125,8 +134,10 @@ class Template:
             raise SchemaError(
                 f"template '{self.id}' has grasps for unknown parts {sorted(stray)}"
             )
-        if not self.leaf > 0:
-            raise SchemaError("template leaf must be positive")
+        if not _is_leaf(self.leaf):
+            raise SchemaError(
+                f"template leaf must be a positive number, got {self.leaf!r}"
+            )
 
     def part(self, path: str) -> PointCloud:
         if path not in self.parts:
@@ -276,6 +287,8 @@ def build_template(
     as one wider than the gripper opening, gets an empty grasp set, and
     planning on it raises NoGraspError.
     """
+    if not _is_leaf(leaf):
+        raise SceneSpecError(f"leaf must be a positive number of meters, got {leaf!r}")
     gripper = gripper or default_gripper()
     if labeled_cloud.labels is None:
         raise SchemaError("template construction needs a labeled cloud")

@@ -393,3 +393,129 @@ class TestPrecedence:
         config.write_text("[1, 2]")
         err = run_error(capsys, ["db", "inspect", "--config", str(config)])
         assert err["code"] == "spec"
+
+
+# Each settings-reading subcommand, with "{out}" the file or directory it
+# would write. Every one validates its settings before doing any work.
+SUBCOMMANDS = {
+    "db build": ["db", "build", "--out", "{out}", "--synthetic", "mug=1"],
+    "db inspect": ["db", "inspect", "--db", "{db}"],
+    "ontology resolve": ["ontology", "resolve", "--fixtures", "{chat}", "--text", POUR],
+    "ontology optimize": ["ontology", "optimize", "--fixtures", "{chat}", "--prompt",
+                          "Name the part.", "--feedback", "accept",
+                          "--transcript-out", "{out}"],
+    "recognize": ["recognize", "--db", "{db}", "--scene", "{scene}", "--part",
+                  "handle", "--save-cluster", "{out}"],
+    "register": ["register", "--db", "{db}", "--scene", "{scene}", "--part", "handle"],
+    "plan": ["plan", "--db", "{db}", "--fixtures", "{chat}", "--instruction", POUR,
+             "--scene", "{scene}", "--export-dir", "{out}"],
+    "export": ["export", "--db", "{db}", "--fixtures", "{chat}", "--instruction", POUR,
+               "--scene", "{scene}", "--out", "{out}"],
+    "bench run": ["bench", "run", "--synthetic", "mug=1", "--trials", "1",
+                  "--out", "{out}"],
+}
+TEMPLATE_MAKERS = ("db build", "bench run")
+# (config key, flag, value); a flag of None means the config file only
+BAD_SETTINGS = [
+    ("template_cap", "--template-cap", -1),
+    ("template_cap", "--template-cap", 0),
+    ("template_cap", None, "abc"),
+    ("rng_seed", "--rng-seed", -1),
+    ("rng_seed", None, "abc"),
+]
+BAD_LEAVES = [
+    ("leaf", "--leaf", -0.005),
+    ("leaf", "--leaf", 0),
+    ("leaf", None, "abc"),
+]
+
+
+def subcommand_argv(ws, name, out):
+    fields = {"db": ws["db"], "scene": ws["scene"], "chat": ws["chat"], "out": str(out)}
+    return [arg.format(**fields) for arg in SUBCOMMANDS[name]]
+
+
+def _bad_cases():
+    for name in SUBCOMMANDS:
+        rows = BAD_SETTINGS + (BAD_LEAVES if name in TEMPLATE_MAKERS else [])
+        for key, flag, value in rows:
+            for source in ("flag", "config") if flag else ("config",):
+                yield pytest.param(name, key, flag, value, source,
+                                   id=f"{name}-{key}={value}-{source}")
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize("name,key,flag,value,source", list(_bad_cases()))
+    def test_bad_setting_is_a_spec_error_before_any_work(
+        self, ws, capsys, tmp_path, monkeypatch, name, key, flag, value, source
+    ):
+        monkeypatch.delenv("TOG_DB", raising=False)
+        out = tmp_path / "out"
+        argv = subcommand_argv(ws, name, out)
+        if source == "flag":
+            argv += [flag, str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))
+            argv += ["--config", str(config)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, captured.err
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == "spec"
+        assert key in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name", [n for n in SUBCOMMANDS if n not in TEMPLATE_MAKERS]
+    )
+    def test_leaf_only_where_templates_are_built(self, ws, capsys, tmp_path, name):
+        argv = subcommand_argv(ws, name, tmp_path / "out")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--leaf", "0.005"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --leaf" in capsys.readouterr().err
+
+    def test_bench_leaf_with_a_database_is_a_spec_error(self, ws, capsys, tmp_path):
+        err = run_error(
+            capsys,
+            ["bench", "run", "--db", ws["db"], "--leaf", "0.005", "--trials", "1",
+             "--out", str(tmp_path / "report.json")],
+        )
+        assert err["code"] == "spec"
+        assert "--leaf" in err["message"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["db", "inspect"], "db"),
+            (["ontology", "resolve", "--text", POUR], "ontology"),
+        ],
+    )
+    def test_config_path_of_wrong_type_is_a_spec_error(
+        self, capsys, tmp_path, monkeypatch, argv, key
+    ):
+        monkeypatch.delenv("TOG_DB", raising=False)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: 5}))
+        err = run_error(capsys, [*argv, "--config", str(config)])
+        assert err["code"] == "spec"
+        assert f"{key}_path must be a path" in err["message"]
+
+    @pytest.mark.parametrize("name", ["db build", "ontology resolve", "plan"])
+    def test_missing_ontology_file_is_a_schema_error(self, ws, capsys, tmp_path, name):
+        argv = subcommand_argv(ws, name, tmp_path / "out")
+        err = run_error(capsys, [*argv, "--ontology", str(tmp_path / "none.json")])
+        assert err["code"] == "schema"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_leaf_builds_templates_at_that_leaf(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"leaf": 0.006}))
+        db = tmp_path / "db"
+        run_json(capsys, ["db", "build", "--out", str(db), "--synthetic", "mug=1",
+                          "--config", str(config)])
+        payload = run_json(capsys, ["db", "inspect", "--db", str(db)])
+        assert [t["leaf"] for t in payload["templates"]] == [0.006]

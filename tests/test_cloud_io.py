@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tog.cloud_io import (
     cloud_from_dict,
@@ -13,7 +15,7 @@ from tog.cloud_io import (
     save_json,
     save_ply,
 )
-from tog.errors import CloudParseError
+from tog.errors import CloudParseError, TogError
 from tog.geometry import PointCloud
 
 
@@ -137,3 +139,89 @@ class TestDispatch:
             load_cloud(tmp_path / "c.xyz")
         with pytest.raises(CloudParseError):
             save_cloud(PointCloud([[0, 0, 0]]), tmp_path / "c.xyz")
+
+
+XYZ = "property float x\nproperty float y\nproperty float z\n"
+
+
+class TestMalformed:
+    def test_zero_vertex_ply_is_an_empty_cloud(self, tmp_path):
+        empty = PointCloud(np.zeros((0, 3)), [])
+        for name in ("c.ply", "c.json"):
+            save_cloud(empty, tmp_path / name)
+            back = load_cloud(tmp_path / name)
+            assert back.points.shape == (0, 3)
+            assert back.labels.tolist() == []
+        path = tmp_path / "bare.ply"
+        path.write_text(f"ply\nformat ascii 1.0\nelement vertex 0\n{XYZ}end_header\n")
+        assert len(load_ply(path)) == 0
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "ply\nformat\nelement vertex 1\n",
+            "ply\nelement\n",
+            "ply\nelement vertex\n",
+            "ply\nelement vertex abc\n",
+            "ply\nelement vertex -1\n",
+            "ply\ncomment label x mug\nelement vertex 1\n",
+        ],
+    )
+    def test_bad_header_fields_are_parse_errors(self, tmp_path, header):
+        path = tmp_path / "c.ply"
+        path.write_text(header + XYZ + "end_header\n0 0 0\n")
+        with pytest.raises(CloudParseError):
+            load_ply(path)
+
+    @pytest.mark.parametrize("name", ["c.ply", "c.json"])
+    def test_non_utf8_bytes_are_parse_errors(self, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"ply\n\xff\xfe\n")
+        with pytest.raises(CloudParseError):
+            load_cloud(path)
+
+    def test_missing_file_is_a_parse_error(self, tmp_path):
+        with pytest.raises(CloudParseError):
+            load_cloud(tmp_path / "absent.ply")
+
+
+# header and body lines that parsers trip over, mixed into byte strings
+PLY_LINES = [
+    "ply", "format ascii 1.0", "format", "format binary_little_endian 1.0",
+    "comment label 0 handle", "comment label x mug", "comment label -1 a b",
+    "element vertex 0", "element vertex 2", "element vertex", "element vertex abc",
+    "element face 3", "element", "property float x", "property float y",
+    "property float z", "property int label", "property", "end_header",
+    "0 0 0", "1 2 3 0", "nan 1 2", "1e999 0 0", "0.5 -1 2 7", "", "1 2",
+]
+JSON_TEXTS = [
+    '{"points": []}', '{"points": [], "labels": []}', '{"points": [[1, 2, 3]]}',
+    '{"points": [[1, 2, 3]], "labels": ["a"]}', '{"points": {"a": 1}}',
+    '{"points": [[1e999, 0, 0]]}', '{"points": [[1, 2, "x"]]}', '{"points": [1, 2]}',
+    '{"points": [[%s, 0, 0]]}' % ("9" * 400), '{"points": [[1, 2, 3]], "labels": 5}',
+    '{"points": [[1, 2, 3]], "labels": [[1], 2]}', '[1, 2, 3]', '"points"', "[" * 5000,
+]
+PLY_BYTES = st.lists(st.sampled_from(PLY_LINES)).map(lambda ls: "\n".join(ls).encode())
+CLOUD_BYTES = st.one_of(
+    st.binary(max_size=300),
+    PLY_BYTES,
+    st.sampled_from(JSON_TEXTS).map(str.encode),
+    st.tuples(PLY_BYTES, st.binary(max_size=20)).map(b"".join),
+)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("cloud_bytes")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=CLOUD_BYTES, suffix=st.sampled_from([".ply", ".json"]))
+def test_any_bytes_load_or_raise_tog_error(scratch, data, suffix):
+    path = scratch / f"cloud{suffix}"
+    path.write_bytes(data)
+    try:
+        cloud = load_cloud(path)
+    except TogError:
+        return
+    assert cloud.points.ndim == 2 and cloud.points.shape[1] == 3

@@ -1,6 +1,7 @@
 """End-to-end pipeline orchestration and PLY export tests."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from tog.pipeline import (
     run_pipeline,
     select_templates,
 )
-from tog.templates import GripperConfig, load_db, save_db
+from tog.recognition import recognize
+from tog.registration import register
+from tog.templates import GripperConfig, build_template, load_db, save_db
 
 POUR = "Pour the water out of the mug."
 SHAKE = "Shake the bottle before I drink it."
@@ -77,8 +80,9 @@ def workspace(tmp_path_factory):
 
 class TestConfig:
     def test_validation(self):
+        mug = generate_object("mug", 500, np.random.default_rng(0))
         with pytest.raises(SceneSpecError):
-            PipelineConfig(db_path="x", leaf=0.0)
+            build_template(mug, "mug", leaf=0)
         with pytest.raises(SceneSpecError):
             PipelineConfig(db_path="x", template_cap=0)
         with pytest.raises(SceneSpecError):
@@ -196,19 +200,40 @@ class TestStages:
 
         def fake_register(scene, recognition, template, leaf, seed):
             seeds.append(seed)
-            if template == "bad":
+            if template.name == "bad":
                 raise CoarseFailureError("no hypothesis", stage="coarse")
-            return template
+            return template.name
 
         monkeypatch.setattr("tog.pipeline.register", fake_register)
-        templates = {"a": "ok", "b": "bad", "c": "ok"}
-        registrations, errors = register_all(None, None, templates, 0.005, 7)
+        ok = SimpleNamespace(name="ok", leaf=0.005)
+        bad = SimpleNamespace(name="bad", leaf=0.005)
+        templates = {"a": ok, "b": bad, "c": ok}
+        registrations, errors = register_all(None, None, templates, 7)
         assert seeds == [7000, 7001, 7002]
         assert registrations == {"a": "ok", "c": "ok"}
         assert errors == {"b": "coarse-failure: [coarse] no hypothesis"}
         with pytest.raises(SceneSpecError, match="every template registration failed"):
-            register_all(None, None, {"b": "bad"}, 0.005, 0)
-        assert register_all(None, None, {"b": "bad"}, 0.005, 0, strict=False)[0] == {}
+            register_all(None, None, {"b": bad}, 0)
+        assert register_all(None, None, {"b": bad}, 0, strict=False)[0] == {}
+
+    def test_register_all_registers_each_template_at_its_own_leaf(
+        self, workspace, monkeypatch
+    ):
+        fine = load_db(workspace["db"])["mug-0"]
+        coarse = build_class_templates("mug", count=1, leaf=0.006, n_points=4000)
+        bank = {"fine": fine, "coarse": coarse["mug-0"]}
+        scene = workspace["scene_cloud"]
+        recognition = recognize(scene, list(bank.values()), "handle")
+        calls = []
+
+        def spy(scene, recognition, template, leaf, seed):
+            calls.append((template.leaf, leaf))
+            return register(scene, recognition, template, leaf=leaf, seed=seed)
+
+        monkeypatch.setattr("tog.pipeline.register", spy)
+        registrations, errors = register_all(scene, recognition, bank, 0)
+        assert calls == [(0.005, 0.005), (0.006, 0.006)]
+        assert list(registrations) == ["fine", "coarse"] and errors == {}
 
 
 class TestExport:

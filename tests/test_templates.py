@@ -441,6 +441,13 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             template_from_dict({"id": "x"})
 
+    @pytest.mark.parametrize("leaf", ["abc", None, float("inf"), 0.0, True])
+    def test_rejects_leaf_that_is_not_a_positive_number(self, mug_template, leaf):
+        data = template_to_dict(mug_template)
+        data["leaf"] = leaf
+        with pytest.raises(SchemaError, match="leaf"):
+            template_from_dict(data)
+
     def test_template_validates_grasp_keys(self, mug_template):
         with pytest.raises(SchemaError):
             Template(
