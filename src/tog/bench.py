@@ -23,7 +23,7 @@ from scipy.spatial.transform import Rotation
 
 from .errors import SceneSpecError, TogError
 from .geometry import PointCloud, RigidTransform, aabb, apply_transform, knn_indices_batch
-from .pipeline import register_all, select_templates
+from .pipeline import check_integer_setting, register_all, select_templates
 from .planning import check_placement, check_stick, plan, points_in_closure
 from .recognition import recognize
 from .templates import GripperConfig, Template, build_template, default_gripper
@@ -721,6 +721,7 @@ def run_suite(
     """Run every condition for `trials_per_condition` independent trials."""
     if trials_per_condition < 1:
         raise SceneSpecError("need at least one trial per condition")
+    check_integer_setting("master_seed", master_seed, 0)
     all_trials = []
     per_condition = {}
     for c_idx, condition in enumerate(conditions):

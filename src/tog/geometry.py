@@ -259,11 +259,22 @@ def knn(cloud: PointCloud, query, k: int) -> list[int]:
     return cand[order[:k]].tolist()
 
 
+def knn_boundary_ties(d_kth: np.ndarray, d_next: np.ndarray) -> np.ndarray:
+    """Mask of query rows whose kth and (k+1)th neighbor distances tie.
+
+    A gap of at most 1e-9 relative (absolute below distance 1) counts as a
+    tie: which of the tied points a kd-tree query keeps is not defined, so
+    those rows must be re-ranked through `knn` to get its member set.
+    """
+    return d_next - d_kth <= 1e-9 * np.maximum(d_next, 1.0)
+
+
 def knn_indices_batch(cloud: PointCloud, queries: np.ndarray, k: int) -> np.ndarray:
     """(m, k) nearest-neighbor index matrix for many queries at once.
 
-    Rows whose kth neighbor is distance-tied with the (k+1)th are repaired
-    through the exact single-query path, so member *sets* match `knn`.
+    Rows whose kth neighbor is distance-tied with the (k+1)th
+    (`knn_boundary_ties`) are repaired through the exact single-query path,
+    so member *sets* match `knn`.
     """
     n = len(cloud)
     if k < 1 or k > n:
@@ -277,9 +288,7 @@ def knn_indices_batch(cloud: PointCloud, queries: np.ndarray, k: int) -> np.ndar
     kq = min(k + 1, n)
     d, idx = cloud.tree.query(queries, k=kq, workers=-1)
     if kq > k:
-        gap = d[:, k] - d[:, k - 1]
-        scale = np.maximum(d[:, k], 1.0)
-        ambiguous = np.nonzero(gap <= 1e-9 * scale)[0]
+        ambiguous = np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]
         idx = idx[:, :k]
         for row in ambiguous:
             idx[row] = knn(cloud, queries[row], k)

@@ -40,6 +40,14 @@ from .templates import GripperConfig, Template, default_gripper, load_db
 REPORT_SCHEMA_VERSION = 1
 
 
+def check_integer_setting(name: str, value, low: int) -> None:
+    """SceneSpecError unless `value` is an integer (not a bool) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise SceneSpecError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise SceneSpecError(f"{name} must be at least {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """The validated settings of a run, shared by the API and every CLI command.
@@ -62,12 +70,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, (str, PathLike)):
                 raise SceneSpecError(f"{name} must be a path, got {value!r}")
-        for name, low in (("template_cap", 1), ("rng_seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise SceneSpecError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise SceneSpecError(f"{name} must be at least {low}, got {value}")
+        check_integer_setting("template_cap", self.template_cap, 1)
+        check_integer_setting("rng_seed", self.rng_seed, 0)
 
     def graph(self) -> OntologyGraph:
         """The ontology at `ontology_path`, else the built-in graph."""

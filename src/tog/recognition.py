@@ -11,6 +11,17 @@ is scored against each template part by three normalized dissimilarities:
   object, in units of the whole's half bounding-box diagonal.
 
 The seed with the lowest mean combined score across templates wins.
+
+All seeds are scored in one pass over blocks of seeds, shared by every
+template: per block, one kd-tree query at the largest k (+1 for the tie
+check), one gather of the member points (copied once more one plane per
+axis, for the box and distance reductions) and one array of member-to-seed
+distances. Rows come sorted by distance, so each template reads its
+cluster as the prefix ``[:, :k]`` of those rows; column 0 sits at distance
+0 (the seed, or an exact copy of it), so the dispersion term reads
+``[:, 1:k]``. A row whose kth and (k+1)th distances tie is re-scored per
+template through the single-seed path (`score_cluster`), so every member
+set equals `knn`'s.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from .geometry import (
     PointCloud,
     aabb,
     knn,
-    knn_indices_batch,
+    knn_boundary_ties,
     pca_singular_values,
     singular_values_batch,
 )
@@ -101,12 +112,13 @@ def _spread(points: np.ndarray, reference: np.ndarray, exclude_mask) -> float:
 def d_ppd(o_part: PointCloud, seed, m_part: PointCloud) -> float:
     """Dispersion dissimilarity around seed (observed) vs center (template).
 
-    Distances run from the reference to all *other* points: the seed's own
-    entry is dropped by exact coordinate match here; the clustered path in
-    `recognize` drops it by index (identical on duplicate-free clouds).
+    Distances run from the reference to all *other* points: one entry at
+    the seed's exact coordinates (the seed itself, or a copy of it) is
+    dropped, which leaves the same distances as dropping the seed by index.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(3)
-    o_self = np.all(o_part.points == seed, axis=1)
+    o_self = np.zeros(len(o_part), dtype=bool)
+    o_self[np.flatnonzero(np.all(o_part.points == seed, axis=1))[:1]] = True
     ref_idx = part_reference_index(m_part)
     m_self = np.zeros(len(m_part), dtype=bool)
     m_self[ref_idx] = True
@@ -180,9 +192,15 @@ class RecognitionResult:
     seed_scores: np.ndarray = field(repr=False, default=None)
 
 
+# seeds per block are sized so a (seeds, largest k) array holds about this
+# many neighbor entries
+_BLOCK_ENTRIES = 2**18
+
+
 @dataclass(frozen=True)
 class _TemplateStats:
     template: "Template"
+    part_path: str
     k: int
     sigma_unit: np.ndarray
     spread: float
@@ -208,21 +226,23 @@ def _template_stats(o_all: PointCloud, template: "Template", part_path: str) -> 
         raise DegenerateTemplateError(
             f"template '{template.id}' part '{part_path}': {exc}"
         ) from exc
-    return _TemplateStats(template, k, sigma_unit, spread, ratio)
+    return _TemplateStats(template, part_path, k, sigma_unit, spread, ratio)
 
 
-def _score_all_seeds(o_all: PointCloud, stats: _TemplateStats) -> np.ndarray:
-    """Combined score of every seed against one template, NaN = degenerate.
+def _prefix_scores(
+    members: np.ndarray,
+    coords: np.ndarray,
+    others: np.ndarray,
+    whole_box,
+    stats: _TemplateStats,
+) -> np.ndarray:
+    """Combined scores of m clusters against one template, NaN = degenerate.
 
-    Assumes a duplicate-free cloud (voxel downsampling guarantees it), so
-    each seed appears exactly once in its own neighbor row.
+    ``members`` and ``coords`` hold the same member points as (m, k, 3) and
+    as (3, m, k), one plane per axis; ``others`` the (m, k - 1) distances to
+    the seed, with the seed's own zero distance left out.
     """
-    n = len(o_all)
-    k = stats.k
-    idx = knn_indices_batch(o_all, o_all.points, k)
-    member_pts = o_all.points[idx]
-
-    sigma = singular_values_batch(member_pts)
+    sigma = singular_values_batch(members)
     sig_norm = np.linalg.norm(sigma, axis=1)
     valid = sig_norm > 0
     sig_norm_safe = np.where(valid, sig_norm, 1.0)
@@ -230,9 +250,6 @@ def _score_all_seeds(o_all: PointCloud, stats: _TemplateStats) -> np.ndarray:
         sigma / sig_norm_safe[:, None] - stats.sigma_unit, axis=1
     )
 
-    dists = np.linalg.norm(member_pts - o_all.points[:, None, :], axis=2)
-    self_mask = idx == np.arange(n)[:, None]
-    others = dists[~self_mask].reshape(n, k - 1)
     mean = others.mean(axis=1)
     std = others.std(axis=1)
     max_dev = np.abs(others - mean[:, None]).max(axis=1)
@@ -241,15 +258,60 @@ def _score_all_seeds(o_all: PointCloud, stats: _TemplateStats) -> np.ndarray:
     spread = np.where(spread_ok, std / np.where(spread_ok, max_dev, 1.0), np.nan)
     ppd_scores = np.abs(spread - stats.spread)
 
-    whole_box = aabb(o_all)
-    if whole_box.half_diagonal <= 0:
-        raise DegenerateClusterError("observed cloud has zero bounding-box diagonal")
-    centers = 0.5 * (member_pts.min(axis=1) + member_pts.max(axis=1))
+    centers = 0.5 * (coords.min(axis=2) + coords.max(axis=2)).T
     ratios = np.linalg.norm(centers - whole_box.center, axis=1) / whole_box.half_diagonal
     ccd_scores = np.abs(ratios - stats.center_ratio)
 
     scores = pca_scores + ppd_scores + ccd_scores
     return np.where(valid, scores, np.nan)
+
+
+def _single_seed_score(o_all: PointCloud, seed_index: int, stats: _TemplateStats) -> float:
+    """One seed's score through the reference path, NaN = degenerate."""
+    try:
+        return score_cluster(o_all, seed_index, stats.template, stats.part_path).d
+    except DegenerateClusterError:
+        return np.nan
+
+
+def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarray:
+    """(n, templates) combined score of every seed, NaN = degenerate.
+
+    One kd-tree query, gather and distance array per block of seeds serve
+    every template; each reads its clusters as the first k columns, and
+    re-scores the rows tied at its own kth neighbor one by one.
+    """
+    points = o_all.points
+    n = len(points)
+    whole_box = aabb(o_all)
+    if whole_box.half_diagonal <= 0:
+        raise DegenerateClusterError("observed cloud has zero bounding-box diagonal")
+    kmax = max(s.k for s in stats)
+    kq = min(kmax + 1, n)
+    block = max(1, _BLOCK_ENTRIES // kmax)
+    scores = np.empty((n, len(stats)))
+    for start in range(0, n, block):
+        seeds = points[start : start + block]
+        d, idx = o_all.tree.query(seeds, k=kq, workers=-1)
+        members = points[idx[:, :kmax]]
+        # the same points one plane per axis, so minima, maxima and distances
+        # run along contiguous rows; summing x², y², z² in that order gives
+        # np.linalg.norm(members - seed, axis=2) bit for bit
+        coords = np.ascontiguousarray(members.transpose(2, 0, 1))
+        dist = np.zeros(coords.shape[1:])
+        for plane, seed_coord in zip(coords, seeds.T):
+            dist += (plane - seed_coord[:, None]) ** 2
+        np.sqrt(dist, out=dist)
+        for j, s in enumerate(stats):
+            k = s.k
+            out = scores[start : start + len(seeds), j]
+            out[:] = _prefix_scores(
+                members[:, :k], coords[:, :, :k], dist[:, 1:k], whole_box, s
+            )
+            if k < kq:
+                for row in np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]:
+                    out[row] = _single_seed_score(o_all, start + row, s)
+    return scores
 
 
 def recognize(
@@ -270,7 +332,7 @@ def recognize(
     if not carriers:
         raise SchemaError(f"no template carries part '{part_path}'")
     stats = [_template_stats(o_all, t, part_path) for t in carriers]
-    score_matrix = np.stack([_score_all_seeds(o_all, s) for s in stats], axis=1)
+    score_matrix = _score_all_seeds(o_all, stats)
 
     seed_scores = score_matrix.mean(axis=1)  # NaN if any template degenerate
     if np.all(np.isnan(seed_scores)):

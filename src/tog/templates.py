@@ -389,6 +389,9 @@ def template_from_dict(data: dict) -> Template:
     missing = {"id", "object_class", "full_cloud", "parts", "grasps"} - set(data)
     if missing:
         raise SchemaError(f"template JSON missing keys {sorted(missing)}")
+    for key in ("parts", "grasps"):
+        if not isinstance(data[key], dict):
+            raise SchemaError(f"template JSON '{key}' must be an object")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported template schema_version {version}")
@@ -418,8 +421,12 @@ def save_template(template: Template, path) -> None:
 
 def load_template(path) -> Template:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CloudParseError(f"{path}: cannot read template file ({exc})") from exc
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CloudParseError(f"{path}: invalid template JSON ({exc})") from exc
     return template_from_dict(data)
 
@@ -453,13 +460,26 @@ def load_db(directory) -> dict:
     if not index_path.exists():
         raise SchemaError(f"{directory}: no db.json index")
     try:
-        index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
+        index = json.loads(index_path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{index_path}: invalid index JSON ({exc})") from exc
+    if not isinstance(index, dict):
+        raise SchemaError(f"{index_path}: index must be a JSON object")
     if index.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"{index_path}: unsupported schema_version")
+    entries = index.get("templates", [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"{index_path}: 'templates' must be a list")
     out = {}
-    for entry in index.get("templates", []):
+    for i, entry in enumerate(entries):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("id"), str)
+            and isinstance(entry.get("file"), str)
+        ):
+            raise SchemaError(
+                f"{index_path}: template entry {i} needs string 'id' and 'file'"
+            )
         template = load_template(directory / entry["file"])
         if template.id != entry["id"]:
             raise SchemaError(

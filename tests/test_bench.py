@@ -519,6 +519,11 @@ class TestTrials:
         with pytest.raises(SceneSpecError):
             run_suite([], mug_templates, trials_per_condition=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_suite_rejects_bad_master_seed(self, mug_templates, seed):
+        with pytest.raises(SceneSpecError, match="master_seed"):
+            run_suite([], mug_templates, master_seed=seed)
+
 
 class TestRuntimeTrend:
     def test_pairs_and_counts(self, mug_templates):

@@ -1,6 +1,8 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +112,21 @@ class TestDb:
     def test_inspect_missing_db(self, capsys, tmp_path):
         err = run_error(capsys, ["db", "inspect", "--db", str(tmp_path / "void")])
         assert err["code"] == "schema"
+
+    def test_inspect_corrupt_db(self, ws, capsys, tmp_path):
+        db = tmp_path / "db"
+        shutil.copytree(ws["db"], db)
+        (db / "db.json").write_bytes(b"\xff\xfe")
+        err = run_error(capsys, ["db", "inspect", "--db", str(db)])
+        assert err["code"] == "schema"
+        index = {"schema_version": 1, "templates": [{"id": "mug-0"}]}
+        (db / "db.json").write_text(json.dumps(index))
+        err = run_error(capsys, ["db", "inspect", "--db", str(db)])
+        assert err["code"] == "schema"
+        shutil.copy(Path(ws["db"]) / "db.json", db / "db.json")
+        (db / "mug-0.template.json").unlink()
+        err = run_error(capsys, ["db", "inspect", "--db", str(db)])
+        assert err["code"] == "parse"
 
 
 class TestOntologyCli:
@@ -347,6 +364,14 @@ class TestBenchCli:
         )
         (trial,) = payload["trials"]
         assert trial["error"] == "spec: template ids ['mug-9'] are not in the bank"
+
+    def test_negative_master_seed(self, ws, capsys):
+        err = run_error(
+            capsys,
+            ["bench", "run", "--db", ws["db"], "--master-seed", "-1", "--trials", "1"],
+        )
+        assert err["code"] == "spec"
+        assert "master_seed must be at least 0" in err["message"]
 
     def test_bad_conditions_file(self, ws, capsys, tmp_path):
         cond_path = tmp_path / "conditions.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from tog import recognition
 from tog.errors import (
     DegenerateClusterError,
     DegenerateTemplateError,
@@ -161,6 +162,18 @@ class TestDPpd:
         m = np.random.default_rng(7).normal(size=(10, 3))
         with pytest.raises(DegenerateClusterError):
             d_ppd(PointCloud(o), o[0], PointCloud(m))
+
+    def test_seed_copy_keeps_its_zero_distance(self):
+        # a copy of the seed is another point: only the seed's own entry goes
+        rng = np.random.default_rng(8)
+        o = rng.normal(size=(12, 3))
+        o[7] = o[3]
+        m = rng.normal(size=(20, 3))
+        expected = abs(
+            oracles.spread_statistic(o, 3)
+            - oracles.spread_statistic(m, oracles.nearest_to_aabb_center(m))
+        )
+        assert np.isclose(d_ppd(PointCloud(o), o[3], PointCloud(m)), expected, atol=1e-12)
 
     def test_reference_point_selection(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0.4, 0.1, 0], [0, 1, 0], [1, 1, 0]], float)
@@ -406,3 +419,59 @@ class TestRecognize:
         assert r1.seed_index == r2.seed_index
         assert np.array_equal(r1.members, r2.members)
         assert r1.mean_score == r2.mean_score
+
+
+def assert_matches_oracle(o_pts, wholes_parts):
+    """recognize() on stub templates agrees seed-for-seed with the oracle."""
+    templates = [stub_template(f"t{j}", w, p) for j, (w, p) in enumerate(wholes_parts)]
+    got = recognize(PointCloud(o_pts), templates, "part")
+    _, scores = oracles.recognize_exhaustive(
+        o_pts, [{"whole": w, "part": p} for w, p in wholes_parts]
+    )
+    nan = np.isnan(scores)
+    assert np.array_equal(np.isnan(got.seed_scores), nan)
+    assert np.max(np.abs(got.seed_scores[~nan] - scores[~nan])) <= 1e-8
+    # symmetric seeds tie to within rounding, so pin the winner's score,
+    # not its index
+    assert abs(scores[got.seed_index] - np.nanmin(scores)) <= 1e-12
+    return got
+
+
+class TestSharedNeighborQuery:
+    """All templates read their clusters from one query per block of seeds."""
+
+    def test_repeated_points(self):
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-1, 1, size=(60, 3))
+        pts[[5, 12, 20, 33, 41, 50, 58]] = pts[5]  # one point, seven times
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        got = assert_matches_oracle(pts, [(whole, whole[:5])])  # k = 3
+        assert cluster_size_from_counts(60, 5, 100) == 3
+        assert np.isnan(got.seed_scores[[5, 12, 20, 33, 41, 50, 58]]).all()
+
+    def test_integer_lattice_ties_repaired_per_k(self):
+        # every distance on an integer lattice repeats, so many rows tie at
+        # the kth neighbor, at different rows for each k
+        grid = np.stack(
+            np.meshgrid(np.arange(6), np.arange(5), np.arange(3), indexing="ij"), -1
+        ).reshape(-1, 3).astype(float)
+        rng = np.random.default_rng(1)
+        whole = rng.uniform(-1, 1, size=(90, 3))
+        ks = [cluster_size_from_counts(90, 8, 90), cluster_size_from_counts(90, 21, 90)]
+        assert ks == [8, 21]
+        assert_matches_oracle(grid, [(whole, whole[:8]), (whole, whole[:21])])
+
+    def test_whole_cloud_template_next_to_small_k(self):
+        rng = np.random.default_rng(2)
+        o_pts = rng.uniform(-1, 1, size=(50, 3))
+        whole = rng.uniform(-1, 1, size=(40, 3))
+        got = assert_matches_oracle(o_pts, [(whole, whole), (whole, whole[:6])])
+        assert len(got.members) in (50, cluster_size_from_counts(50, 6, 40))
+
+    def test_cloud_spanning_two_blocks(self):
+        rng = np.random.default_rng(3)
+        o_pts = rng.uniform(-1, 1, size=(700, 3))
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        kmax = cluster_size_from_counts(700, 60, 100)
+        assert 700 > recognition._BLOCK_ENTRIES // kmax  # more than one block
+        assert_matches_oracle(o_pts, [(whole, whole[:60]), (whole, whole[:10])])

@@ -431,6 +431,49 @@ class TestSerialization:
         with pytest.raises(CloudParseError):
             load_db(tmp_path / "db")
 
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            ("template_not_utf8", CloudParseError),
+            ("template_missing", CloudParseError),
+            ("template_parts_list", SchemaError),
+            ("index_not_utf8", SchemaError),
+            ("index_is_list", SchemaError),
+            ("entry_without_file", SchemaError),
+            ("entry_not_object", SchemaError),
+            ("templates_not_list", SchemaError),
+        ],
+    )
+    def test_corrupt_database_raises_tog_error(
+        self, mug_template, tmp_path, corrupt, error
+    ):
+        db = save_db([mug_template], tmp_path / "db")
+        index_path = db / "db.json"
+        index = json.loads(index_path.read_text())
+        if corrupt == "template_not_utf8":
+            (db / "mug-0.template.json").write_bytes(b'{"id": "\xff\xfe"}')
+        elif corrupt == "template_missing":
+            (db / "mug-0.template.json").unlink()
+        elif corrupt == "template_parts_list":
+            data = json.loads((db / "mug-0.template.json").read_text())
+            data["parts"] = list(data["parts"])
+            (db / "mug-0.template.json").write_text(json.dumps(data))
+        elif corrupt == "index_not_utf8":
+            index_path.write_bytes(b"\xff\xfe{}")
+        elif corrupt == "index_is_list":
+            index_path.write_text(json.dumps([index]))
+        elif corrupt == "entry_without_file":
+            del index["templates"][0]["file"]
+            index_path.write_text(json.dumps(index))
+        elif corrupt == "entry_not_object":
+            index["templates"] = ["mug-0.template.json"]
+            index_path.write_text(json.dumps(index))
+        else:
+            index["templates"] = {"mug-0": "mug-0.template.json"}
+            index_path.write_text(json.dumps(index))
+        with pytest.raises(error):
+            load_db(db)
+
     def test_rejects_wrong_schema_version(self, mug_template):
         data = template_to_dict(mug_template)
         data["schema_version"] = 99
