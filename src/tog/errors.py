@@ -70,6 +70,12 @@ class FixtureMissingError(TogError):
     code = "fixture-missing"
 
 
+class ChatServiceError(TogError):
+    """The chat endpoint could not be reached, timed out or refused the request."""
+
+    code = "chat-service"
+
+
 class OptimizationIncompleteError(TogError):
     code = "optimization-incomplete"
 

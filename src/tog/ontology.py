@@ -15,12 +15,14 @@ import json
 import logging
 import os
 import re
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
+from http.client import HTTPException
 from pathlib import Path
 
-import requests
-
 from .errors import (
+    ChatServiceError,
     ConclusionParseError,
     FixtureMissingError,
     OptimizationIncompleteError,
@@ -34,6 +36,7 @@ ENDPOINT_ENV = "TOG_CHAT_ENDPOINT"
 API_KEY_ENV = "TOG_CHAT_API_KEY"
 MODEL_ENV = "TOG_CHAT_MODEL"
 FIXTURES_ENV = "TOG_CHAT_FIXTURES"
+_CHAT_STAGE = "resolve.chat"
 
 TASK_CONSTRAINTS = (
     "The robot should grasp parts that are either difficult to manipulate or "
@@ -197,7 +200,10 @@ class HttpChatClient(ChatClient):
     Expects a JSON reply with the assistant text at
     ``choices[0].message.content``. Endpoint, key, and model default to the
     TOG_CHAT_ENDPOINT / TOG_CHAT_API_KEY / TOG_CHAT_MODEL environment
-    variables.
+    variables. An unreachable endpoint, an HTTP error status or a timeout
+    raises `ChatServiceError`; an invalid endpoint URL, a body that is not
+    JSON or a reply of another shape raises `SchemaError`. Both carry the
+    stage ``resolve.chat``.
     """
 
     def __init__(self, endpoint=None, api_key=None, model=None, timeout=60.0):
@@ -212,18 +218,47 @@ class HttpChatClient(ChatClient):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = requests.post(
-            self.endpoint,
-            json={"model": self.model, "messages": [{"role": "user", "content": prompt}]},
-            headers=headers,
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        body = resp.json()
+        payload = {"model": self.model, "messages": [{"role": "user", "content": prompt}]}
         try:
-            return body["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise SchemaError(f"unexpected chat response shape: {body!r}") from exc
+            request = urllib.request.Request(
+                self.endpoint,
+                data=json.dumps(payload).encode("utf-8"),
+                headers=headers,
+                method="POST",
+            )
+        except ValueError as exc:  # not an absolute http(s) URL
+            raise SchemaError(f"invalid chat endpoint: {exc}", stage=_CHAT_STAGE) from exc
+        try:
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                raw = resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise ChatServiceError(
+                f"chat endpoint answered HTTP {exc.code} {exc.reason}", stage=_CHAT_STAGE
+            ) from exc
+        except urllib.error.URLError as exc:
+            raise ChatServiceError(
+                f"cannot reach chat endpoint {self.endpoint}: {exc.reason}", stage=_CHAT_STAGE
+            ) from exc
+        except (OSError, HTTPException) as exc:  # timeouts and broken connections
+            raise ChatServiceError(
+                f"chat request to {self.endpoint} failed: {exc!r}", stage=_CHAT_STAGE
+            ) from exc
+        try:
+            body = json.loads(raw)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
+            raise SchemaError(
+                f"chat reply is not JSON: {raw[:200]!r}", stage=_CHAT_STAGE
+            ) from exc
+        try:
+            content = body["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        if not isinstance(content, str):
+            raise SchemaError(
+                f"unexpected chat response shape: {body!r}", stage=_CHAT_STAGE
+            )
+        return content
 
 
 def client_from_env() -> ChatClient:

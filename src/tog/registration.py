@@ -3,9 +3,10 @@
 The observed cloud is registered in three stages: the recognized part is
 aligned to the template part (descriptor RANSAC plus ICP, retried until
 enough correspondences hold), the whole cloud is then rotated about the
-aligned seed over a fixed grid to resolve part-level ambiguity, and a final
-whole-cloud ICP refines the pose. The total transform maps observed
-(camera-frame) points into the template frame.
+aligned seed over a fixed grid to resolve part-level ambiguity (an exact
+bound-and-prune search that finishes only the rotations that can still
+win), and a final whole-cloud ICP refines the pose. The total transform
+maps observed (camera-frame) points into the template frame.
 """
 
 from __future__ import annotations
@@ -335,10 +336,18 @@ def _grid_classes():
 _GRID_MATS, _GRID_ANGLES, _GRID_CLASS, _GRID_FIRST = _grid_classes()
 
 
-def _mean_nn_distance(mats, base, pivot, target: PointCloud) -> np.ndarray:
+_CHUNKS = 16  # strided point chunks of the progressive-bound rotation search
+
+
+def _nn_distances(mats, base, pivot, target: PointCloud) -> np.ndarray:
+    """(len(mats), len(base)) distances from each rotated point to the target."""
     rotated = np.einsum("mij,nj->mni", mats, base) + pivot
     d, _ = target.tree.query(rotated.reshape(-1, 3), workers=-1)
-    return d.reshape(len(mats), -1).mean(axis=1)
+    return d.reshape(len(mats), len(base))
+
+
+def _mean_nn_distance(mats, base, pivot, target: PointCloud) -> np.ndarray:
+    return _nn_distances(mats, base, pivot, target).mean(axis=1)
 
 
 def optimize_rotation(
@@ -357,18 +366,53 @@ def optimize_rotation(
     The 512 Euler triples hold only 208 distinct rotations (192 written
     twice, 16 eight times), whose copies differ by rounding error. So the
     objective is computed once per distinct rotation, on its first grid
-    entry; then every entry of each rotation scoring within 1e-9 (relative
-    to the coordinate and objective scale) of the best is scored itself and
-    ranked by the order above. The distance is 1-Lipschitz, so that set
-    holds the full grid's winner, and the result is bitwise the one a
-    search over all 512 entries returns.
+    entry; then every entry of each rotation scoring within `tol` = 1e-9
+    (relative to the coordinate and objective scale) of the best is scored
+    itself and ranked by the order above. The distance is 1-Lipschitz, so
+    that set holds the full grid's winner, and the result is bitwise the one
+    a search over all 512 entries returns.
+
+    The 208 objectives are bounded before they are computed. The points are
+    split into 16 strided chunks (chunk c is points c::16). Every rotation is
+    scored on chunk 0, the one with the lowest partial sum is finished on
+    all its points, and its objective is the upper bound `upper`. Distances
+    are non-negative, so a rotation's partial sum over any chunks, divided
+    by n, is at most its objective; a rotation whose partial sum exceeds
+    n * (upper + 2 * tol(upper)) is dropped, and the others go on to the next
+    chunk. Since best <= upper, a dropped rotation's objective exceeds
+    best + tol by at least tol(upper), far more than summation rounding, so
+    it could never join the set above. Each finished rotation's distances
+    fill its row in original point order, and its objective is that row's
+    mean, bitwise what scoring all its points at once gives. So the set, and
+    the result, are the same as without bounds.
     """
     pivot = t_loc.apply(np.asarray(seed, dtype=np.float64).reshape(3))
     base = t_loc.apply(o_all.points) - pivot
-    per_class = _mean_nn_distance(_GRID_MATS[_GRID_FIRST], base, pivot, m_all)
+    n = len(base)
+    scale = 1.0 + np.abs(base).max() + np.abs(pivot).max()
+    mats = _GRID_MATS[_GRID_FIRST]
+    dist = np.empty((len(mats), n))
+    first = slice(0, None, _CHUNKS)
+    dist[:, first] = _nn_distances(mats, base[first], pivot, m_all)
+    partial = dist[:, first].sum(axis=1)
+    lead = int(np.argmin(partial))
+    rest = np.arange(n) % _CHUNKS != 0
+    dist[lead, rest] = _nn_distances(mats[lead : lead + 1], base[rest], pivot, m_all)[0]
+    upper = dist[lead].mean()
+    bound = n * (upper + 2e-9 * (scale + upper))
+    live = np.flatnonzero(partial <= bound)
+    live = live[live != lead]
+    for c in range(1, min(_CHUNKS, n)):
+        chunk = slice(c, None, _CHUNKS)
+        d = _nn_distances(mats[live], base[chunk], pivot, m_all)
+        dist[live, chunk] = d
+        partial[live] += d.sum(axis=1)
+        live = live[partial[live] <= bound]
+    done = np.append(live, lead)
+    per_class = dist[done].mean(axis=1)
     best = per_class.min()
-    tol = 1e-9 * (1.0 + np.abs(base).max() + np.abs(pivot).max() + best)
-    near = np.flatnonzero(np.isin(_GRID_CLASS, np.flatnonzero(per_class <= best + tol)))
+    tol = 1e-9 * (scale + best)
+    near = np.flatnonzero(np.isin(_GRID_CLASS, done[per_class <= best + tol]))
     objectives = _mean_nn_distance(_GRID_MATS[near], base, pivot, m_all)
     win = near[np.lexsort((near, _GRID_ANGLES[near], objectives))[0]]
     rot = _GRID_MATS[win]

@@ -389,6 +389,9 @@ def template_from_dict(data: dict) -> Template:
     missing = {"id", "object_class", "full_cloud", "parts", "grasps"} - set(data)
     if missing:
         raise SchemaError(f"template JSON missing keys {sorted(missing)}")
+    for key in ("id", "object_class"):
+        if not isinstance(data[key], str) or not data[key]:
+            raise SchemaError(f"template JSON '{key}' must be a non-empty string")
     for key in ("parts", "grasps"):
         if not isinstance(data[key], dict):
             raise SchemaError(f"template JSON '{key}' must be an object")

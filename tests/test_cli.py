@@ -1,7 +1,12 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
 
+import io
 import json
+import os
 import shutil
+import subprocess
+import sys
+import urllib.error
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +157,48 @@ class TestOntologyCli:
              "Hand me the wrench."],
         )
         assert err["code"] == "unresolved-part"
+
+    @pytest.mark.parametrize(
+        "failure, code",
+        [
+            (urllib.error.URLError(ConnectionRefusedError(111, "refused")), "chat-service"),
+            (urllib.error.HTTPError("http://chat.test", 500, "Error", {}, None), "chat-service"),
+            (TimeoutError("timed out"), "chat-service"),
+            (b"<html></html>", "schema"),
+            (b'{"choices": [{}]}', "schema"),
+        ],
+        ids=["url-error", "http-error", "timeout", "not-json", "bad-shape"],
+    )
+    def test_resolve_chat_failure_is_a_json_error(self, capsys, monkeypatch, failure, code):
+        monkeypatch.delenv("TOG_CHAT_FIXTURES", raising=False)
+        monkeypatch.setenv("TOG_CHAT_ENDPOINT", "http://chat.test/v1")
+
+        def urlopen(request, timeout=None):
+            if isinstance(failure, BaseException):
+                raise failure
+            return io.BytesIO(failure)
+
+        monkeypatch.setattr("urllib.request.urlopen", urlopen)
+        err = run_error(capsys, ["ontology", "resolve", "--text", POUR])
+        assert err["code"] == code
+        assert err["stage"] == "resolve.chat"
+
+    def test_resolve_runs_without_requests_installed(self, ws):
+        # the CLI needs no third-party HTTP library: block `requests` and run it
+        script = (
+            "import sys; sys.modules['requests'] = None; "
+            "from tog.cli import main; "
+            f"sys.exit(main(['ontology', 'resolve', '--fixtures', {ws['chat']!r}, "
+            f"'--text', {POUR!r}]))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["part_path"] == "handle"
 
     def test_optimize_scripted(self, ws, capsys, tmp_path):
         client = FixtureChatClient(ws["chat"])

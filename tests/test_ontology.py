@@ -1,8 +1,12 @@
+import http.client
+import io
 import json
+import urllib.error
 
 import pytest
 
 from tog.errors import (
+    ChatServiceError,
     ConclusionParseError,
     FixtureMissingError,
     OptimizationIncompleteError,
@@ -266,30 +270,46 @@ class TestResolve:
         assert result.object_class == "scissor"
 
 
+def fake_urlopen(monkeypatch, outcome):
+    """Make urlopen record its request and return `outcome`, or raise it."""
+    seen = {}
+
+    def urlopen(request, timeout=None):
+        seen.update(request=request, timeout=timeout)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return io.BytesIO(outcome)
+
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    return seen
+
+
+CHAT_REPLY = json.dumps({"choices": [{"message": {"content": "Conclusion: cap"}}]}).encode()
+
+
 class TestHttpClient:
     def test_wire_format(self, monkeypatch):
-        seen = {}
-
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": [{"message": {"content": "Conclusion: cap"}}]}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(url=url, payload=json, headers=headers, timeout=timeout)
-            return FakeResponse()
-
-        monkeypatch.setattr("tog.ontology.requests.post", fake_post)
-        client = HttpChatClient(endpoint="http://chat.test/v1", api_key="k1", model="m1")
+        seen = fake_urlopen(monkeypatch, CHAT_REPLY)
+        client = HttpChatClient(
+            endpoint="http://chat.test/v1", api_key="k1", model="m1", timeout=7.5
+        )
         assert client.complete("hello") == "Conclusion: cap"
-        assert seen["url"] == "http://chat.test/v1"
-        assert seen["payload"] == {
+        request = seen["request"]
+        assert request.full_url == "http://chat.test/v1"
+        assert request.get_method() == "POST"
+        assert json.loads(request.data) == {
             "model": "m1",
             "messages": [{"role": "user", "content": "hello"}],
         }
-        assert seen["headers"]["Authorization"] == "Bearer k1"
+        assert request.get_header("Authorization") == "Bearer k1"
+        assert request.get_header("Content-type") == "application/json"
+        assert seen["timeout"] == 7.5
+
+    def test_no_api_key_sends_no_authorization(self, monkeypatch):
+        monkeypatch.delenv(API_KEY_ENV, raising=False)
+        seen = fake_urlopen(monkeypatch, CHAT_REPLY)
+        HttpChatClient(endpoint="http://chat.test").complete("hello")
+        assert not seen["request"].has_header("Authorization")
 
     def test_env_configuration(self, monkeypatch):
         monkeypatch.setenv(ENDPOINT_ENV, "http://env.test")
@@ -305,20 +325,54 @@ class TestHttpClient:
         with pytest.raises(SchemaError):
             HttpChatClient()
 
-    def test_bad_response_shape(self, monkeypatch):
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"unexpected": True}
-
-        monkeypatch.setattr(
-            "tog.ontology.requests.post", lambda *a, **k: FakeResponse()
-        )
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"unexpected": true}',
+            b'{"choices": []}',
+            b'{"choices": [{"message": {"content": null}}]}',
+            b'["choices"]',
+        ],
+    )
+    def test_bad_response_shape(self, monkeypatch, body):
+        fake_urlopen(monkeypatch, body)
         client = HttpChatClient(endpoint="http://chat.test")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as info:
             client.complete("hello")
+        assert info.value.stage == "resolve.chat"
+
+    @pytest.mark.parametrize(
+        "body", [b"<html>502 Bad Gateway</html>", b"", b"\xff\xfe{", b"[" * 100_000]
+    )
+    def test_body_not_json(self, monkeypatch, body):
+        fake_urlopen(monkeypatch, body)
+        with pytest.raises(SchemaError, match="not JSON") as info:
+            HttpChatClient(endpoint="http://chat.test").complete("hello")
+        assert info.value.stage == "resolve.chat"
+
+    @pytest.mark.parametrize(
+        "failure, text",
+        [
+            (urllib.error.URLError(ConnectionRefusedError(111, "refused")), "cannot reach"),
+            (
+                urllib.error.HTTPError("http://chat.test", 503, "Unavailable", {}, None),
+                "HTTP 503",
+            ),
+            (TimeoutError("timed out"), "timed out"),
+            (http.client.RemoteDisconnected("closed"), "closed"),
+        ],
+        ids=["url-error", "http-error", "timeout", "disconnected"],
+    )
+    def test_transport_failures(self, monkeypatch, failure, text):
+        fake_urlopen(monkeypatch, failure)
+        with pytest.raises(ChatServiceError, match=text) as info:
+            HttpChatClient(endpoint="http://chat.test").complete("hello")
+        assert info.value.stage == "resolve.chat"
+        assert info.value.code == "chat-service"
+
+    def test_invalid_endpoint_url(self):
+        with pytest.raises(SchemaError, match="invalid chat endpoint"):
+            HttpChatClient(endpoint="chat.test/v1").complete("hello")
 
     def test_client_from_env_prefers_fixtures(self, monkeypatch, tmp_path):
         monkeypatch.setenv(FIXTURES_ENV, str(tmp_path))

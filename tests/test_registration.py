@@ -8,14 +8,14 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import oracles
-from tog import registration
+from tog import bench, registration
 from tog.errors import (
     CoarseFailureError,
     InsufficientPointsError,
     LocalRegistrationFailureError,
     RegistrationFailureError,
 )
-from tog.geometry import PointCloud, RigidTransform, rotation_between
+from tog.geometry import PointCloud, RigidTransform, apply_transform, rotation_between
 from tog.recognition import RecognitionResult
 from tog.registration import (
     best_registration,
@@ -298,6 +298,94 @@ class TestOptimizeRotation:
             t_opt = self.assert_matches_oracle(spot, spot[0], m_pts, t_loc)
             # all 512 entries tie, so the first zero-angle (identity) entry wins
             assert np.abs(t_opt.rotation - np.eye(3)).max() < 1e-15
+
+    def test_bitwise_equal_to_full_grid_for_any_point_count(self):
+        # fewer points than chunks, and counts that leave the strided chunks uneven
+        rng = np.random.default_rng(20)
+        _, mats = rotation_candidates()
+        for n in (1, 2, 5, 15, 16, 17, 31, 33, 161):
+            o_pts = rng.uniform(-0.05, 0.05, (n, 3))
+            seed = o_pts[int(rng.integers(n))]
+            rot = mats[int(rng.integers(len(mats)))]
+            m_pts = (o_pts - seed) @ rot.T + seed + rng.normal(0, 1e-4, o_pts.shape)
+            self.assert_matches_oracle(o_pts, seed, m_pts, RigidTransform.identity())
+            m_pts = rng.uniform(-0.05, 0.05, (int(rng.integers(10, 80)), 3))
+            self.assert_matches_oracle(o_pts, seed, m_pts, random_pose(rng))
+
+    def test_bitwise_equal_to_full_grid_far_from_the_origin(self):
+        # at 1e3 m the coordinate scale, not the objective, sets the tolerance
+        rng = np.random.default_rng(21)
+        _, mats = rotation_candidates()
+        offset = np.array([1e3, -1e3, 0.5e3])
+        for case in range(6):
+            o_pts = rng.uniform(-0.05, 0.05, (200, 3)) + offset
+            seed = o_pts[int(rng.integers(len(o_pts)))]
+            rot = mats[int(rng.integers(len(mats)))]
+            m_pts = (o_pts - seed) @ rot.T + seed + rng.normal(0, 1e-4, o_pts.shape)
+            t_loc = RigidTransform.identity()
+            if case % 2:
+                t_loc = RigidTransform(np.eye(3), -offset)
+                m_pts = m_pts - offset
+            self.assert_matches_oracle(o_pts, seed, m_pts, t_loc)
+
+    def test_bitwise_equal_when_the_first_chunk_leader_loses(self):
+        # the template holds a noisy copy of the cloud under one grid rotation,
+        # and an exact copy of chunk 0 (points 0::16) under another: the second
+        # leads on chunk 0, the first wins on all points
+        rng = np.random.default_rng(22)
+        o_pts = rng.uniform(-0.05, 0.05, (320, 3))
+        seed = o_pts[5]
+        cls, first = registration._GRID_CLASS, registration._GRID_FIRST
+        win_rot = registration._GRID_MATS[first[cls[100]]]
+        lead_rot = registration._GRID_MATS[first[cls[300]]]
+        m_pts = np.vstack(
+            [
+                (o_pts - seed) @ win_rot.T + seed + rng.normal(0, 1e-3, o_pts.shape),
+                (o_pts[::16] - seed) @ lead_rot.T + seed,
+            ]
+        )
+        tree = PointCloud(m_pts).tree
+        reps = registration._GRID_MATS[first]
+        chunk0 = [tree.query((o_pts[::16] - seed) @ r.T + seed)[0].sum() for r in reps]
+        assert np.argmin(chunk0) == cls[300]
+        t_opt = self.assert_matches_oracle(o_pts, seed, m_pts, RigidTransform.identity())
+        assert np.abs(t_opt.rotation - win_rot).max() < 1e-12
+
+    def test_bitwise_equal_on_a_partial_mug_view(self):
+        rng = np.random.default_rng(23)
+        pose = bench.desk_pose(rng)
+        posed = apply_transform(bench.generate_object("mug", 6000, rng), pose)
+        view, _, _ = bench.camera_with_part_visible(posed, "handle", rng)
+        view = view.select(np.sort(rng.choice(len(view), 1500, replace=False)))
+        assert len(view) == 1500
+        template = bench.generate_object("mug", 2000, rng)
+        handle = np.flatnonzero(bench.truth_mask(view.labels, "handle"))
+        seed = view.points[handle[0]]
+        nudge = RigidTransform(Rotation.from_euler("z", 20, degrees=True).as_matrix(), [0.01, 0, 0])
+        for t_loc in (pose.inverse(), nudge @ pose.inverse()):
+            self.assert_matches_oracle(view.points, seed, template.points, t_loc)
+
+    def test_bound_prunes_most_point_queries(self):
+        class CountingTree:
+            def __init__(self, tree):
+                self.tree, self.points, self.calls = tree, 0, 0
+
+            def query(self, x, **kwargs):
+                self.points += len(x)
+                self.calls += 1
+                return self.tree.query(x, **kwargs)
+
+        rng = np.random.default_rng(24)
+        o_pts = rng.uniform(-0.05, 0.05, (400, 3))
+        rot = Rotation.from_euler("xyz", [0, 90, 45], degrees=True).as_matrix()
+        m_all = PointCloud((o_pts - o_pts[0]) @ rot.T + o_pts[0])
+        counter = CountingTree(m_all.tree)
+        m_all._tree = counter
+        t_opt = optimize_rotation(PointCloud(o_pts), o_pts[0], m_all, RigidTransform.identity())
+        assert np.abs(t_opt.rotation - rot).max() < 1e-12
+        assert counter.points < 0.6 * 208 * len(o_pts)
+        # one query per chunk, one finishing the leader, one re-scoring near ties
+        assert counter.calls <= registration._CHUNKS + 2
 
 
 def make_mug_stub(rng, n_body=500, n_handle=260):

@@ -484,6 +484,22 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             template_from_dict({"id": "x"})
 
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            {"id": 5, "object_class": [1]},
+            {"id": 5},
+            {"object_class": [1]},
+            {"id": ""},
+            {"object_class": None},
+        ],
+    )
+    def test_rejects_id_and_class_that_are_not_non_empty_strings(self, mug_template, mutation):
+        data = template_to_dict(mug_template)
+        data.update(mutation)
+        with pytest.raises(SchemaError, match="must be a non-empty string"):
+            template_from_dict(data)
+
     @pytest.mark.parametrize("leaf", ["abc", None, float("inf"), 0.0, True])
     def test_rejects_leaf_that_is_not_a_positive_number(self, mug_template, leaf):
         data = template_to_dict(mug_template)
