@@ -38,7 +38,7 @@ def main():
     print(f"cloud: {cloud}")
 
     box = aabb(cloud)
-    print(f"bounds: lo={np.round(box.lo, 3)} hi={np.round(box.hi, 3)}")
+    print(f"bounds: min={np.round(box.min, 3)} max={np.round(box.max, 3)}")
     print(f"center={np.round(box.center, 3)} half_diagonal={box.half_diagonal:.4f}")
 
     # Rigid transforms compose right-to-left, like matrices.

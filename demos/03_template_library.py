@@ -15,6 +15,7 @@ import numpy as np
 from tog.bench import build_class_templates, generate_object
 from tog.ontology import default_graph
 from tog.templates import (
+    FRICTION_HALF_ANGLE_DEG,
     build_template,
     default_gripper,
     load_db,
@@ -26,9 +27,9 @@ from tog.templates import (
 def main():
     gripper = default_gripper()
     print(
-        f"gripper: max width {gripper.max_width * 1000:.0f} mm, "
+        f"gripper: max opening {gripper.max_opening * 1000:.0f} mm, "
         f"finger depth {gripper.jaw_depth * 1000:.0f} mm, "
-        f"friction half-angle {np.degrees(gripper.friction_half_angle):.0f} deg"
+        f"friction half-angle {FRICTION_HALF_ANGLE_DEG:.0f} deg"
     )
     print()
 
@@ -55,7 +56,7 @@ def main():
     # Antipodal sampling alone: opposing surface points whose closing line
     # stays inside both friction cones and within the jaw opening.
     handle_grasps = sample_antipodal_grasps(
-        mug.parts["handle"], gripper, target=8, rng=11
+        mug.parts["handle"], gripper, target_count=8, rng=11
     )
     widths = sorted(round(g.width * 1000, 1) for g in handle_grasps)
     print(f"sampled {len(handle_grasps)} handle grasps, widths {widths} mm")

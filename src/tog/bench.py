@@ -14,7 +14,8 @@ any single trial can be replayed in isolation. Trials call the pipeline's
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -26,12 +27,14 @@ from .geometry import PointCloud, RigidTransform, aabb, apply_transform, knn_ind
 from .pipeline import check_integer_setting, register_all, select_templates
 from .planning import check_placement, check_stick, plan, points_in_closure
 from .recognition import recognize
-from .templates import GripperConfig, Template, build_template, default_gripper
+from .templates import GripperConfig, build_template, default_gripper
+from .templates import part_mask as truth_mask
 
 HPR_RADIUS_FACTOR = 100.0
 IOU_RECOGNIZED = 0.5
 MIN_PART_VISIBILITY = 0.25
 MAX_CAMERA_TRIES = 32
+CAMERA_DISTANCE_FACTOR = 1.6
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +338,7 @@ def perturbed_dims(object_class: str, rng, fraction: float = 0.2) -> dict:
 # view synthesis and degradation
 
 
-def partial_view(cloud: PointCloud, camera, radius_factor: float = HPR_RADIUS_FACTOR):
+def partial_view(cloud: PointCloud, camera):
     """Points visible from `camera` by spherical-flip hidden point removal.
 
     Each point is reflected about a sphere centered on the camera; the
@@ -348,7 +351,7 @@ def partial_view(cloud: PointCloud, camera, radius_factor: float = HPR_RADIUS_FA
         raise SceneSpecError("camera must be outside the scene bounding box")
     rel = cloud.points - camera
     norms = np.linalg.norm(rel, axis=1)
-    radius = radius_factor * max(box.diagonal, 1e-9)
+    radius = HPR_RADIUS_FACTOR * max(box.diagonal, 1e-9)
     flipped = rel * ((2.0 * radius / norms - 1.0))[:, None]
     try:
         hull = ConvexHull(np.vstack([flipped, np.zeros(3)]))
@@ -400,11 +403,6 @@ def perturb(
 
 # ---------------------------------------------------------------------------
 # scoring
-
-
-def truth_mask(labels, part_path: str) -> np.ndarray:
-    labels = np.asarray(labels).astype(str)
-    return (labels == part_path) | np.char.startswith(labels, part_path + ".")
 
 
 def iou_3d(member_indices, labels, part_path: str) -> float:
@@ -462,6 +460,19 @@ class Condition:
     scale: float = 1.0
     template_ids: tuple = ()
     min_part_visibility: float = MIN_PART_VISIBILITY
+
+    def __post_init__(self):
+        # conditions arrive from JSON files, so check each field's type here,
+        # before a trial uses it
+        kinds = {"str": str, "int": Integral, "float": Real, "bool": bool, "tuple": tuple}
+        for f in fields(self):
+            value, kind = getattr(self, f.name), kinds[f.type]
+            if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+                raise SceneSpecError(f"condition {f.name} must be {f.type}, got {value!r}")
+        if not all(isinstance(tid, str) for tid in self.template_ids):
+            raise SceneSpecError(
+                f"condition template_ids must be strings, got {self.template_ids!r}"
+            )
 
 
 @dataclass
@@ -577,8 +588,6 @@ def camera_with_part_visible(
     part_path: str,
     rng,
     min_visibility: float = MIN_PART_VISIBILITY,
-    max_tries: int = MAX_CAMERA_TRIES,
-    distance_factor: float = 1.6,
 ):
     """Sample viewpoints until the truth part stays sufficiently visible.
 
@@ -589,12 +598,12 @@ def camera_with_part_visible(
     """
     box = aabb(scene)
     center = box.center
-    distance = distance_factor * max(box.diagonal, 1e-6)
+    distance = CAMERA_DISTANCE_FACTOR * max(box.diagonal, 1e-6)
     truth_total = int(truth_mask(scene.labels, part_path).sum())
     if truth_total == 0:
         raise SceneSpecError(f"scene has no points labeled '{part_path}'")
     best = None
-    for _ in range(max_tries):
+    for _ in range(MAX_CAMERA_TRIES):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         camera = center + distance * direction
@@ -606,7 +615,7 @@ def camera_with_part_visible(
             return view, camera, retained
     if best is None or best[2] <= 0.0:
         raise SceneSpecError(
-            f"part '{part_path}' is never visible within {max_tries} viewpoints"
+            f"part '{part_path}' is never visible within {MAX_CAMERA_TRIES} viewpoints"
         )
     return best
 

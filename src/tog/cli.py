@@ -14,6 +14,10 @@ the leaf they were built at, so only the two commands that build templates,
 ``leaf``); ``build_template`` checks it. Chat backends: ``--fixtures``
 replays canned responses, ``--endpoint`` talks to a live service.
 
+A failure prints one JSON error (``code``, ``stage``, ``message``) on
+stderr and exits 2: an engine error with its own code, a file the command
+cannot read or write with code ``io``.
+
 ``recognize`` and ``register`` call the pipeline's stage helpers
 (``select_templates``, ``register_all``, ``registration_payload``,
 ``cluster_cloud``); ``db build`` and ``bench run`` share one ``--synthetic``
@@ -390,7 +394,7 @@ def _bench_conditions(args) -> list[Condition]:
         for row in rows:
             if not isinstance(row, dict):
                 raise SceneSpecError("each condition must be a JSON object")
-            if "template_ids" in row:
+            if isinstance(row.get("template_ids"), list):
                 row = {**row, "template_ids": tuple(row["template_ids"])}
             try:
                 out.append(Condition(**row))
@@ -594,18 +598,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except TogError as exc:
-        payload = {
-            "error": {
-                "code": exc.code,
-                "stage": exc.stage,
-                "message": str(exc),
-            }
-        }
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 2
+        error = {"code": exc.code, "stage": exc.stage, "message": str(exc)}
+    except OSError as exc:  # a file or directory the command reads or writes
+        error = {"code": "io", "stage": None, "message": str(exc)}
     except Exception:  # pragma: no cover - defensive: unexpected bugs
         traceback.print_exc()
         return 1
+    print(json.dumps({"error": error}, sort_keys=True), file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

@@ -182,12 +182,6 @@ class RigidTransform:
         return f"RigidTransform(angle={np.degrees(self.rotation_angle()):.1f}deg, t={self.translation})"
 
 
-def rotation_between(r_a: np.ndarray, r_b: np.ndarray) -> float:
-    """Geodesic angle in radians between two rotation matrices."""
-    c = np.clip((np.trace(r_a.T @ r_b) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.arccos(c))
-
-
 def aabb(cloud: PointCloud) -> Aabb:
     """Componentwise min/max box of all points."""
     if len(cloud) == 0:

@@ -106,9 +106,6 @@ class OntologyGraph:
         walk(self.classes[object_class], "")
         return paths
 
-    def has_path(self, object_class: str, part_path: str) -> bool:
-        return object_class in self.classes and part_path in self.part_paths(object_class)
-
 
 def default_graph() -> OntologyGraph:
     """The built-in graph covering the synthetic benchmark objects."""
@@ -179,21 +176,6 @@ class FixtureChatClient(ChatClient):
         return path
 
 
-class SequenceChatClient(ChatClient):
-    """Returns scripted responses in order; for tests and demos."""
-
-    def __init__(self, responses):
-        self._responses = list(responses)
-        self._cursor = 0
-
-    def complete(self, prompt: str) -> str:
-        if self._cursor >= len(self._responses):
-            raise FixtureMissingError("scripted responses exhausted")
-        out = self._responses[self._cursor]
-        self._cursor += 1
-        return out
-
-
 class HttpChatClient(ChatClient):
     """POSTs ``{"model": ..., "messages": [{role, content}]}`` to an endpoint.
 
@@ -259,14 +241,6 @@ class HttpChatClient(ChatClient):
                 f"unexpected chat response shape: {body!r}", stage=_CHAT_STAGE
             )
         return content
-
-
-def client_from_env() -> ChatClient:
-    """Fixture client if TOG_CHAT_FIXTURES is set, else the HTTP client."""
-    fixtures = os.environ.get(FIXTURES_ENV)
-    if fixtures:
-        return FixtureChatClient(fixtures)
-    return HttpChatClient()
 
 
 def _title_path(path: str) -> str:

@@ -38,6 +38,8 @@ from .registration import RegistrationResult, best_registration, register
 from .templates import GripperConfig, Template, default_gripper, load_db
 
 REPORT_SCHEMA_VERSION = 1
+TRIAD_AXIS_LENGTH = 0.02
+TRIAD_POINTS_PER_AXIS = 8
 
 
 def check_integer_setting(name: str, value, low: int) -> None:
@@ -289,10 +291,10 @@ def run_pipeline(
 # PLY snapshot export
 
 
-def _triad_cloud(candidates, axis_length: float, points_per_axis: int) -> PointCloud:
+def _triad_cloud(candidates) -> PointCloud:
     """Sample each grasp frame as labeled points along its three axes."""
     pts, labels = [], []
-    steps = np.linspace(0.0, axis_length, points_per_axis + 1)[1:]
+    steps = np.linspace(0.0, TRIAD_AXIS_LENGTH, TRIAD_POINTS_PER_AXIS + 1)[1:]
     for rank, candidate in enumerate(candidates):
         origin = candidate.pose.translation
         rotation = candidate.pose.rotation
@@ -306,12 +308,7 @@ def _triad_cloud(candidates, axis_length: float, points_per_axis: int) -> PointC
     return PointCloud(np.asarray(pts), labels)
 
 
-def export_artifacts(
-    result: PipelineResult,
-    out_dir,
-    axis_length: float = 0.02,
-    points_per_axis: int = 8,
-) -> list[Path]:
+def export_artifacts(result: PipelineResult, out_dir) -> list[Path]:
     """Write viewer-ready PLY snapshots; returns the files written.
 
     Always: the scene and the scene with the recognized cluster labeled.
@@ -340,5 +337,5 @@ def export_artifacts(
         )
         write("overlay.ply", overlay)
     if result.candidates:
-        write("grasps.ply", _triad_cloud(result.candidates, axis_length, points_per_axis))
+        write("grasps.ply", _triad_cloud(result.candidates))
     return written

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .geometry import PointCloud, RigidTransform, knn
 from .registration import best_registration
-from .templates import GraspPose, GripperConfig, default_gripper
+from .templates import GripperConfig, default_gripper
 
 
 @dataclass(frozen=True)
@@ -131,16 +131,6 @@ def points_in_closure(
     )
 
 
-def check_closure(
-    pose: RigidTransform,
-    width: float,
-    part_points: np.ndarray,
-    gripper: GripperConfig | None = None,
-) -> bool:
-    """True when any part point lies between the jaws."""
-    return bool(np.any(points_in_closure(pose, width, part_points, gripper)))
-
-
 def check_stick(
     pose: RigidTransform,
     width: float,
@@ -151,8 +141,8 @@ def check_stick(
 
     The test volume is a closed cylinder of radius stick_radius around the
     closing axis, spanning the opening: |x| <= width/2, y^2 + z^2 <=
-    stick_radius^2 in the grasp frame. Stricter than `check_closure`: it
-    demands material where the fingertips actually meet.
+    stick_radius^2 in the grasp frame. Stricter than `points_in_closure`:
+    it demands material where the fingertips actually meet.
     """
     gripper = gripper or default_gripper()
     pts = np.asarray(part_points, dtype=np.float64).reshape(-1, 3)
@@ -195,8 +185,6 @@ def plan(
     registrations: dict,
     templates: dict,
     gripper: GripperConfig | None = None,
-    t0: RigidTransform | None = None,
-    feasibility=None,
 ) -> list[GraspCandidate]:
     """Produce executable grasps for the recognized part, best first.
 
@@ -205,7 +193,7 @@ def plan(
     non-part scene points; candidates whose closing line misses the part
     are re-centered once and dropped if they still miss or newly collide.
     Survivors are ordered by (needed adjustment?, adjustment distance,
-    stored order) and filtered through the optional feasibility hook.
+    stored order), in the scene frame.
     """
     gripper = gripper or default_gripper()
     template_id = best_registration(registrations)
@@ -235,13 +223,6 @@ def plan(
     kept.sort(
         key=lambda c: (0 if c.stick_ok_initially else 1, c.adjustment_norm, c.source_index)
     )
-    if feasibility is not None:
-        kept = [c for c in kept if feasibility(c)]
-    if t0 is not None:
-        kept = [
-            replace(c, pose=t0 @ c.pose, adjustment=t0.rotation @ c.adjustment)
-            for c in kept
-        ]
     if not kept:
         raise NoFeasibleGraspError(
             f"no grasp from template '{template_id}' survives placement and "

@@ -14,14 +14,14 @@ The seed with the lowest mean combined score across templates wins.
 
 All seeds are scored in one pass over blocks of seeds, shared by every
 template: per block, one kd-tree query at the largest k (+1 for the tie
-check), one gather of the member points (copied once more one plane per
-axis, for the box and distance reductions) and one array of member-to-seed
+check) and one `_gather` of the member points (copied once more one plane
+per axis, for the box and distance reductions) and of the member-to-seed
 distances. Rows come sorted by distance, so each template reads its
 cluster as the prefix ``[:, :k]`` of those rows; column 0 sits at distance
 0 (the seed, or an exact copy of it), so the dispersion term reads
-``[:, 1:k]``. A row whose kth and (k+1)th distances tie is re-scored per
-template through the single-seed path (`score_cluster`), so every member
-set equals `knn`'s.
+``[:, 1:k]``. A row whose kth and (k+1)th distances tie takes its members
+from `knn` instead, is gathered the same way and scored by the same
+`_prefix_scores`, so every member set equals `knn`'s.
 """
 
 from __future__ import annotations
@@ -145,38 +145,6 @@ def d_ccd(o_all: PointCloud, o_part: PointCloud, m_all: PointCloud, m_part: Poin
     return abs(_center_ratio(o_all, o_part) - _center_ratio(m_all, m_part))
 
 
-@dataclass(frozen=True)
-class ClusterCandidate:
-    """One seed's cluster with its scores against one template part."""
-
-    seed_index: int
-    members: np.ndarray
-    d_pca: float
-    d_ppd: float
-    d_ccd: float
-
-    @property
-    def d(self) -> float:
-        return self.d_pca + self.d_ppd + self.d_ccd
-
-
-def score_cluster(
-    o_all: PointCloud, seed_index: int, template: "Template", part_path: str
-) -> ClusterCandidate:
-    """Score one seed's cluster against one template part (reference path)."""
-    k = cluster_size(o_all, template, part_path)
-    members = np.asarray(knn(o_all, o_all.points[seed_index], k), dtype=np.intp)
-    cluster = o_all.select(members)
-    m_part = template.parts[part_path]
-    return ClusterCandidate(
-        seed_index=seed_index,
-        members=members,
-        d_pca=d_pca(cluster, m_part),
-        d_ppd=d_ppd(cluster, o_all.points[seed_index], m_part),
-        d_ccd=d_ccd(o_all, cluster, template.full_cloud, m_part),
-    )
-
-
 @dataclass
 class RecognitionResult:
     """The winning cluster and its per-template scores."""
@@ -200,7 +168,6 @@ _BLOCK_ENTRIES = 2**18
 @dataclass(frozen=True)
 class _TemplateStats:
     template: "Template"
-    part_path: str
     k: int
     sigma_unit: np.ndarray
     spread: float
@@ -226,22 +193,42 @@ def _template_stats(o_all: PointCloud, template: "Template", part_path: str) -> 
         raise DegenerateTemplateError(
             f"template '{template.id}' part '{part_path}': {exc}"
         ) from exc
-    return _TemplateStats(template, part_path, k, sigma_unit, spread, ratio)
+    return _TemplateStats(template, k, sigma_unit, spread, ratio)
+
+
+def _gather(points: np.ndarray, seeds: np.ndarray, idx: np.ndarray):
+    """Members, coordinate planes and member-to-seed distances of m clusters.
+
+    ``idx`` is (m, k) member indices, each row sorted by distance to its
+    seed. Returns the members as (m, k, 3), the same points as (3, m, k) one
+    plane per axis, and the (m, k) distances to the seed.
+    """
+    members = points[idx]
+    # the same points one plane per axis, so minima, maxima and distances
+    # run along contiguous rows; summing x², y², z² in that order gives
+    # np.linalg.norm(members - seed, axis=2) bit for bit
+    coords = np.ascontiguousarray(members.transpose(2, 0, 1))
+    dist = np.zeros(coords.shape[1:])
+    for plane, seed_coord in zip(coords, seeds.T):
+        dist += (plane - seed_coord[:, None]) ** 2
+    np.sqrt(dist, out=dist)
+    return members, coords, dist
 
 
 def _prefix_scores(
     members: np.ndarray,
     coords: np.ndarray,
-    others: np.ndarray,
+    dist: np.ndarray,
     whole_box,
     stats: _TemplateStats,
 ) -> np.ndarray:
     """Combined scores of m clusters against one template, NaN = degenerate.
 
-    ``members`` and ``coords`` hold the same member points as (m, k, 3) and
-    as (3, m, k), one plane per axis; ``others`` the (m, k - 1) distances to
-    the seed, with the seed's own zero distance left out.
+    The arguments are `_gather`'s three arrays, cut to the template's k.
+    Column 0 of ``dist`` is the seed's own zero distance, which the
+    dispersion term leaves out.
     """
+    others = dist[:, 1:]
     sigma = singular_values_batch(members)
     sig_norm = np.linalg.norm(sigma, axis=1)
     valid = sig_norm > 0
@@ -266,20 +253,12 @@ def _prefix_scores(
     return np.where(valid, scores, np.nan)
 
 
-def _single_seed_score(o_all: PointCloud, seed_index: int, stats: _TemplateStats) -> float:
-    """One seed's score through the reference path, NaN = degenerate."""
-    try:
-        return score_cluster(o_all, seed_index, stats.template, stats.part_path).d
-    except DegenerateClusterError:
-        return np.nan
-
-
 def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarray:
     """(n, templates) combined score of every seed, NaN = degenerate.
 
-    One kd-tree query, gather and distance array per block of seeds serve
-    every template; each reads its clusters as the first k columns, and
-    re-scores the rows tied at its own kth neighbor one by one.
+    One kd-tree query and gather per block of seeds serve every template;
+    each reads its clusters as the first k columns, and re-gathers the rows
+    tied at its own kth neighbor from `knn`'s members.
     """
     points = o_all.points
     n = len(points)
@@ -293,24 +272,20 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
     for start in range(0, n, block):
         seeds = points[start : start + block]
         d, idx = o_all.tree.query(seeds, k=kq, workers=-1)
-        members = points[idx[:, :kmax]]
-        # the same points one plane per axis, so minima, maxima and distances
-        # run along contiguous rows; summing x², y², z² in that order gives
-        # np.linalg.norm(members - seed, axis=2) bit for bit
-        coords = np.ascontiguousarray(members.transpose(2, 0, 1))
-        dist = np.zeros(coords.shape[1:])
-        for plane, seed_coord in zip(coords, seeds.T):
-            dist += (plane - seed_coord[:, None]) ** 2
-        np.sqrt(dist, out=dist)
+        members, coords, dist = _gather(points, seeds, idx[:, :kmax])
         for j, s in enumerate(stats):
             k = s.k
             out = scores[start : start + len(seeds), j]
             out[:] = _prefix_scores(
-                members[:, :k], coords[:, :, :k], dist[:, 1:k], whole_box, s
+                members[:, :k], coords[:, :, :k], dist[:, :k], whole_box, s
             )
             if k < kq:
-                for row in np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]:
-                    out[row] = _single_seed_score(o_all, start + row, s)
+                tied = np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]
+                if len(tied):
+                    exact = np.array([knn(o_all, seeds[row], k) for row in tied])
+                    out[tied] = _prefix_scores(
+                        *_gather(points, seeds[tied], exact), whole_box, s
+                    )
     return scores
 
 

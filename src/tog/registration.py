@@ -45,9 +45,6 @@ class IcpResult:
     correspondences: int
     rmse_history: tuple
 
-    def __iter__(self):
-        return iter((self.transform, self.fitness, self.rmse))
-
 
 def _correspondence_pass(
     source_pts: np.ndarray, target: PointCloud, t: RigidTransform, max_dist: float
@@ -131,25 +128,23 @@ def _histogram_block(values, lo, hi, rows, n_points):
     return hist
 
 
-def fpfh(cloud: PointCloud, radius: float, normals: np.ndarray | None = None) -> np.ndarray:
+def fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     """Fast point feature histograms (33 dims: 3 angle blocks of 11 bins).
 
-    Simplified-histogram features per point are accumulated from its radius
-    neighborhood, then blended with distance-weighted neighbor histograms
-    and block-normalized to unit sum. Without `normals` the read-only result
-    is cached on the cloud, so registration retries compute it once.
+    Normals are estimated from 15 neighbors and oriented away from the
+    centroid. Simplified-histogram features per point are accumulated from
+    its radius neighborhood, then blended with distance-weighted neighbor
+    histograms and block-normalized to unit sum. The read-only result is
+    cached on the cloud per radius, so registration retries compute it once.
     """
-    if normals is None:
-        return cloud.derived(("fpfh", radius), lambda: _fpfh(cloud, radius, None))
-    return _fpfh(cloud, radius, normals)
+    return cloud.derived(("fpfh", radius), lambda: _fpfh(cloud, radius))
 
 
-def _fpfh(cloud: PointCloud, radius: float, normals: np.ndarray | None) -> np.ndarray:
+def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     n = len(cloud)
     if n < 3:
         raise InsufficientPointsError("descriptors need >= 3 points")
-    if normals is None:
-        normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
+    normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
     neighborhoods = cloud.tree.query_ball_point(cloud.points, radius, workers=-1)
     i_idx = np.concatenate(
         [np.full(len(nb), i, dtype=np.intp) for i, nb in enumerate(neighborhoods)]

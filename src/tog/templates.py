@@ -167,14 +167,17 @@ def part_paths_from_labels(labels) -> list[str]:
     return sorted(paths)
 
 
+def part_mask(labels, path: str) -> np.ndarray:
+    """Mask of the labels that are `path` or any descendant of it."""
+    labels = np.asarray(labels).astype(str)
+    return (labels == path) | np.char.startswith(labels, path + ".")
+
+
 def select_part(cloud: PointCloud, path: str) -> PointCloud:
     """Points whose label is `path` or any descendant of it."""
     if cloud.labels is None:
         raise SchemaError("part selection needs a labeled cloud")
-    mask = (cloud.labels == path) | np.char.startswith(
-        cloud.labels.astype(str), path + "."
-    )
-    return cloud.select(np.flatnonzero(mask))
+    return cloud.select(np.flatnonzero(part_mask(cloud.labels, path)))
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -209,7 +212,6 @@ def sample_antipodal_grasps(
     part: PointCloud,
     gripper: GripperConfig | None = None,
     target_count: int = GRASP_TARGET,
-    friction_half_angle_deg: float = FRICTION_HALF_ANGLE_DEG,
     rng=0,
 ) -> tuple:
     """Sample up to `target_count` antipodal grasps on a part.
@@ -226,7 +228,7 @@ def sample_antipodal_grasps(
     n = len(points)
     normals = estimate_normals(part, k=15, orient_from=points.mean(axis=0))
     centroid = points.mean(axis=0)
-    cos_limit = math.cos(math.radians(friction_half_angle_deg))
+    cos_limit = math.cos(math.radians(FRICTION_HALF_ANGLE_DEG))
     cos_dup = math.cos(math.radians(DEDUP_AXIS_ANGLE_DEG))
 
     kept: list[GraspPose] = []
@@ -328,41 +330,6 @@ def build_template(
         parts=parts,
         grasps=grasps,
         leaf=leaf,
-    )
-
-
-def scale_template(
-    template: Template, factor: float, gripper: GripperConfig | None = None
-) -> Template:
-    """Uniformly scale a template about its full-cloud centroid.
-
-    Grasp centers scale with the geometry; orientations are unchanged and
-    widths scale too, clamped to the gripper opening when one is given.
-    """
-    if not factor > 0:
-        raise ValueError("scale factor must be positive")
-    pivot = template.full_cloud.points.mean(axis=0)
-
-    def scale_cloud(cloud: PointCloud) -> PointCloud:
-        return PointCloud(pivot + factor * (cloud.points - pivot), cloud.labels)
-
-    def scale_grasp(g: GraspPose) -> GraspPose:
-        center = pivot + factor * (g.center - pivot)
-        width = factor * g.width
-        if gripper is not None:
-            width = min(width, gripper.max_opening)
-        return GraspPose(RigidTransform(g.pose.rotation, center), width)
-
-    return Template(
-        id=f"{template.id}-x{factor:g}",
-        object_class=template.object_class,
-        full_cloud=scale_cloud(template.full_cloud),
-        parts={path: scale_cloud(c) for path, c in template.parts.items()},
-        grasps={
-            path: tuple(scale_grasp(g) for g in gs)
-            for path, gs in template.grasps.items()
-        },
-        leaf=template.leaf * factor,
     )
 
 

@@ -33,6 +33,19 @@ def pca_sigma(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(eigvals, 0.0, None))
 
 
+def pca_sigma_accurate(points: np.ndarray) -> np.ndarray:
+    """Singular values of the centered matrix C as |C v| per eigenvector v.
+
+    The square root of a small scatter eigenvalue carries an absolute error
+    near sqrt(eps) times the largest singular value; measuring C along the
+    eigenvector instead keeps the error near eps times it.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    centered = pts - pts.mean(axis=0)
+    _, vecs = np.linalg.eigh(centered.T @ centered)
+    return np.sort(np.linalg.norm(centered @ vecs, axis=0))[::-1]
+
+
 def voxel_centroids(points: np.ndarray, leaf: float) -> dict:
     """Map from integer voxel key to (centroid, count), dict bucketing."""
     buckets: dict = {}

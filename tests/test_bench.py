@@ -432,6 +432,22 @@ class TestCameraSearch:
 
 
 class TestTrials:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_points", "x"), ("n_points", True), ("partial", 1), ("scale", "1"),
+         ("template_ids", 5), ("template_ids", ("mug-0", 3))],
+    )
+    def test_condition_field_types_checked(self, field, value):
+        with pytest.raises(SceneSpecError, match=field):
+            Condition(name="c", object_class="mug", part_path="handle", **{field: value})
+
+    def test_condition_accepts_numpy_numbers(self):
+        condition = Condition(
+            name="c", object_class="mug", part_path="handle",
+            n_points=np.int64(900), scale=np.float32(0.9), noise_sigma=0,
+        )
+        assert condition.n_points == 900
+
     def test_full_cloud_trial_recognizes_and_plans(self, mug_templates):
         condition = Condition(
             name="smoke",

@@ -114,6 +114,17 @@ class TestDb:
         )
         assert err["code"] == "spec"
 
+    def test_unwritable_out_is_an_io_error(self, ws, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        err = run_error(
+            capsys,
+            ["db", "build", "--out", str(blocker / "db"), "--labeled",
+             f"mug={ws['labeled']}"],
+        )
+        assert err["code"] == "io"
+        assert str(blocker / "db") in err["message"]
+
     def test_inspect_missing_db(self, capsys, tmp_path):
         err = run_error(capsys, ["db", "inspect", "--db", str(tmp_path / "void")])
         assert err["code"] == "schema"
@@ -235,6 +246,16 @@ class TestOntologyCli:
     def test_optimize_needs_prompt(self, ws, capsys):
         err = run_error(capsys, ["ontology", "optimize", "--fixtures", ws["chat"]])
         assert err["code"] == "spec"
+
+    def test_optimize_missing_prompt_file_is_an_io_error(self, ws, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        err = run_error(
+            capsys,
+            ["ontology", "optimize", "--fixtures", ws["chat"], "--prompt-file",
+             str(missing)],
+        )
+        assert err["code"] == "io"
+        assert str(missing) in err["message"]
 
 
 class TestRecognizeRegister:
@@ -420,9 +441,18 @@ class TestBenchCli:
         assert err["code"] == "spec"
         assert "master_seed must be at least 0" in err["message"]
 
-    def test_bad_conditions_file(self, ws, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "row",
+        [
+            {"name": "x"},
+            {"name": "x", "object_class": "mug", "part_path": "handle", "n_points": "x"},
+            {"name": "x", "object_class": "mug", "part_path": "handle", "template_ids": 5},
+        ],
+        ids=["missing-fields", "n_points-string", "template_ids-number"],
+    )
+    def test_bad_conditions_file(self, ws, capsys, tmp_path, row):
         cond_path = tmp_path / "conditions.json"
-        cond_path.write_text(json.dumps({"conditions": [{"name": "x"}]}))
+        cond_path.write_text(json.dumps({"conditions": [row]}))
         err = run_error(
             capsys,
             ["bench", "run", "--db", ws["db"], "--conditions", str(cond_path)],

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -257,12 +257,27 @@ class TestPca:
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
+    # the draws in 0-10,000 where the square roots of the scatter eigenvalues
+    # (oracles.pca_sigma) miss the SVD's smallest value by more than 1e-8;
+    # draw 469 is 3 points, which have a zero singular value
+    @example(469)
+    @example(2857)
+    @example(2959)
+    @example(3887)
+    @example(4358)
+    @example(4662)
+    @example(5350)
+    @example(5405)
+    @example(5681)
+    @example(6654)
+    @example(7715)
+    @example(8887)
     def test_matches_eig_oracle_and_descending(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(rng.integers(3, 80), 3)) * [3.0, 1.0, 0.2]
         sig = pca_singular_values(PointCloud(pts))
         assert np.all(np.diff(sig) <= 1e-12)
-        assert np.allclose(sig, oracles.pca_sigma(pts), atol=1e-8)
+        assert np.allclose(sig, oracles.pca_sigma_accurate(pts), atol=1e-8)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

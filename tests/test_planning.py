@@ -14,7 +14,6 @@ from tog.geometry import PointCloud, RigidTransform
 from tog.planning import (
     GraspCandidate,
     adjust_grasp,
-    check_closure,
     check_placement,
     check_stick,
     plan,
@@ -164,7 +163,6 @@ class TestClosureAndStick:
         )
         mask = points_in_closure(pose_at([0, 0, 0]), 0.04, pts, GRIPPER)
         assert mask.tolist() == [True, True, False, False]
-        assert check_closure(pose_at([0, 0, 0]), 0.04, pts, GRIPPER)
 
     def test_stick_requires_axis_material(self):
         pose = pose_at([0, 0, 0])
@@ -182,7 +180,6 @@ class TestClosureAndStick:
 
     def test_empty_part_fails_stick(self):
         assert not check_stick(pose_at([0, 0, 0]), 0.04, np.empty((0, 3)), GRIPPER)
-        assert not check_closure(pose_at([0, 0, 0]), 0.04, np.empty((0, 3)), GRIPPER)
 
 
 class TestAdjust:
@@ -317,52 +314,6 @@ class TestPlan:
             gripper=GRIPPER,
         )
         assert all(c.template_id == "bar-1" for c in out)
-
-    def test_feasibility_hook(self):
-        scene, members = make_plan_scene()
-        template = bar_template([[0.0, 0.0, 0.0], [0.0, 0.02, 0.0]])
-        recognition = recognition_stub(scene, members)
-        registrations = {"bar-0": registration_stub(RigidTransform.identity())}
-        out = plan(
-            scene,
-            recognition,
-            registrations,
-            {"bar-0": template},
-            gripper=GRIPPER,
-            feasibility=lambda c: c.source_index == 1,
-        )
-        assert [c.source_index for c in out] == [1]
-        with pytest.raises(NoFeasibleGraspError):
-            plan(
-                scene,
-                recognition,
-                registrations,
-                {"bar-0": template},
-                gripper=GRIPPER,
-                feasibility=lambda c: False,
-            )
-
-    def test_world_frame_output(self):
-        scene, members = make_plan_scene()
-        template = bar_template([[0.0, 0.0, 0.0]])
-        recognition = recognition_stub(scene, members)
-        registrations = {"bar-0": registration_stub(RigidTransform.identity())}
-        t0 = RigidTransform(
-            Rotation.from_euler("z", 45, degrees=True).as_matrix(), [0.5, 0.0, 0.1]
-        )
-        base = plan(
-            scene, recognition, registrations, {"bar-0": template}, gripper=GRIPPER
-        )
-        world = plan(
-            scene,
-            recognition,
-            registrations,
-            {"bar-0": template},
-            gripper=GRIPPER,
-            t0=t0,
-        )
-        expected = t0 @ base[0].pose
-        assert np.allclose(world[0].pose.matrix, expected.matrix, atol=1e-12)
 
     def test_deterministic(self):
         scene, members = make_plan_scene()

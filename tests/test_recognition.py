@@ -18,7 +18,6 @@ from tog.errors import (
 )
 from tog.geometry import PointCloud
 from tog.recognition import (
-    ClusterCandidate,
     cluster_size,
     cluster_size_from_counts,
     d_ccd,
@@ -26,7 +25,6 @@ from tog.recognition import (
     d_ppd,
     part_reference_index,
     recognize,
-    score_cluster,
 )
 
 
@@ -317,18 +315,6 @@ class TestMetricInvariances:
             PointCloud(m_part),
         )
         assert abs(base - rotated) > 1e-3
-
-
-class TestScoreCluster:
-    def test_candidate_sum_identity(self):
-        rng = np.random.default_rng(11)
-        o_all = PointCloud(rng.normal(size=(60, 3)))
-        tpl = stub_template("t", rng.normal(size=(50, 3)), rng.normal(size=(15, 3)))
-        cand = score_cluster(o_all, 4, tpl, "part")
-        assert isinstance(cand, ClusterCandidate)
-        assert np.isclose(cand.d, cand.d_pca + cand.d_ppd + cand.d_ccd, atol=1e-12)
-        assert cand.seed_index in cand.members
-        assert len(cand.members) == cluster_size(o_all, tpl, "part")
 
 
 class TestRecognize:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tog.errors import (
     NoGraspError,
     SchemaError,
 )
-from tog.geometry import PointCloud, RigidTransform, aabb
+from tog.geometry import PointCloud, RigidTransform
 from tog.ontology import default_graph
 from tog.planning import transfer_grasps
 from tog.templates import (
@@ -26,7 +27,6 @@ from tog.templates import (
     sample_antipodal_grasps,
     save_db,
     save_template,
-    scale_template,
     select_part,
     template_from_dict,
     template_to_dict,
@@ -345,37 +345,6 @@ class TestBuildTemplate:
                 assert np.array_equal(ga.pose.matrix, gb.pose.matrix)
 
 
-class TestScale:
-    def test_geometry_scales_about_centroid(self, mug_template):
-        scaled = scale_template(mug_template, 1.2)
-        assert scaled.id == "mug-0-x1.2"
-        d0 = aabb(mug_template.full_cloud).diagonal
-        d1 = aabb(scaled.full_cloud).diagonal
-        assert d1 == pytest.approx(1.2 * d0, rel=1e-9)
-        c0 = mug_template.full_cloud.points.mean(axis=0)
-        c1 = scaled.full_cloud.points.mean(axis=0)
-        assert np.allclose(c0, c1, atol=1e-12)
-
-    def test_widths_scale_and_clamp(self, mug_template):
-        gripper = default_gripper()
-        scaled = scale_template(mug_template, 1.5, gripper=gripper)
-        for path, grasps in scaled.grasps.items():
-            for g, orig in zip(grasps, mug_template.grasps[path]):
-                assert g.width == pytest.approx(
-                    min(1.5 * orig.width, gripper.max_opening)
-                )
-                assert np.array_equal(g.pose.rotation, orig.pose.rotation)
-
-    def test_part_counts_preserved(self, mug_template):
-        scaled = scale_template(mug_template, 0.8)
-        for path in mug_template.parts:
-            assert len(scaled.parts[path]) == len(mug_template.parts[path])
-
-    def test_rejects_bad_factor(self, mug_template):
-        with pytest.raises(ValueError):
-            scale_template(mug_template, 0.0)
-
-
 class TestSerialization:
     def test_dict_round_trip_bit_exact(self, mug_template):
         again = template_from_dict(
@@ -394,13 +363,13 @@ class TestSerialization:
                 assert ga.width == gb.width
 
     def test_db_round_trip(self, mug_template, tmp_path):
-        scaled = scale_template(mug_template, 1.1)
+        copy = replace(mug_template, id="mug-1")
         patches = build_template(parallel_patches(), "slab", template_id="slab-0")
-        save_db([mug_template, scaled, patches], tmp_path / "db")
+        save_db([mug_template, copy, patches], tmp_path / "db")
         assert (tmp_path / "db" / "db.json").exists()
         assert (tmp_path / "db" / "mug-0.template.json").exists()
         loaded = load_db(tmp_path / "db")
-        assert set(loaded) == {"mug-0", "mug-0-x1.1", "slab-0"}
+        assert set(loaded) == {"mug-0", "mug-1", "slab-0"}
         assert np.array_equal(
             loaded["mug-0"].full_cloud.points, mug_template.full_cloud.points
         )
