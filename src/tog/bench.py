@@ -92,6 +92,24 @@ def _box_face(rng, count, axis, sign, half, center, rotation=None):
     return pts + center
 
 
+def _box_patches(label, half, center, rotation=None):
+    """The six faces of a box as patches, face pairs along x, then y, then z."""
+    patches = []
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            u, v = [i for i in range(3) if i != axis]
+            patches.append(
+                (
+                    label,
+                    4.0 * half[u] * half[v],
+                    lambda g, c, axis=axis, sign=sign: _box_face(
+                        g, c, axis, sign, half, center, rotation
+                    ),
+                )
+            )
+    return patches
+
+
 def _apportion(areas, n):
     """Largest-remainder apportionment of n samples over patch areas."""
     shares = np.asarray(areas, dtype=np.float64)
@@ -246,19 +264,7 @@ def make_scissor(n: int, rng, scale: float = 1.0, dims: dict | None = None) -> P
         blade_center = rot @ np.array(
             [0.0, d["blade_halflength"] + 0.005, 0.0]
         ) + [0.0, 0.0, side * 0.002]
-        for axis in range(3):
-            for sign in (-1.0, 1.0):
-                u, v = [i for i in range(3) if i != axis]
-                area = 4.0 * blade_half[u] * blade_half[v]
-                patches.append(
-                    (
-                        "blade",
-                        area,
-                        lambda g, c, rot=rot, sign=sign, axis=axis, bc=blade_center: _box_face(
-                            g, c, axis, sign, blade_half, bc, rotation=rot
-                        ),
-                    )
-                )
+        patches += _box_patches("blade", blade_half, blade_center, rotation=rot)
         ring_center = rot @ np.array(
             [0.0, -(ring_main + 0.006), 0.0]
         ) + [0.0, 0.0, side * 0.002]
@@ -279,21 +285,7 @@ def make_slab(n: int, rng, scale: float = 1.0, dims: dict | None = None) -> Poin
     """A simple rectangular slab; every face carries the same label."""
     d = _merge_dims(SLAB_DIMS, dims)
     half = np.array([d["half_x"], d["half_y"], d["half_z"]])
-    patches = []
-    for axis in range(3):
-        for sign in (-1.0, 1.0):
-            u, v = [i for i in range(3) if i != axis]
-            area = 4.0 * half[u] * half[v]
-            patches.append(
-                (
-                    "face",
-                    area,
-                    lambda g, c, axis=axis, sign=sign: _box_face(
-                        g, c, axis, sign, half, np.zeros(3)
-                    ),
-                )
-            )
-    return _build_from_patches(patches, n, rng, scale)
+    return _build_from_patches(_box_patches("face", half, np.zeros(3)), n, rng, scale)
 
 
 GENERATORS: dict[str, Callable] = {

@@ -11,8 +11,9 @@ settings once into one ``PipelineConfig``, which checks types and ranges,
 so a bad value is a ``spec`` error before any work. Templates register at
 the leaf they were built at, so only the two commands that build templates,
 ``db build`` and ``bench run --synthetic``, take ``--leaf`` (config
-``leaf``); ``build_template`` checks it. Chat backends: ``--fixtures``
-replays canned responses, ``--endpoint`` talks to a live service.
+``leaf``), checked by ``templates.check_leaf`` as it is resolved. Chat
+backends: ``--fixtures`` replays canned responses, ``--endpoint`` talks to
+a live service.
 
 A failure prints one JSON error (``code``, ``stage``, ``message``) on
 stderr and exits 2: an engine error with its own code, a file the command
@@ -60,7 +61,8 @@ from .pipeline import (
 )
 from .recognition import recognize
 from .registration import best_registration
-from .templates import DEFAULT_LEAF, GripperConfig, build_template, load_db, save_db
+from .templates import DEFAULT_LEAF, GripperConfig, build_template, check_leaf
+from .templates import load_db, save_db
 
 DB_ENV = "TOG_DB"
 ONTOLOGY_ENV = "TOG_ONTOLOGY"
@@ -125,7 +127,7 @@ class _Context:
             **{name: value for name, value in values.items() if value is not None}
         )
         if "leaf" in args:
-            self.leaf = _setting(args.leaf, None, config, "leaf", DEFAULT_LEAF)
+            self.leaf = check_leaf(_setting(args.leaf, None, config, "leaf", DEFAULT_LEAF))
         self.fixtures = _setting(args.fixtures, FIXTURES_ENV, config, "fixtures")
         self.endpoint = _setting(args.endpoint, ENDPOINT_ENV, config, "endpoint")
         self.api_key = _setting(args.api_key, API_KEY_ENV, config, "api_key")
@@ -153,19 +155,27 @@ def _parse_pair(text: str, what: str) -> tuple[str, str]:
     return left, right
 
 
-def _synthetic_templates(ctx: _Context, specs, graph) -> dict:
-    """Templates built by the shape generators from CLASS=COUNT specs."""
-    templates = {}
+def _synthetic_specs(specs) -> list[tuple[str, int]]:
+    """(class, count) of each CLASS=COUNT spec."""
+    pairs = []
     for spec in specs:
         object_class, count = _parse_pair(spec, "--synthetic")
         if not count.isdecimal():
             raise SceneSpecError(
                 f"--synthetic count must be a whole number, got '{spec}'"
             )
+        pairs.append((object_class, int(count)))
+    return pairs
+
+
+def _synthetic_templates(ctx: _Context, pairs, graph) -> dict:
+    """Templates built by the shape generators from `_synthetic_specs` pairs."""
+    templates = {}
+    for object_class, count in pairs:
         templates.update(
             build_class_templates(
                 object_class,
-                count=int(count),
+                count=count,
                 leaf=ctx.leaf,
                 gripper=ctx.settings.gripper,
                 rng_seed=ctx.settings.rng_seed,
@@ -185,9 +195,12 @@ def cmd_db_build(args) -> int:
         raise SceneSpecError("db build needs --labeled and/or --synthetic inputs")
     settings = ctx.settings
     graph = settings.graph()
+    labeled = [_parse_pair(spec, "--labeled") for spec in args.labeled or ()]
+    synthetic = _synthetic_specs(args.synthetic or ())
+    # a bad --out fails before any template is built
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     templates = {}
-    for i, spec in enumerate(args.labeled or ()):
-        object_class, path = _parse_pair(spec, "--labeled")
+    for i, (object_class, path) in enumerate(labeled):
         cloud = load_cloud(path)
         template = build_template(
             cloud,
@@ -200,7 +213,7 @@ def cmd_db_build(args) -> int:
             rng=(settings.rng_seed, i),
         )
         templates[template.id] = template
-    templates.update(_synthetic_templates(ctx, args.synthetic or (), graph))
+    templates.update(_synthetic_templates(ctx, synthetic, graph))
     out_dir = save_db(templates.values(), args.out)
     _emit(
         {
@@ -424,9 +437,8 @@ def cmd_bench_run(args) -> int:
             raise SceneSpecError("--leaf applies to --synthetic templates, not --db")
         templates = load_db(ctx.settings.db_path)
     else:
-        templates = _synthetic_templates(
-            ctx, args.synthetic or ("mug=3", "bottle=3"), ctx.settings.graph()
-        )
+        pairs = _synthetic_specs(args.synthetic or ("mug=3", "bottle=3"))
+        templates = _synthetic_templates(ctx, pairs, ctx.settings.graph())
     report = run_suite(
         _bench_conditions(args),
         templates,

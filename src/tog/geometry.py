@@ -289,31 +289,16 @@ def knn_indices_batch(cloud: PointCloud, queries: np.ndarray, k: int) -> np.ndar
     return idx.astype(np.intp)
 
 
-def pca_singular_values(cloud: PointCloud) -> np.ndarray:
-    """Singular values of the mean-centered point matrix, descending.
-
-    SVD of the centered matrix (not an eigen-decomposition of the
-    covariance) for robustness on near-degenerate clusters.
-    """
-    if len(cloud) < 3:
-        raise InsufficientPointsError(
-            f"PCA needs at least 3 points, got {len(cloud)}"
-        )
-    centered = cloud.points - cloud.points.mean(axis=0)
-    return np.linalg.svd(centered, compute_uv=False)
-
-
 def singular_values_batch(member_points: np.ndarray) -> np.ndarray:
     """Per-cluster PCA spectra for an (m, k, 3) stack of clusters.
 
-    Returns (m, 3) singular values, descending per row. Computed through
-    batched 3x3 eigen-decompositions of the scatter matrices; agrees with
-    `pca_singular_values` to floating-point noise.
+    Returns (m, min(k, 3)) singular values of each mean-centered cluster,
+    descending per row, from a batched SVD of the centered points (not of
+    their scatter matrices), so a planar or 3-point cluster's smallest
+    value stays within rounding of zero relative to the largest.
     """
     centered = member_points - member_points.mean(axis=1, keepdims=True)
-    scatter = np.einsum("mki,mkj->mij", centered, centered)
-    eigvals = np.linalg.eigvalsh(scatter)  # ascending
-    return np.sqrt(np.clip(eigvals[:, ::-1], 0.0, None))
+    return np.linalg.svd(centered, compute_uv=False)
 
 
 def estimate_normals(cloud: PointCloud, k: int = 15, orient_from=None) -> np.ndarray:

@@ -12,6 +12,11 @@ is scored against each template part by three normalized dissimilarities:
 
 The seed with the lowest mean combined score across templates wins.
 
+Scene clusters, template parts (gathered with their reference point first)
+and the public `d_pca`, `d_ppd` and `d_ccd` take the three statistics from
+one batched routine, `_cluster_stats`, so a template part scored as a
+cluster against itself comes out exactly 0.
+
 All seeds are scored in one pass over blocks of seeds, shared by every
 template: per block, one kd-tree query at the largest k (+1 for the tie
 check) and one `_gather` of the member points (copied once more one plane
@@ -34,6 +39,7 @@ import numpy as np
 from .errors import (
     DegenerateClusterError,
     DegenerateTemplateError,
+    EmptyCloudError,
     InsufficientPointsError,
     RecognitionFailureError,
     SchemaError,
@@ -43,7 +49,6 @@ from .geometry import (
     aabb,
     knn,
     knn_boundary_ties,
-    pca_singular_values,
     singular_values_batch,
 )
 
@@ -79,17 +84,16 @@ def cluster_size(o_all: PointCloud, template: "Template", part_path: str) -> int
     )
 
 
-def _normalized_sigma(cloud: PointCloud) -> np.ndarray:
-    sigma = pca_singular_values(cloud)
-    norm = np.linalg.norm(sigma)
-    if norm <= 0:
-        raise DegenerateClusterError("all points coincident, PCA spectrum is zero")
-    return sigma / norm
-
-
 def d_pca(o_part: PointCloud, m_part: PointCloud) -> float:
     """Shape dissimilarity: distance between unit-normalized PCA spectra."""
-    return float(np.linalg.norm(_normalized_sigma(o_part) - _normalized_sigma(m_part)))
+    spectra = []
+    for cloud in (o_part, m_part):
+        if len(cloud) < 3:
+            raise InsufficientPointsError(f"PCA needs at least 3 points, got {len(cloud)}")
+        spectra.append(_stats_about(cloud, 0, cloud)[0])
+    if np.isnan(spectra).any():
+        raise DegenerateClusterError("all points coincident, PCA spectrum is zero")
+    return float(np.linalg.norm(spectra[0] - spectra[1]))
 
 
 def part_reference_index(m_part: PointCloud) -> int:
@@ -97,42 +101,27 @@ def part_reference_index(m_part: PointCloud) -> int:
     return knn(m_part, aabb(m_part).center, 1)[0]
 
 
-def _spread(points: np.ndarray, reference: np.ndarray, exclude_mask) -> float:
-    dists = np.linalg.norm(points - reference, axis=1)
-    dists = dists[~exclude_mask]
-    if len(dists) < 2:
-        raise DegenerateClusterError("not enough points for a distance spread")
-    dev = np.abs(dists - dists.mean())
-    max_dev = dev.max()
-    if max_dev <= 0:
-        raise DegenerateClusterError("all points equidistant from the reference")
-    return float(dists.std() / max_dev)
-
-
 def d_ppd(o_part: PointCloud, seed, m_part: PointCloud) -> float:
     """Dispersion dissimilarity around seed (observed) vs center (template).
 
-    Distances run from the reference to all *other* points: one entry at
-    the seed's exact coordinates (the seed itself, or a copy of it) is
-    dropped, which leaves the same distances as dropping the seed by index.
+    Distances run from the reference to all *other* points: the first
+    point at the seed's exact coordinates (the seed itself, or a copy of
+    it) is left out, which leaves the same distances as leaving out the
+    seed by index. A seed that is no point of ``o_part`` leaves out none.
     """
     seed = np.asarray(seed, dtype=np.float64).reshape(3)
-    o_self = np.zeros(len(o_part), dtype=bool)
-    o_self[np.flatnonzero(np.all(o_part.points == seed, axis=1))[:1]] = True
-    ref_idx = part_reference_index(m_part)
-    m_self = np.zeros(len(m_part), dtype=bool)
-    m_self[ref_idx] = True
-    s_o = _spread(o_part.points, seed, o_self)
-    s_m = _spread(m_part.points, m_part.points[ref_idx], m_self)
-    return abs(s_o - s_m)
-
-
-def _center_ratio(whole: PointCloud, part: PointCloud) -> float:
-    whole_box = aabb(whole)
-    if whole_box.half_diagonal <= 0:
-        raise DegenerateClusterError("whole cloud has zero bounding-box diagonal")
-    offset = np.linalg.norm(aabb(part).center - whole_box.center)
-    return float(offset / whole_box.half_diagonal)
+    own = np.flatnonzero(np.all(o_part.points == seed, axis=1))
+    if not len(own):  # the seed counts as one more point, at distance 0
+        o_part, own = PointCloud(np.vstack([seed, o_part.points])), [0]
+    spreads = (
+        _stats_about(o_part, own[0], o_part)[1],
+        _stats_about(m_part, part_reference_index(m_part), m_part)[1],
+    )
+    if np.isnan(spreads).any():
+        raise DegenerateClusterError(
+            "a distance spread needs two other points, not all equidistant"
+        )
+    return float(abs(spreads[0] - spreads[1]))
 
 
 def d_ccd(o_all: PointCloud, o_part: PointCloud, m_all: PointCloud, m_part: PointCloud) -> float:
@@ -142,7 +131,10 @@ def d_ccd(o_all: PointCloud, o_part: PointCloud, m_all: PointCloud, m_part: Poin
     translation, uniform scaling, and axis-permuting rotations, but not
     under arbitrary rotation of one cloud.
     """
-    return abs(_center_ratio(o_all, o_part) - _center_ratio(m_all, m_part))
+    ratios = (_stats_about(o_part, 0, o_all)[2], _stats_about(m_part, 0, m_all)[2])
+    if np.isnan(ratios).any():
+        raise DegenerateClusterError("whole cloud has zero bounding-box diagonal")
+    return float(abs(ratios[0] - ratios[1]))
 
 
 @dataclass
@@ -176,31 +168,26 @@ class _TemplateStats:
 
 def _template_stats(o_all: PointCloud, template: "Template", part_path: str) -> _TemplateStats:
     m_part = template.parts[part_path]
-    m_all = template.full_cloud
     k = cluster_size(o_all, template, part_path)
     if len(m_part) < 3:
         raise DegenerateTemplateError(
             f"template '{template.id}' part '{part_path}' has {len(m_part)} points, need >= 3"
         )
-    try:
-        sigma_unit = _normalized_sigma(m_part)
-        ref = part_reference_index(m_part)
-        self_mask = np.zeros(len(m_part), dtype=bool)
-        self_mask[ref] = True
-        spread = _spread(m_part.points, m_part.points[ref], self_mask)
-        ratio = _center_ratio(m_all, m_part)
-    except DegenerateClusterError as exc:
+    stats = _stats_about(m_part, part_reference_index(m_part), template.full_cloud)
+    if np.isnan(np.hstack(stats)).any():
         raise DegenerateTemplateError(
-            f"template '{template.id}' part '{part_path}': {exc}"
-        ) from exc
-    return _TemplateStats(template, k, sigma_unit, spread, ratio)
+            f"template '{template.id}' part '{part_path}' is degenerate: coincident"
+            " points, all at one distance from its reference, or a whole with no extent"
+        )
+    return _TemplateStats(template, k, *stats)
 
 
 def _gather(points: np.ndarray, seeds: np.ndarray, idx: np.ndarray):
     """Members, coordinate planes and member-to-seed distances of m clusters.
 
-    ``idx`` is (m, k) member indices, each row sorted by distance to its
-    seed. Returns the members as (m, k, 3), the same points as (3, m, k) one
+    ``idx`` is (m, k) member indices, column 0 at its row's seed (scene
+    rows come sorted by distance, template parts start at their reference
+    point). Returns the members as (m, k, 3), the same points as (3, m, k) one
     plane per axis, and the (m, k) distances to the seed.
     """
     members = points[idx]
@@ -215,6 +202,42 @@ def _gather(points: np.ndarray, seeds: np.ndarray, idx: np.ndarray):
     return members, coords, dist
 
 
+def _cluster_stats(members: np.ndarray, coords: np.ndarray, dist: np.ndarray, whole_box):
+    """The three part statistics of m clusters, NaN = degenerate.
+
+    The arguments are `_gather`'s three arrays and the box of the whole
+    cloud. Returns the (m, 3) unit SVD spectra, the (m,) spreads of the
+    distances from column 0 (the seed or reference point) to the other
+    members, std over largest deviation from their mean, and the (m,)
+    offsets of the cluster box centers from the whole's, over its half
+    diagonal.
+    """
+    sigma = singular_values_batch(members)
+    sig_norm = np.linalg.norm(sigma, axis=1)
+    sigma_unit = sigma / np.where(sig_norm > 0, sig_norm, np.nan)[:, None]
+
+    # a lone point has no others: its own zero distance leaves a NaN spread
+    others = dist[:, 1:] if dist.shape[1] > 1 else dist
+    mean = others.mean(axis=1)
+    std = others.std(axis=1)
+    max_dev = np.abs(others - mean[:, None]).max(axis=1)
+    spread = std / np.where(max_dev > 0, max_dev, np.nan)
+
+    centers = 0.5 * (coords.min(axis=2) + coords.max(axis=2)).T
+    offsets = np.linalg.norm(centers - whole_box.center, axis=1)
+    ratios = offsets / (whole_box.half_diagonal or np.nan)  # NaN: whole of no extent
+    return sigma_unit, spread, ratios
+
+
+def _stats_about(part: PointCloud, ref: int, whole: PointCloud) -> list:
+    """`_cluster_stats` of all of ``part`` as one cluster about its point ``ref``."""
+    if len(part) == 0:
+        raise EmptyCloudError("part statistics of an empty cloud")
+    order = np.r_[ref, np.delete(np.arange(len(part)), ref)]
+    gathered = _gather(part.points, part.points[[ref]], order[None])
+    return [stat[0] for stat in _cluster_stats(*gathered, aabb(whole))]
+
+
 def _prefix_scores(
     members: np.ndarray,
     coords: np.ndarray,
@@ -225,32 +248,13 @@ def _prefix_scores(
     """Combined scores of m clusters against one template, NaN = degenerate.
 
     The arguments are `_gather`'s three arrays, cut to the template's k.
-    Column 0 of ``dist`` is the seed's own zero distance, which the
-    dispersion term leaves out.
     """
-    others = dist[:, 1:]
-    sigma = singular_values_batch(members)
-    sig_norm = np.linalg.norm(sigma, axis=1)
-    valid = sig_norm > 0
-    sig_norm_safe = np.where(valid, sig_norm, 1.0)
-    pca_scores = np.linalg.norm(
-        sigma / sig_norm_safe[:, None] - stats.sigma_unit, axis=1
+    sigma_unit, spread, ratios = _cluster_stats(members, coords, dist, whole_box)
+    return (
+        np.linalg.norm(sigma_unit - stats.sigma_unit, axis=1)
+        + np.abs(spread - stats.spread)
+        + np.abs(ratios - stats.center_ratio)
     )
-
-    mean = others.mean(axis=1)
-    std = others.std(axis=1)
-    max_dev = np.abs(others - mean[:, None]).max(axis=1)
-    spread_ok = max_dev > 0
-    valid &= spread_ok
-    spread = np.where(spread_ok, std / np.where(spread_ok, max_dev, 1.0), np.nan)
-    ppd_scores = np.abs(spread - stats.spread)
-
-    centers = 0.5 * (coords.min(axis=2) + coords.max(axis=2)).T
-    ratios = np.linalg.norm(centers - whole_box.center, axis=1) / whole_box.half_diagonal
-    ccd_scores = np.abs(ratios - stats.center_ratio)
-
-    scores = pca_scores + ppd_scores + ccd_scores
-    return np.where(valid, scores, np.nan)
 
 
 def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarray:

@@ -49,6 +49,13 @@ def _is_leaf(value) -> bool:
     return 0 < value < math.inf
 
 
+def check_leaf(leaf):
+    """``leaf`` itself if it is a usable voxel size, else a `SceneSpecError`."""
+    if not _is_leaf(leaf):
+        raise SceneSpecError(f"leaf must be a positive number of meters, got {leaf!r}")
+    return leaf
+
+
 @dataclass(frozen=True)
 class GripperConfig:
     """Parallel-jaw gripper dimensions, in meters."""
@@ -289,8 +296,7 @@ def build_template(
     as one wider than the gripper opening, gets an empty grasp set, and
     planning on it raises NoGraspError.
     """
-    if not _is_leaf(leaf):
-        raise SceneSpecError(f"leaf must be a positive number of meters, got {leaf!r}")
+    check_leaf(leaf)
     gripper = gripper or default_gripper()
     if labeled_cloud.labels is None:
         raise SchemaError("template construction needs a labeled cloud")

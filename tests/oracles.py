@@ -138,7 +138,7 @@ def recognize_exhaustive(obj_points: np.ndarray, templates: list[dict]):
     per_template = []
     for tpl in templates:
         k = cluster_size(n, len(tpl["part"]), len(tpl["whole"]))
-        tpl_sigma = pca_sigma(tpl["part"])
+        tpl_sigma = pca_sigma_accurate(tpl["part"])
         tpl_spread = spread_statistic(tpl["part"], nearest_to_aabb_center(tpl["part"]))
         per_template.append((k, tpl_sigma, tpl_spread, tpl))
     for seed in range(n):
@@ -147,7 +147,7 @@ def recognize_exhaustive(obj_points: np.ndarray, templates: list[dict]):
         for k, tpl_sigma, tpl_spread, tpl in per_template:
             members = knn_linear(obj_points, obj_points[seed], k)
             cluster = obj_points[members]
-            sig = pca_sigma(cluster)
+            sig = pca_sigma_accurate(cluster)
             if np.linalg.norm(sig) == 0 or np.linalg.norm(tpl_sigma) == 0:
                 ok = False
                 break

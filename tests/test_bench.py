@@ -7,7 +7,6 @@ import oracles
 from tog.bench import (
     BOTTLE_DIMS,
     MUG_DIMS,
-    SCISSOR_DIMS,
     SLAB_DIMS,
     BenchReport,
     Condition,
@@ -35,7 +34,7 @@ from tog.bench import (
 from tog.errors import CoarseFailureError, SceneSpecError
 from tog.geometry import PointCloud, apply_transform
 from tog.planning import GraspCandidate
-from tog.templates import GripperConfig, default_gripper
+from tog.templates import GripperConfig
 from tog.geometry import RigidTransform
 
 

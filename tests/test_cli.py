@@ -8,6 +8,7 @@ import subprocess
 import sys
 import urllib.error
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -106,6 +107,7 @@ class TestDb:
             ["db", "build", "--out", str(tmp_path / "x"), "--synthetic", "mug3"],
         )
         assert err["code"] == "spec"
+        assert not (tmp_path / "x").exists()
 
     def test_synthetic_count_not_a_number(self, capsys, tmp_path):
         err = run_error(
@@ -113,10 +115,18 @@ class TestDb:
             ["db", "build", "--out", str(tmp_path / "x"), "--synthetic", "mug=x"],
         )
         assert err["code"] == "spec"
+        assert not (tmp_path / "x").exists()
 
-    def test_unwritable_out_is_an_io_error(self, ws, capsys, tmp_path):
+    def test_unwritable_out_is_an_io_error(self, ws, capsys, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("")
+        built = []
+
+        def build_template(cloud, object_class, **kwargs):
+            built.append(object_class)
+            return SimpleNamespace(id=kwargs["template_id"])
+
+        monkeypatch.setattr("tog.cli.build_template", build_template)
         err = run_error(
             capsys,
             ["db", "build", "--out", str(blocker / "db"), "--labeled",
@@ -124,6 +134,7 @@ class TestDb:
         )
         assert err["code"] == "io"
         assert str(blocker / "db") in err["message"]
+        assert built == []
 
     def test_inspect_missing_db(self, capsys, tmp_path):
         err = run_error(capsys, ["db", "inspect", "--db", str(tmp_path / "void")])

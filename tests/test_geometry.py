@@ -17,7 +17,6 @@ from tog.geometry import (
     fit_rigid,
     knn,
     knn_indices_batch,
-    pca_singular_values,
     singular_values_batch,
     voxel_downsample,
 )
@@ -252,7 +251,7 @@ class TestPca:
         corners = np.array(
             [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float
         )
-        sig = pca_singular_values(PointCloud(corners))
+        sig = singular_values_batch(corners[None])[0]
         assert np.allclose(sig, np.sqrt(2.0), atol=1e-12)
 
     @given(st.integers(0, 10_000))
@@ -275,7 +274,7 @@ class TestPca:
     def test_matches_eig_oracle_and_descending(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(rng.integers(3, 80), 3)) * [3.0, 1.0, 0.2]
-        sig = pca_singular_values(PointCloud(pts))
+        sig = singular_values_batch(pts[None])[0]
         assert np.all(np.diff(sig) <= 1e-12)
         assert np.allclose(sig, oracles.pca_sigma_accurate(pts), atol=1e-8)
 
@@ -285,24 +284,19 @@ class TestPca:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(30, 3))
         t = random_transform(rng)
-        a = pca_singular_values(PointCloud(pts))
-        b = pca_singular_values(PointCloud(t.apply(pts)))
+        a, b = singular_values_batch(np.stack([pts, t.apply(pts)]))
         assert np.allclose(a, b, atol=1e-9)
 
-    def test_too_few_points(self):
-        with pytest.raises(InsufficientPointsError):
-            pca_singular_values(PointCloud([[0, 0, 0], [1, 1, 1]]))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_batch_matches_scalar(self, seed):
-        rng = np.random.default_rng(seed)
-        stack = rng.normal(size=(6, 12, 3))
-        batch = singular_values_batch(stack)
-        for i in range(6):
-            assert np.allclose(
-                batch[i], pca_singular_values(PointCloud(stack[i])), atol=1e-8
-            )
+    def test_planar_clusters_have_zero_smallest_value(self):
+        # 3 points, or any number in one plane, span at most a plane: the
+        # smallest singular value is zero to rounding of the largest
+        rng = np.random.default_rng(0)
+        triangles = rng.normal(size=(200, 3, 3))
+        axes = np.linalg.qr(rng.normal(size=(200, 3, 3)))[0][:, :, :2]
+        planes = rng.normal(size=(200, 40, 2)) * [2.0, 0.5] @ axes.transpose(0, 2, 1)
+        for stack in (triangles, planes):
+            sig = singular_values_batch(stack)
+            assert np.all(sig[:, 2] <= 1e-15 * sig[:, 0])
 
 
 class TestTransformsOnClouds:

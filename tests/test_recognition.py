@@ -12,11 +12,13 @@ from tog import recognition
 from tog.errors import (
     DegenerateClusterError,
     DegenerateTemplateError,
+    EmptyCloudError,
     InsufficientPointsError,
     RecognitionFailureError,
     SchemaError,
 )
-from tog.geometry import PointCloud
+from tog.bench import build_class_templates
+from tog.geometry import PointCloud, aabb
 from tog.recognition import (
     cluster_size,
     cluster_size_from_counts,
@@ -107,6 +109,13 @@ class TestDPca:
         base = d_pca(PointCloud(a), PointCloud(b))
         assert np.isclose(d_pca(PointCloud(a * 7.3), PointCloud(b)), base, atol=1e-9)
 
+    def test_too_few_points(self):
+        other = PointCloud(np.random.default_rng(3).normal(size=(5, 3)))
+        pair = PointCloud([[0, 0, 0], [1, 1, 1]])
+        for args in ((pair, other), (other, pair)):
+            with pytest.raises(InsufficientPointsError):
+                d_pca(*args)
+
     def test_coincident_points_degenerate(self):
         blob = PointCloud(np.zeros((5, 3)))
         other = PointCloud(np.random.default_rng(3).normal(size=(5, 3)))
@@ -173,6 +182,17 @@ class TestDPpd:
         )
         assert np.isclose(d_ppd(PointCloud(o), o[3], PointCloud(m)), expected, atol=1e-12)
 
+    def test_seed_off_the_part_leaves_out_no_point(self):
+        rng = np.random.default_rng(9)
+        o = rng.normal(size=(12, 3))
+        m = rng.normal(size=(20, 3))
+        seed = np.array([5.0, 0.0, 0.0])
+        expected = abs(
+            oracles.spread_statistic(np.vstack([seed, o]), 0)
+            - oracles.spread_statistic(m, oracles.nearest_to_aabb_center(m))
+        )
+        assert np.isclose(d_ppd(PointCloud(o), seed, PointCloud(m)), expected, atol=1e-12)
+
     def test_reference_point_selection(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0.4, 0.1, 0], [0, 1, 0], [1, 1, 0]], float)
         # box center (0.5, 0.5, 0); nearest point is (0.4, 0.1, 0)
@@ -218,6 +238,11 @@ class TestDCcd:
         )
         assert got > 0
         assert np.isclose(got, expected, atol=1e-12)
+
+    def test_empty_part(self):
+        whole = PointCloud(np.random.default_rng(11).normal(size=(5, 3)))
+        with pytest.raises(EmptyCloudError):
+            d_ccd(whole, PointCloud(np.empty((0, 3))), whole, whole)
 
     def test_single_point_whole_degenerate(self):
         single = PointCloud([[0, 0, 0]])
@@ -315,6 +340,25 @@ class TestMetricInvariances:
             PointCloud(m_part),
         )
         assert abs(base - rotated) > 1e-3
+
+
+class TestTemplateStats:
+    @pytest.mark.parametrize("object_class", ["mug", "bottle", "scissor"])
+    def test_part_scores_zero_against_itself(self, object_class):
+        # template parts and scene clusters share one statistics routine, so
+        # a part gathered at its reference point matches its own statistics
+        bank = build_class_templates(object_class, count=1, n_points=1500)
+        tpl = next(iter(bank.values()))
+        whole_box = aabb(tpl.full_cloud)
+        for path, part in tpl.parts.items():
+            stats = recognition._template_stats(tpl.full_cloud, tpl, path)
+            ref = part_reference_index(part)
+            order = [ref] + [i for i in range(len(part)) if i != ref]
+            gathered = recognition._gather(
+                part.points, part.points[[ref]], np.array([order])
+            )
+            score = recognition._prefix_scores(*gathered, whole_box, stats)
+            assert score.tolist() == [0.0], path
 
 
 class TestRecognize:

@@ -22,11 +22,9 @@ from tog.templates import (
     build_template,
     default_gripper,
     load_db,
-    load_template,
     part_paths_from_labels,
     sample_antipodal_grasps,
     save_db,
-    save_template,
     select_part,
     template_from_dict,
     template_to_dict,
