@@ -1,10 +1,12 @@
 """Building, annotating, and storing grasp templates.
 
-A template is one labeled model cloud, voxel-downsampled once, with its
-parts kept as index subsets and a set of antipodal parallel-jaw grasps
-sampled per part. A template database is a directory of such templates
-plus an index; this demo builds a small mixed database, saves it, loads
-it back, and inspects what survived the round trip.
+A template is one labeled model cloud, voxel-downsampled once, and a set
+of antipodal parallel-jaw grasps sampled per part. Its parts are derived
+from the model's labels: each is the label subset of the model. A template
+database is a directory with one file per template, which stores the
+labeled model once and its grasps, plus an index; the parts are derived
+again on load. This demo builds a small mixed database, saves it, loads it
+back, and inspects what survived the round trip.
 """
 
 import tempfile
@@ -72,7 +74,9 @@ def main():
         same = sorted(again) == sorted([*bank, mug.id])
         first = next(iter(again.values()))
         print(f"reloaded {len(again)} templates, ids match={same}")
+        parts = {path: len(part) for path, part in first.parts.items()}
         print(f"spot check {first.id}: {len(first.full_cloud)} points survive")
+        print(f"  parts derived from its labels {parts}")
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ import traceback
 from pathlib import Path
 
 from .bench import Condition, build_class_templates, run_suite
-from .cloud_io import load_cloud, save_ply
+from .cloud_io import load_cloud, read_json, read_text, save_ply
 from .errors import SceneSpecError, TogError
 from .ontology import (
     ENDPOINT_ENV,
@@ -75,10 +75,7 @@ def _emit(payload) -> None:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SceneSpecError(f"cannot read config file {path}: {exc}") from exc
+    data = read_json(path, SceneSpecError)
     if not isinstance(data, dict):
         raise SceneSpecError(f"config file {path} must hold a JSON object")
     return data
@@ -270,7 +267,8 @@ def cmd_ontology_resolve(args) -> int:
 def cmd_ontology_optimize(args) -> int:
     ctx = _Context(args)
     if args.prompt_file:
-        seed_prompt = Path(args.prompt_file).read_text()
+        # code "io", like any other file the command cannot read
+        seed_prompt = read_text(args.prompt_file, OSError)
     elif args.prompt:
         seed_prompt = args.prompt
     else:
@@ -394,12 +392,7 @@ def cmd_export(args) -> int:
 
 def _bench_conditions(args) -> list[Condition]:
     if args.conditions:
-        try:
-            payload = json.loads(Path(args.conditions).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise SceneSpecError(
-                f"cannot read conditions file {args.conditions}: {exc}"
-            ) from exc
+        payload = read_json(args.conditions, SceneSpecError)
         rows = payload.get("conditions") if isinstance(payload, dict) else payload
         if not isinstance(rows, list) or not rows:
             raise SceneSpecError("conditions file must hold a non-empty list")

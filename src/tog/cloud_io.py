@@ -1,6 +1,10 @@
-"""Reading and writing point clouds.
+"""Reading input files and reading and writing point clouds.
 
-Two interchange formats are supported:
+`read_text` and `read_json` are the one reader of every file the engine
+takes in: a file that cannot be read, is not UTF-8, is not JSON or nests
+too deep raises the caller's error class, naming the path.
+
+Two point-cloud interchange formats are supported:
 
 * ASCII PLY with ``float x/y/z`` properties and, for labeled clouds, an
   extra integer ``label`` property whose id-to-name mapping is carried in
@@ -43,11 +47,25 @@ def save_ply(cloud: PointCloud, path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _read_text(path) -> str:
+def read_text(path, error) -> str:
+    """The UTF-8 text of `path`; `error(message)` if it cannot be read."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CloudParseError(f"{path}: cannot read ({exc})") from exc
+        raise error(f"{path}: cannot read ({exc})") from exc
+
+
+def parse_json(text, error, source):
+    """`text` (str or bytes) as JSON; `error(message)` naming `source` if not."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
+        raise error(f"{source}: not JSON ({exc})") from exc
+
+
+def read_json(path, error):
+    """The JSON value in the file at `path`; `error(message)` on any failure."""
+    return parse_json(read_text(path, error), error, path)
 
 
 def _count(text: str, path, what: str) -> int:
@@ -59,7 +77,7 @@ def _count(text: str, path, what: str) -> int:
 
 def load_ply(path) -> PointCloud:
     """Read an ASCII PLY written by `save_ply` (or any x/y/z[/label] PLY)."""
-    lines = _read_text(path).splitlines()
+    lines = read_text(path, CloudParseError).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise CloudParseError(f"{path}: not a PLY file")
     id_to_name: dict[int, str] = {}
@@ -148,11 +166,7 @@ def save_json(cloud: PointCloud, path) -> None:
 
 
 def load_json(path) -> PointCloud:
-    try:
-        data = json.loads(_read_text(path))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CloudParseError(f"{path}: invalid JSON ({exc})") from exc
-    return cloud_from_dict(data)
+    return cloud_from_dict(read_json(path, CloudParseError))
 
 
 def load_cloud(path) -> PointCloud:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from http.client import HTTPException
 from pathlib import Path
 
+from .cloud_io import parse_json, read_json, read_text
 from .errors import (
     ChatServiceError,
     ConclusionParseError,
@@ -79,11 +80,7 @@ class OntologyGraph:
 
     @classmethod
     def load(cls, path) -> "OntologyGraph":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
-            raise SchemaError(f"{path}: cannot read ontology JSON ({exc})") from exc
-        return cls(data)
+        return cls(read_json(path, SchemaError))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.classes, indent=2, sort_keys=True) + "\n")
@@ -166,13 +163,13 @@ class FixtureChatClient(ChatClient):
             raise FixtureMissingError(
                 f"no fixture for prompt hash {prompt_key(prompt)} in {self.directory}"
             )
-        return path.read_text()
+        return read_text(path, SchemaError)
 
     def record(self, prompt: str, response: str) -> Path:
         """Store a response so later completions of ``prompt`` replay it."""
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.directory / f"{prompt_key(prompt)}.txt"
-        path.write_text(response)
+        path.write_text(response, encoding="utf-8")
         return path
 
 
@@ -226,12 +223,11 @@ class HttpChatClient(ChatClient):
             raise ChatServiceError(
                 f"chat request to {self.endpoint} failed: {exc!r}", stage=_CHAT_STAGE
             ) from exc
-        try:
-            body = json.loads(raw)
-        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, too deep
-            raise SchemaError(
-                f"chat reply is not JSON: {raw[:200]!r}", stage=_CHAT_STAGE
-            ) from exc
+        body = parse_json(
+            raw,
+            lambda message: SchemaError(message, stage=_CHAT_STAGE),
+            f"chat reply {raw[:200]!r}",
+        )
         try:
             content = body["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):

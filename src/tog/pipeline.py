@@ -110,17 +110,19 @@ def select_templates(
 ) -> dict[str, Template]:
     """Templates to match, in database order, at most `cap` of them.
 
-    With `object_class` the templates of that class, else every template
-    carrying `part_path`. Raises SceneSpecError when none qualifies.
+    Every template carrying `part_path`, of class `object_class` if one is
+    given. Raises SceneSpecError when none qualifies.
     """
-    if object_class:
-        chosen = {tid: t for tid, t in db.items() if t.object_class == object_class}
-        what = f"of class '{object_class}'"
-    else:
-        chosen = {tid: t for tid, t in db.items() if part_path in t.parts}
-        what = f"with part '{part_path}'"
+    chosen = {
+        tid: t
+        for tid, t in db.items()
+        if part_path in t.parts and (not object_class or t.object_class == object_class)
+    }
     if not chosen:
-        raise SceneSpecError(f"database has no templates {what}")
+        of_class = f" of class '{object_class}'" if object_class else ""
+        raise SceneSpecError(
+            f"database has no templates{of_class} with part '{part_path}'"
+        )
     return dict(list(chosen.items())[:cap])
 
 

@@ -436,7 +436,7 @@ def register(
     seed: int = 0,
 ) -> RegistrationResult:
     """Full observed-to-template alignment through all three stages."""
-    m_part = template.parts[recognition.part_path]
+    m_part = template.part(recognition.part_path)
     local = register_local(recognition.part_cloud, m_part, leaf, seed=seed)
     t_loc = local.transform
     t_opt = optimize_rotation(o_all, recognition.seed, template.full_cloud, t_loc)

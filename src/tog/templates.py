@@ -1,24 +1,26 @@
 """Grasp template library: labeled model clouds with part-wise grasp sets.
 
-A template is one complete object model downsampled at a fixed voxel leaf,
-its named parts (label-selected subsets of that same cloud, so every part
-point is a model point), and a set of antipodal parallel-jaw grasps sampled
-per part. Part names are dot paths ("body.outside"); an ancestor path names
-the union of its descendants. Templates serialize to one JSON file each
-plus a small index, and round-trip bit exactly.
+A template is one complete labeled object model downsampled at a fixed
+voxel leaf and a set of antipodal parallel-jaw grasps sampled per part.
+Its named parts are derived from the model's labels when it is
+constructed: each is the label subset of the model, so every part point is
+a model point. Part names are dot paths ("body.outside"); an ancestor path
+names the union of its descendants. A template file stores the labeled
+model once, and its parts are derived from its labels on load; a small
+index lists the files. Templates round-trip bit exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .cloud_io import cloud_from_dict, cloud_to_dict
+from .cloud_io import cloud_from_dict, cloud_to_dict, read_json
 from .errors import (
     CloudParseError,
     DegeneratePartError,
@@ -33,7 +35,8 @@ from .geometry import (
     voxel_downsample,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+DB_SCHEMA_VERSION = 1
 DEFAULT_LEAF = 0.005
 MIN_PART_POINTS = 10
 GRASP_TARGET = 50
@@ -122,28 +125,46 @@ class GraspPose:
 
 @dataclass(frozen=True)
 class Template:
-    """One object model with named part clouds and per-part grasps."""
+    """One labeled object model with per-part grasps.
+
+    `parts` maps every label path and ancestor path of `full_cloud` to its
+    label subset (`select_part`), in sorted path order. A model without
+    labels raises SchemaError; a part below MIN_PART_POINTS points raises
+    DegeneratePartError.
+    """
 
     id: str
     object_class: str
     full_cloud: PointCloud
-    parts: dict
     grasps: dict
     leaf: float = DEFAULT_LEAF
+    parts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id or not self.object_class:
             raise SchemaError("template id and object_class must be non-empty")
-        if not self.parts:
+        if not _is_leaf(self.leaf):
+            raise SchemaError(
+                f"template leaf must be a positive number, got {self.leaf!r}"
+            )
+        if self.full_cloud.labels is None:
+            raise SchemaError(f"template '{self.id}' needs a labeled model cloud")
+        parts = {}
+        for path in part_paths_from_labels(set(self.full_cloud.labels.tolist())):
+            part = select_part(self.full_cloud, path)
+            if len(part) < MIN_PART_POINTS:
+                raise DegeneratePartError(
+                    f"part '{path}' of template '{self.id}' has {len(part)} points "
+                    f"(minimum {MIN_PART_POINTS})"
+                )
+            parts[path] = part
+        if not parts:
             raise SchemaError(f"template '{self.id}' has no parts")
+        object.__setattr__(self, "parts", parts)
         stray = set(self.grasps) - set(self.parts)
         if stray:
             raise SchemaError(
                 f"template '{self.id}' has grasps for unknown parts {sorted(stray)}"
-            )
-        if not _is_leaf(self.leaf):
-            raise SchemaError(
-                f"template leaf must be a positive number, got {self.leaf!r}"
             )
 
     def part(self, path: str) -> PointCloud:
@@ -289,54 +310,34 @@ def build_template(
 ) -> Template:
     """Turn one labeled model cloud into a ready-to-match template.
 
-    The cloud is voxel-downsampled once; each part is the exact subset of
-    the downsampled cloud carrying that label (or a descendant label, for
-    ancestor paths). When an ontology graph is given, every label must be a
-    part path of `object_class` there. A part with no antipodal grasp, such
-    as one wider than the gripper opening, gets an empty grasp set, and
-    planning on it raises NoGraspError.
+    The cloud is voxel-downsampled once and becomes the template's model,
+    whose labels give its parts (see `Template`). When an ontology graph is
+    given, every label must be a part path of `object_class` there. A part
+    with no antipodal grasp, such as one wider than the gripper opening,
+    gets an empty grasp set, and planning on it raises NoGraspError.
     """
     check_leaf(leaf)
     gripper = gripper or default_gripper()
-    if labeled_cloud.labels is None:
-        raise SchemaError("template construction needs a labeled cloud")
     model = voxel_downsample(labeled_cloud, leaf)
-    distinct = sorted(set(model.labels.tolist()))
+    template = Template(template_id or object_class, object_class, model, {}, leaf)
     if graph is not None:
         if not graph.has_class(object_class):
             raise SchemaError(f"ontology has no class '{object_class}'")
         known = set(graph.part_paths(object_class))
-        unknown = [label for label in distinct if label not in known]
+        unknown = sorted(set(model.labels.tolist()) - known)
         if unknown:
             raise SchemaError(
                 f"labels {unknown} are not parts of '{object_class}' in the ontology"
             )
-    paths = part_paths_from_labels(distinct)
-    parts = {}
-    for path in paths:
-        part = select_part(model, path)
-        if len(part) < MIN_PART_POINTS:
-            raise DegeneratePartError(
-                f"part '{path}' has {len(part)} points after downsampling "
-                f"(minimum {MIN_PART_POINTS})"
-            )
-        parts[path] = part
     grasps = {}
-    for i, path in enumerate(paths):
+    for i, (path, part) in enumerate(template.parts.items()):
         try:
             grasps[path] = sample_antipodal_grasps(
-                parts[path], gripper, target_count=grasp_target, rng=(rng, i)
+                part, gripper, target_count=grasp_target, rng=(rng, i)
             )
         except NoGraspError:
             grasps[path] = ()
-    return Template(
-        id=template_id or object_class,
-        object_class=object_class,
-        full_cloud=model,
-        parts=parts,
-        grasps=grasps,
-        leaf=leaf,
-    )
+    return replace(template, grasps=grasps)
 
 
 def template_to_dict(template: Template) -> dict:
@@ -346,7 +347,6 @@ def template_to_dict(template: Template) -> dict:
         "object_class": template.object_class,
         "leaf": template.leaf,
         "full_cloud": cloud_to_dict(template.full_cloud),
-        "parts": {path: cloud_to_dict(c) for path, c in template.parts.items()},
         "grasps": {
             path: [
                 {"pose": g.pose.matrix.tolist(), "width": g.width} for g in gs
@@ -359,15 +359,14 @@ def template_to_dict(template: Template) -> dict:
 def template_from_dict(data: dict) -> Template:
     if not isinstance(data, dict):
         raise SchemaError("template JSON must be an object")
-    missing = {"id", "object_class", "full_cloud", "parts", "grasps"} - set(data)
+    missing = {"id", "object_class", "full_cloud", "grasps"} - set(data)
     if missing:
         raise SchemaError(f"template JSON missing keys {sorted(missing)}")
     for key in ("id", "object_class"):
         if not isinstance(data[key], str) or not data[key]:
             raise SchemaError(f"template JSON '{key}' must be a non-empty string")
-    for key in ("parts", "grasps"):
-        if not isinstance(data[key], dict):
-            raise SchemaError(f"template JSON '{key}' must be an object")
+    if not isinstance(data["grasps"], dict):
+        raise SchemaError("template JSON 'grasps' must be an object")
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported template schema_version {version}")
@@ -385,7 +384,6 @@ def template_from_dict(data: dict) -> Template:
         id=data["id"],
         object_class=data["object_class"],
         full_cloud=cloud_from_dict(data["full_cloud"]),
-        parts={path: cloud_from_dict(c) for path, c in data["parts"].items()},
         grasps=grasps,
         leaf=data.get("leaf", DEFAULT_LEAF),
     )
@@ -396,15 +394,7 @@ def save_template(template: Template, path) -> None:
 
 
 def load_template(path) -> Template:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CloudParseError(f"{path}: cannot read template file ({exc})") from exc
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CloudParseError(f"{path}: invalid template JSON ({exc})") from exc
-    return template_from_dict(data)
+    return template_from_dict(read_json(path, CloudParseError))
 
 
 def save_db(templates, directory) -> Path:
@@ -424,7 +414,7 @@ def save_db(templates, directory) -> Path:
                 "file": filename,
             }
         )
-    index = {"schema_version": SCHEMA_VERSION, "templates": entries}
+    index = {"schema_version": DB_SCHEMA_VERSION, "templates": entries}
     (directory / "db.json").write_text(json.dumps(index, indent=2, sort_keys=True))
     return directory
 
@@ -435,13 +425,10 @@ def load_db(directory) -> dict:
     index_path = directory / "db.json"
     if not index_path.exists():
         raise SchemaError(f"{directory}: no db.json index")
-    try:
-        index = json.loads(index_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise SchemaError(f"{index_path}: invalid index JSON ({exc})") from exc
+    index = read_json(index_path, SchemaError)
     if not isinstance(index, dict):
         raise SchemaError(f"{index_path}: index must be a JSON object")
-    if index.get("schema_version") != SCHEMA_VERSION:
+    if index.get("schema_version") != DB_SCHEMA_VERSION:
         raise SchemaError(f"{index_path}: unsupported schema_version")
     entries = index.get("templates", [])
     if not isinstance(entries, list):

@@ -34,7 +34,7 @@ from tog.bench import (
 from tog.errors import CoarseFailureError, SceneSpecError
 from tog.geometry import PointCloud, apply_transform
 from tog.planning import GraspCandidate
-from tog.templates import GripperConfig
+from tog.templates import GripperConfig, build_template
 from tog.geometry import RigidTransform
 
 
@@ -476,6 +476,20 @@ class TestTrials:
         report = run_trial(condition, mug_templates, np.random.default_rng(0))
         assert report.error == "spec: template ids ['nope'] are not in the bank"
         assert not report.recognized and not report.planned
+
+    @pytest.mark.parametrize("explicit", [False, True], ids=["by-class", "by-id"])
+    def test_template_without_the_part_is_left_out(self, mug_templates, explicit):
+        mug = make_mug(4000, np.random.default_rng(7))
+        body = mug.select(np.flatnonzero(mug.labels != "handle"))
+        bank = {"mug-body": build_template(body, "mug", template_id="mug-body")}
+        bank["mug-0"] = mug_templates["mug-0"]
+        condition = Condition(
+            name="mixed", object_class="mug", part_path="handle", partial=False,
+            n_points=1500, template_ids=tuple(bank) if explicit else (),
+        )
+        report = run_trial(condition, bank, np.random.default_rng(12))
+        assert report.error is None
+        assert report.recognized and report.planned
 
     def test_trial_names_every_registration_failure(self, mug_templates, monkeypatch):
         def failing_register(*args, **kwargs):

@@ -508,6 +508,58 @@ class TestPrecedence:
         assert err["code"] == "spec"
 
 
+NOT_UTF8 = b"\xff\xfe{}"
+TOO_DEEP = b"[" * 100_000
+# (argv with "{file}" the bad input, its contents, the expected error code)
+INPUT_FILES = {
+    "config-not-utf8": (["db", "inspect", "--config", "{file}"], NOT_UTF8, "spec"),
+    "config-too-deep": (["db", "inspect", "--config", "{file}"], TOO_DEEP, "spec"),
+    "conditions-not-utf8": (
+        ["bench", "run", "--db", "{db}", "--conditions", "{file}"], NOT_UTF8, "spec"
+    ),
+    "conditions-too-deep": (
+        ["bench", "run", "--db", "{db}", "--conditions", "{file}"], TOO_DEEP, "spec"
+    ),
+    "ontology-too-deep": (
+        ["ontology", "resolve", "--fixtures", "{chat}", "--text", POUR,
+         "--ontology", "{file}"],
+        TOO_DEEP,
+        "schema",
+    ),
+    "prompt-file-not-utf8": (
+        ["ontology", "optimize", "--fixtures", "{chat}", "--prompt-file", "{file}"],
+        NOT_UTF8,
+        "io",
+    ),
+    "chat-fixture-not-utf8": (
+        ["ontology", "resolve", "--fixtures", "{file}", "--text", POUR],
+        NOT_UTF8,
+        "schema",
+    ),
+}
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("case", sorted(INPUT_FILES))
+    def test_unreadable_input_is_a_json_error(self, ws, capsys, tmp_path, case):
+        argv, contents, code = INPUT_FILES[case]
+        if case == "chat-fixture-not-utf8":
+            bad = tmp_path / "chat"
+            shutil.copytree(ws["chat"], bad)
+            for fixture in bad.iterdir():
+                fixture.write_bytes(contents)
+        else:
+            bad = tmp_path / "input"
+            bad.write_bytes(contents)
+        fields = {"db": ws["db"], "chat": ws["chat"], "file": str(bad)}
+        assert main([arg.format(**fields) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        error = json.loads(captured.err)["error"]
+        assert error["code"] == code
+        assert str(bad) in error["message"]
+
+
 # Each settings-reading subcommand, with "{out}" the file or directory it
 # would write. Every one validates its settings before doing any work.
 SUBCOMMANDS = {

@@ -185,6 +185,22 @@ class TestRunPipeline:
         assert result.winning_template is not None
 
 
+    def test_template_without_the_part_is_left_out(self, workspace, tmp_path):
+        mug = generate_object("mug", 4000, np.random.default_rng(7))
+        body = mug.select(np.flatnonzero(mug.labels != "handle"))
+        bank = {"mug-body": build_template(body, "mug", template_id="mug-body")}
+        bank.update(load_db(workspace["db"]))
+        save_db(bank.values(), tmp_path / "db")
+        db = load_db(tmp_path / "db")
+        config = PipelineConfig(db_path=str(tmp_path / "db"))
+        result = run_pipeline(config, POUR, workspace["scene"], workspace["client"])
+        assert list(result.registrations) == ["mug-0", "mug-1"]
+        assert result.candidates
+        assert list(db) == ["mug-0", "mug-1", "mug-body"]
+        assert list(select_templates(db, "mug", "handle")) == ["mug-0", "mug-1"]
+        assert list(select_templates(db, "mug", "body")) == list(db)
+
+
 class TestStages:
     def test_select_templates(self, workspace):
         db = load_db(workspace["db"])

@@ -38,12 +38,12 @@ def pose_at(center, rotation=None):
 
 
 def bar_cloud(n=40, length=0.06, radius=0.003):
-    """Thin solid bar along y, centered at the origin."""
+    """Thin solid bar along y, centered at the origin, labeled "face"."""
     rng = np.random.default_rng(11)
     ys = np.linspace(-length / 2, length / 2, n)
     offsets = rng.uniform(-radius, radius, size=(n, 2))
     pts = np.stack([offsets[:, 0], ys, offsets[:, 1]], axis=1)
-    return PointCloud(pts)
+    return PointCloud(pts, ["face"] * n)
 
 
 def bar_template(grasp_centers, widths=None, object_class="slab"):
@@ -57,7 +57,6 @@ def bar_template(grasp_centers, widths=None, object_class="slab"):
         id="bar-0",
         object_class=object_class,
         full_cloud=part,
-        parts={"face": part},
         grasps={"face": grasps},
     )
 
@@ -109,7 +108,6 @@ class TestTransfer:
             id="empty",
             object_class="slab",
             full_cloud=part,
-            parts={"face": part},
             grasps={"face": ()},
         )
         with pytest.raises(NoGraspError):
@@ -282,8 +280,7 @@ class TestPlan:
         template = Template(
             id="ring-0",
             object_class="slab",
-            full_cloud=scene,
-            parts={"face": scene},
+            full_cloud=PointCloud(ring, ["face"] * len(ring)),
             grasps={"face": grasps},
         )
         recognition = recognition_stub(scene, members)
@@ -298,7 +295,6 @@ class TestPlan:
             id="bar-1",
             object_class="slab",
             full_cloud=good.full_cloud,
-            parts=dict(good.parts),
             grasps=dict(good.grasps),
         )
         recognition = recognition_stub(scene, members)

@@ -27,6 +27,7 @@ from tog.registration import (
     register_local,
     rotation_candidates,
 )
+from tog.templates import Template
 
 
 def torus_arc(rng, n=400, major=0.02, minor=0.006, sweep=1.6 * np.pi):
@@ -381,16 +382,15 @@ class TestOptimizeRotation:
         assert counter.calls <= registration._CHUNKS + 2
 
 
-def make_mug_stub(rng, n_body=500, n_handle=260):
+def make_mug_template(rng, n_body=500, n_handle=260):
     body = cylinder(rng, n=n_body, radius=0.04, height=0.1)
     handle = torus_arc(rng, n=n_handle, major=0.022, minor=0.006)
     handle = handle @ Rotation.from_euler("x", 90, degrees=True).as_matrix().T
     handle = handle + [0.058, 0.0, 0.05]
     full = np.vstack([body, handle])
-    return SimpleNamespace(
-        id="mug0",
-        full_cloud=PointCloud(full),
-        parts={"handle": PointCloud(handle), "body": PointCloud(body)},
+    labels = ["body"] * len(body) + ["handle"] * len(handle)
+    return Template(
+        id="mug0", object_class="mug", full_cloud=PointCloud(full, labels), grasps={}
     )
 
 
@@ -411,7 +411,7 @@ def recognition_for(template, part_path, observed: PointCloud, members):
 class TestRegister:
     def test_self_registration_quality(self):
         rng = np.random.default_rng(17)
-        tpl = make_mug_stub(rng)
+        tpl = make_mug_template(rng)
         o_all = tpl.full_cloud
         handle_members = np.arange(500, 500 + 260)
         rec = recognition_for(tpl, "handle", o_all, handle_members)
@@ -423,7 +423,7 @@ class TestRegister:
 
     def test_composition_identity(self):
         rng = np.random.default_rng(18)
-        tpl = make_mug_stub(rng)
+        tpl = make_mug_template(rng)
         pose = random_pose(rng)
         o_pts = pose.apply(tpl.full_cloud.points)
         o_all = PointCloud(o_pts)
@@ -436,7 +436,7 @@ class TestRegister:
 
     def test_posed_copy_registers_below_half_leaf(self):
         rng = np.random.default_rng(19)
-        tpl = make_mug_stub(rng)
+        tpl = make_mug_template(rng)
         pose = random_pose(rng)
         o_all = PointCloud(pose.apply(tpl.full_cloud.points))
         rec = recognition_for(tpl, "handle", o_all, np.arange(500, 760))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tog.cloud_io import cloud_to_dict
 from tog.errors import (
     CloudParseError,
     DegeneratePartError,
@@ -22,6 +23,7 @@ from tog.templates import (
     build_template,
     default_gripper,
     load_db,
+    load_template,
     part_paths_from_labels,
     sample_antipodal_grasps,
     save_db,
@@ -345,20 +347,42 @@ class TestBuildTemplate:
 
 class TestSerialization:
     def test_dict_round_trip_bit_exact(self, mug_template):
-        again = template_from_dict(
-            json.loads(json.dumps(template_to_dict(mug_template)))
-        )
+        data = template_to_dict(mug_template)
+        assert data["schema_version"] == 2
+        assert "parts" not in data
+        again = template_from_dict(json.loads(json.dumps(data)))
         assert again.id == mug_template.id
         assert again.leaf == mug_template.leaf
         assert np.array_equal(again.full_cloud.points, mug_template.full_cloud.points)
         assert np.array_equal(again.full_cloud.labels, mug_template.full_cloud.labels)
-        for path in mug_template.parts:
-            assert np.array_equal(
-                again.parts[path].points, mug_template.parts[path].points
-            )
+        assert list(again.parts) == list(mug_template.parts)
+        for path, part in mug_template.parts.items():
+            assert again.parts[path].points.dtype == part.points.dtype
+            assert np.array_equal(again.parts[path].points, part.points)
+            assert np.array_equal(again.parts[path].labels, part.labels)
             for ga, gb in zip(again.grasps[path], mug_template.grasps[path]):
                 assert np.array_equal(ga.pose.matrix, gb.pose.matrix)
                 assert ga.width == gb.width
+
+    def test_version_1_file_rejected(self, mug_template, tmp_path):
+        data = template_to_dict(mug_template)
+        data["schema_version"] = 1
+        data["parts"] = {
+            path: cloud_to_dict(part) for path, part in mug_template.parts.items()
+        }
+        path = tmp_path / "mug-0.template.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match="unsupported template schema_version 1"):
+            load_template(path)
+
+    def test_unlabeled_model_rejected(self, mug_template):
+        with pytest.raises(SchemaError, match="labeled model"):
+            Template(
+                id="bare",
+                object_class="mug",
+                full_cloud=PointCloud(mug_template.full_cloud.points),
+                grasps={},
+            )
 
     def test_db_round_trip(self, mug_template, tmp_path):
         copy = replace(mug_template, id="mug-1")
@@ -403,7 +427,7 @@ class TestSerialization:
         [
             ("template_not_utf8", CloudParseError),
             ("template_missing", CloudParseError),
-            ("template_parts_list", SchemaError),
+            ("model_without_labels", SchemaError),
             ("index_not_utf8", SchemaError),
             ("index_is_list", SchemaError),
             ("entry_without_file", SchemaError),
@@ -421,9 +445,9 @@ class TestSerialization:
             (db / "mug-0.template.json").write_bytes(b'{"id": "\xff\xfe"}')
         elif corrupt == "template_missing":
             (db / "mug-0.template.json").unlink()
-        elif corrupt == "template_parts_list":
+        elif corrupt == "model_without_labels":
             data = json.loads((db / "mug-0.template.json").read_text())
-            data["parts"] = list(data["parts"])
+            del data["full_cloud"]["labels"]
             (db / "mug-0.template.json").write_text(json.dumps(data))
         elif corrupt == "index_not_utf8":
             index_path.write_bytes(b"\xff\xfe{}")
@@ -480,7 +504,6 @@ class TestSerialization:
                 id="bad",
                 object_class="mug",
                 full_cloud=mug_template.full_cloud,
-                parts=dict(mug_template.parts),
                 grasps={"nonexistent": ()},
             )
 
