@@ -14,7 +14,7 @@ any single trial can be replayed in isolation. Trials call the pipeline's
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from typing import Callable
 
@@ -480,6 +480,7 @@ class TrialReport:
     recognition_seconds: float = 0.0
     total_seconds: float = 0.0
     error: str | None = None
+    registration_errors: dict = field(default_factory=dict)  # template id -> "code: message"
 
     def __post_init__(self):
         if self.selected_ok and not self.planned:
@@ -677,7 +678,8 @@ def run_trial(
         if not report.recognized:
             return report
 
-        registrations, _errors = register_all(scene, recognition, selected, trial_index)
+        registrations, errors = register_all(scene, recognition, selected, trial_index)
+        report.registration_errors = errors
         candidates = plan(
             scene, recognition, registrations, selected, gripper=gripper
         )

@@ -16,6 +16,7 @@ from scipy.spatial import cKDTree
 from .errors import EmptyCloudError, InsufficientPointsError
 
 _ORTHONORMAL_TOL = 1e-9
+_EYE3 = np.eye(3)
 
 
 class PointCloud:
@@ -128,7 +129,8 @@ class RigidTransform:
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
         if abs(np.linalg.det(r) - 1.0) > _ORTHONORMAL_TOL * 10:
             raise ValueError("rotation determinant must be +1")
-        if not np.allclose(r.T @ r, np.eye(3), atol=_ORTHONORMAL_TOL * 10):
+        # np.allclose's test (default rtol), without its overhead; false for NaN and inf
+        if not (np.abs(r.T @ r - _EYE3) <= _ORTHONORMAL_TOL * 10 + 1e-5 * _EYE3).all():
             raise ValueError("rotation must be orthonormal")
         r = np.ascontiguousarray(r)
         r.setflags(write=False)

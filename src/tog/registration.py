@@ -2,11 +2,12 @@
 
 The observed cloud is registered in three stages: the recognized part is
 aligned to the template part (descriptor RANSAC plus ICP, retried until
-enough correspondences hold), the whole cloud is then rotated about the
-aligned seed over a fixed grid to resolve part-level ambiguity (an exact
-bound-and-prune search that finishes only the rotations that can still
-win), and a final whole-cloud ICP refines the pose. The total transform
-maps observed (camera-frame) points into the template frame.
+enough correspondences hold; pairs are found once per part pair, and inliers
+measured exactly only where a matmul bound is in doubt), the whole cloud is
+then rotated about the aligned seed over a fixed grid to resolve part-level
+ambiguity (an exact bound-and-prune search that finishes only the rotations
+that can still win), and a final whole-cloud ICP refines the pose. The total
+transform maps observed (camera-frame) points into the template frame.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
@@ -123,9 +125,8 @@ def _pair_features(points, normals, i_idx, j_idx):
 
 def _histogram_block(values, lo, hi, rows, n_points):
     bins = np.clip(((values - lo) / (hi - lo) * FPFH_BINS).astype(np.intp), 0, FPFH_BINS - 1)
-    hist = np.zeros((n_points, FPFH_BINS))
-    np.add.at(hist, (rows, bins), 1.0)
-    return hist
+    counts = np.bincount(rows * FPFH_BINS + bins, minlength=n_points * FPFH_BINS)
+    return counts.reshape(n_points, FPFH_BINS)
 
 
 def fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
@@ -146,9 +147,7 @@ def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
         raise InsufficientPointsError("descriptors need >= 3 points")
     normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
     neighborhoods = cloud.tree.query_ball_point(cloud.points, radius, workers=-1)
-    i_idx = np.concatenate(
-        [np.full(len(nb), i, dtype=np.intp) for i, nb in enumerate(neighborhoods)]
-    )
+    i_idx = np.repeat(np.arange(n), [len(nb) for nb in neighborhoods])
     j_idx = np.concatenate([np.asarray(nb, dtype=np.intp) for nb in neighborhoods])
     keep = i_idx != j_idx
     i_idx, j_idx = i_idx[keep], j_idx[keep]
@@ -165,10 +164,9 @@ def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
         counts = np.bincount(i_ok, minlength=n).astype(np.float64)
         np.divide(spfh, counts[:, None], out=spfh, where=counts[:, None] > 0)
 
-        # blend in neighbor histograms, weighted by inverse distance
-        feat = np.zeros_like(spfh)
+        # blend in neighbor histograms by inverse distance; each row sums in j order
         w = 1.0 / np.maximum(dist, 1e-9)
-        np.add.at(feat, i_ok, spfh[j_ok] * w[:, None])
+        feat = csr_matrix((w, j_ok, np.searchsorted(i_ok, np.arange(n + 1))), shape=(n, n)) @ spfh
         has = counts > 0
         feat[has] /= counts[has, None]
         spfh = spfh + feat
@@ -180,10 +178,35 @@ def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     return out.reshape(n, 3 * FPFH_BINS)
 
 
-def _nearest_descriptor_pairs(src_feat: np.ndarray, tgt_feat: np.ndarray) -> np.ndarray:
-    tree = cKDTree(tgt_feat)
-    _, j = tree.query(src_feat, workers=-1)
-    return np.stack([np.arange(len(src_feat)), j], axis=1)
+def _inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist) -> np.ndarray:
+    """Per hypothesis, the pairs whose moved source lies within inlier_dist."""
+    moved = np.einsum("mij,nj->mni", rot, src_pts) + trans[:, None, :]
+    return (np.linalg.norm(moved - tgt_pts[None], axis=2) <= inlier_dist).sum(axis=1)
+
+
+def _inlier_counter(src_pts, tgt_pts, inlier_dist):
+    """Batch (rot, trans) -> (index, count) of its first hypothesis with the most inliers.
+
+    A squared distance is [vec R, R^T t, t] @ coef + offset + |t|^2. With c the largest
+    |coordinate|, a Kabsch fit has |t| <= 2 sqrt(3) c, so its terms sum in magnitude to at
+    most 48 c^2 < 6 scale^2 and round off far inside margin.
+    """
+    qs = np.einsum("ni,nj->ijn", tgt_pts, src_pts).reshape(9, -1)
+    coef = np.vstack([-2.0 * qs, 2.0 * src_pts.T, -2.0 * tgt_pts.T])
+    offset = (src_pts**2).sum(axis=1) + (tgt_pts**2).sum(axis=1)
+    scale = 1.0 + inlier_dist + 3.0 * max(np.abs(src_pts).max(), np.abs(tgt_pts).max())
+    margin, thr2 = 1e-9 * scale**2, inlier_dist**2
+
+    def best(rot, trans):
+        d2 = np.hstack([rot.reshape(-1, 9), np.einsum("mji,mj->mi", rot, trans), trans]) @ coef
+        d2 += offset
+        d2 += (trans**2).sum(axis=1)[:, None]
+        upper = (d2 <= thr2 + margin).sum(axis=1)
+        doubt = np.flatnonzero(upper >= (d2 <= thr2 - margin).sum(axis=1).max())
+        exact = _inlier_counts(rot[doubt], trans[doubt], src_pts, tgt_pts, inlier_dist)
+        top = int(np.argmax(exact))
+        return int(doubt[top]), int(exact[top])
+    return best
 
 
 def coarse_align(
@@ -198,17 +221,23 @@ def coarse_align(
     target descriptor; 3-point hypotheses must pass a 0.9 edge-length ratio
     gate, and inliers are correspondence pairs within 1.5x leaf after the
     hypothesis transform. Sampling is driven entirely by ``rng``, so a fixed
-    seed reproduces the same alignment.
+    seed reproduces the same alignment. Descriptor pairs are cached on the
+    source per radius and target, so retries skip the descriptor search.
+    Each batch's inliers are bounded from one matmul of squared distances and
+    measured exactly only for the hypotheses the bound leaves able to win.
     """
     if len(source) < 10 or len(target) < 10:
         raise InsufficientPointsError("coarse alignment needs >= 10 points per cloud")
     rng = np.random.default_rng(rng)
     radius = 5.0 * leaf
     inlier_dist = 1.5 * leaf
-    pairs = _nearest_descriptor_pairs(fpfh(source, radius), fpfh(target, radius))
-    src_pts = source.points[pairs[:, 0]]
-    tgt_pts = target.points[pairs[:, 1]]
-    n_pairs = len(pairs)
+    src_feat, tgt_feat = fpfh(source, radius), fpfh(target, radius)
+    nearest = source.derived(
+        ("fpfh-pairs", radius, target), lambda: cKDTree(tgt_feat).query(src_feat, workers=-1)[1]
+    )
+    src_pts, tgt_pts = source.points, target.points[nearest]
+    n_pairs = len(nearest)
+    best_of = _inlier_counter(src_pts, tgt_pts, inlier_dist)
 
     best = None  # (count, transform)
     tried = 0
@@ -247,12 +276,9 @@ def coarse_align(
         flip[:, 2, 2] = np.sign(det)
         rot = np.einsum("mij,mjk,mkl->mil", vt.transpose(0, 2, 1), flip, u.transpose(0, 2, 1))
         trans = tc[:, 0, :] - np.einsum("mij,mj->mi", rot, sc[:, 0, :])
-        moved = np.einsum("mij,nj->mni", rot, src_pts) + trans[:, None, :]
-        dists = np.linalg.norm(moved - tgt_pts[None, :, :], axis=2)
-        counts = (dists <= inlier_dist).sum(axis=1)
-        top = int(np.argmax(counts))
-        if counts[top] >= 3 and (best is None or counts[top] > best[0]):
-            best = (int(counts[top]), RigidTransform(rot[top], trans[top]))
+        top, count = best_of(rot, trans)
+        if count >= 3 and (best is None or count > best[0]):
+            best = (count, RigidTransform(rot[top], trans[top]))
             ratio = best[0] / n_pairs
             if 0 < ratio < 1:
                 needed = int(

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (linear scans,
 per-item loops, dict bucketing) and shares no code with the package under
-test, so agreement is meaningful.
+test, so agreement is meaningful. The registration references
+(`fpfh_add_at`, `coarse_align_dense`) are the package's earlier code, which
+the faster one must reproduce bit for bit; they take the normals and the
+pair features, which did not change, from the package.
 """
 
 from __future__ import annotations
@@ -250,3 +253,120 @@ def rotation_grid_search(o_points: np.ndarray, seed, m_points: np.ndarray, t_loc
     order = np.lexsort((np.arange(len(mats)), angles, objectives))
     best = mats[order[0]]
     return best, pivot - best @ pivot
+
+
+def fpfh_add_at(cloud, radius: float) -> np.ndarray:
+    """FPFH accumulated with `np.add.at` over explicit per-pair arrays."""
+    from tog.geometry import estimate_normals
+    from tog.registration import FPFH_BINS, _pair_features
+
+    n = len(cloud)
+    normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
+    neighborhoods = cloud.tree.query_ball_point(cloud.points, radius, workers=-1)
+    i_idx = np.concatenate(
+        [np.full(len(nb), i, dtype=np.intp) for i, nb in enumerate(neighborhoods)]
+    )
+    j_idx = np.concatenate([np.asarray(nb, dtype=np.intp) for nb in neighborhoods])
+    keep = i_idx != j_idx
+    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    order = np.lexsort((j_idx, i_idx))
+    i_idx, j_idx = i_idx[order], j_idx[order]
+
+    def block(values, lo, hi, rows):
+        bins = np.clip(((values - lo) / (hi - lo) * FPFH_BINS).astype(np.intp), 0, FPFH_BINS - 1)
+        hist = np.zeros((n, FPFH_BINS))
+        np.add.at(hist, (rows, bins), 1.0)
+        return hist
+
+    spfh = np.zeros((n, 3 * FPFH_BINS))
+    if len(i_idx):
+        alpha, phi, theta, dist, ok = _pair_features(cloud.points, normals, i_idx, j_idx)
+        i_ok, j_ok, dist = i_idx[ok], j_idx[ok], dist[ok]
+        spfh[:, 0:FPFH_BINS] = block(alpha[ok], -1.0, 1.0, i_ok)
+        spfh[:, FPFH_BINS : 2 * FPFH_BINS] = block(phi[ok], -1.0, 1.0, i_ok)
+        spfh[:, 2 * FPFH_BINS :] = block(theta[ok], -np.pi, np.pi, i_ok)
+        counts = np.bincount(i_ok, minlength=n).astype(np.float64)
+        np.divide(spfh, counts[:, None], out=spfh, where=counts[:, None] > 0)
+        feat = np.zeros_like(spfh)
+        w = 1.0 / np.maximum(dist, 1e-9)
+        np.add.at(feat, i_ok, spfh[j_ok] * w[:, None])
+        has = counts > 0
+        feat[has] /= counts[has, None]
+        spfh = spfh + feat
+    out = spfh.reshape(n, 3, FPFH_BINS)
+    sums = out.sum(axis=2, keepdims=True)
+    out = np.divide(out, sums, out=np.zeros_like(out), where=sums > 0)
+    return out.reshape(n, 3 * FPFH_BINS)
+
+
+def dense_inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist) -> np.ndarray:
+    """Per hypothesis, the pairs within inlier_dist after moving every source point."""
+    moved = np.einsum("mij,nj->mni", rot, src_pts) + trans[:, None, :]
+    dists = np.linalg.norm(moved - tgt_pts[None, :, :], axis=2)
+    return (dists <= inlier_dist).sum(axis=1)
+
+
+def coarse_align_dense(source, target, leaf: float = 0.005, rng=0):
+    """Descriptor RANSAC counting every hypothesis's inliers densely.
+
+    Returns (rotation, translation), or raises the package's
+    `CoarseFailureError` when no hypothesis reaches 3 inliers.
+    """
+    from tog.errors import CoarseFailureError
+
+    rng = np.random.default_rng(rng)
+    radius = 5.0 * leaf
+    inlier_dist = 1.5 * leaf
+    _, j = cKDTree(fpfh_add_at(target, radius)).query(fpfh_add_at(source, radius), workers=-1)
+    src_pts = source.points
+    tgt_pts = target.points[j]
+    n_pairs = len(src_pts)
+    best = None
+    tried = 0
+    needed = 100_000
+    while tried < min(needed, 100_000):
+        m = min(1024, 100_000 - tried)
+        sel = rng.integers(0, n_pairs, size=(m, 3))
+        tried += m
+        distinct = (
+            (sel[:, 0] != sel[:, 1]) & (sel[:, 0] != sel[:, 2]) & (sel[:, 1] != sel[:, 2])
+        )
+        sel = sel[distinct]
+        if not len(sel):
+            continue
+        s3 = src_pts[sel]
+        t3 = tgt_pts[sel]
+        s_edges = np.linalg.norm(s3 - np.roll(s3, 1, axis=1), axis=2)
+        t_edges = np.linalg.norm(t3 - np.roll(t3, 1, axis=1), axis=2)
+        good = (
+            (s_edges > 1e-9).all(axis=1)
+            & (t_edges > 1e-9).all(axis=1)
+            & (t_edges >= 0.9 * s_edges).all(axis=1)
+            & (s_edges >= 0.9 * t_edges).all(axis=1)
+        )
+        if not good.any():
+            continue
+        s3, t3 = s3[good], t3[good]
+        sc = s3.mean(axis=1, keepdims=True)
+        tc = t3.mean(axis=1, keepdims=True)
+        h = np.einsum("mki,mkj->mij", s3 - sc, t3 - tc)
+        u, _, vt = np.linalg.svd(h)
+        det = np.linalg.det(np.einsum("mij,mjk->mik", vt.transpose(0, 2, 1), u.transpose(0, 2, 1)))
+        flip = np.broadcast_to(np.eye(3), u.shape).copy()
+        flip[:, 2, 2] = np.sign(det)
+        rot = np.einsum("mij,mjk,mkl->mil", vt.transpose(0, 2, 1), flip, u.transpose(0, 2, 1))
+        trans = tc[:, 0, :] - np.einsum("mij,mj->mi", rot, sc[:, 0, :])
+        counts = dense_inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist)
+        top = int(np.argmax(counts))
+        if counts[top] >= 3 and (best is None or counts[top] > best[0]):
+            best = (int(counts[top]), rot[top], trans[top])
+            ratio = best[0] / n_pairs
+            if 0 < ratio < 1:
+                needed = int(
+                    min(100_000, np.ceil(np.log(1 - 0.999) / np.log(1 - ratio**3)))
+                )
+            else:
+                needed = tried
+    if best is None:
+        raise CoarseFailureError("no 3-point hypothesis reached 3 inliers", stage="coarse")
+    return best[1], best[2]

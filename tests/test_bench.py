@@ -490,6 +490,12 @@ class TestTrials:
         report = run_trial(condition, bank, np.random.default_rng(12))
         assert report.error is None
         assert report.recognized and report.planned
+        if explicit:
+            # named explicitly, the handle-less template is tried and its failure kept
+            assert list(report.registration_errors) == ["mug-body"]
+            assert report.registration_errors["mug-body"].startswith("schema: ")
+        else:
+            assert report.registration_errors == {}
 
     def test_trial_names_every_registration_failure(self, mug_templates, monkeypatch):
         def failing_register(*args, **kwargs):

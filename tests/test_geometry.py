@@ -78,6 +78,32 @@ class TestRigidTransform:
         with pytest.raises(ValueError):
             RigidTransform(np.eye(3) * 1.01, np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rotation(self, bad):
+        r = np.eye(3)
+        r[0, 1] = bad
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            RigidTransform(r, np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "r",
+        [
+            np.array([[1.0, 0.5e-8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.array([[1.0, 2e-8, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([1.0 + 4e-6, 1.0 / (1.0 + 4e-6), 1.0]),
+            np.diag([1.0 + 6e-6, 1.0 / (1.0 + 6e-6), 1.0]),
+        ],
+        ids=["shear-inside", "shear-outside", "stretch-inside", "stretch-outside"],
+    )
+    def test_orthonormality_tolerance_is_allclose(self, r):
+        # each determinant is 1 within 1e-8, so only the r.T @ r test decides
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-8
+        if np.allclose(r.T @ r, np.eye(3), atol=1e-8):
+            RigidTransform(r, np.zeros(3))
+        else:
+            with pytest.raises(ValueError, match="orthonormal"):
+                RigidTransform(r, np.zeros(3))
+
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(0)
         t = random_transform(rng)

@@ -1,10 +1,12 @@
 """Registration-stage tests: ICP, coarse RANSAC, rotation grid, full stack."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 import oracles
@@ -54,6 +56,47 @@ def random_pose(rng, scale=0.1):
         Rotation.from_rotvec(rng.uniform(-np.pi, np.pi, 3) * 0.5).as_matrix(),
         rng.uniform(-scale, scale, 3),
     )
+
+
+def _posed_pair(points, pose):
+    return PointCloud(points), PointCloud(pose.apply(points))
+
+
+def _random_pair():
+    rng = np.random.default_rng(30)
+    return _posed_pair(rng.uniform(-0.05, 0.05, (300, 3)), random_pose(rng))
+
+
+def _symmetric_cylinder_pair():
+    # the cylinder of TestCoarseAlign.test_symmetric_cylinder_accepted_on_residual
+    pts = cylinder(np.random.default_rng(8), n=350)
+    spin = RigidTransform(Rotation.from_euler("z", 113, degrees=True).as_matrix(), np.zeros(3))
+    return _posed_pair(pts, spin)
+
+
+def _repeated_points_pair():
+    rng = np.random.default_rng(31)
+    pts = np.repeat(torus_arc(rng, n=150), 2, axis=0)
+    return _posed_pair(pts, random_pose(rng))
+
+
+def _single_point_pair():
+    target = np.random.default_rng(7).uniform(-0.05, 0.05, (50, 3))
+    return PointCloud(np.zeros((20, 3))), PointCloud(target)
+
+
+def _ten_point_pair():
+    rng = np.random.default_rng(32)
+    return _posed_pair(rng.uniform(-0.01, 0.01, (10, 3)), random_pose(rng, scale=0.01))
+
+
+EXACTNESS_CLOUDS = {
+    "random": _random_pair,
+    "symmetric-cylinder": _symmetric_cylinder_pair,
+    "repeated-points": _repeated_points_pair,
+    "single-point": _single_point_pair,
+    "ten-points": _ten_point_pair,
+}
 
 
 class TestIcp:
@@ -112,6 +155,25 @@ class TestFpfh:
         assert np.array_equal(fpfh(PointCloud(cloud.points), 0.025), first)
         assert fpfh(cloud, 0.02) is not first
 
+    @pytest.mark.parametrize("radius", [0.01, 0.025])
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CLOUDS))
+    def test_bitwise_equal_to_add_at_oracle(self, name, radius):
+        source, _ = EXACTNESS_CLOUDS[name]()
+        assert np.array_equal(fpfh(source, radius), oracles.fpfh_add_at(source, radius))
+
+    def test_peak_memory_below_half_the_oracle(self):
+        pts = cylinder(np.random.default_rng(12), n=2000)
+        peaks = []
+        for compute in (fpfh, oracles.fpfh_add_at):
+            cloud = PointCloud(pts)
+            tracemalloc.start()
+            try:
+                compute(cloud, 0.025)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.5 * peaks[1]
+
 
 class TestCoarseAlign:
     def test_recovered_pose_reaches_high_fitness_after_icp(self):
@@ -156,6 +218,94 @@ class TestCoarseAlign:
         small = PointCloud(np.random.default_rng(10).normal(size=(5, 3)))
         with pytest.raises(InsufficientPointsError):
             coarse_align(small, small, leaf=0.005)
+
+    @pytest.mark.parametrize("rng", [0, 1, (7, 3)], ids=str)
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CLOUDS))
+    def test_bitwise_equal_to_dense_oracle(self, name, rng):
+        source, target = EXACTNESS_CLOUDS[name]()
+        try:
+            expected = oracles.coarse_align_dense(source, target, leaf=0.005, rng=rng)
+        except CoarseFailureError as exc:
+            with pytest.raises(CoarseFailureError) as info:
+                coarse_align(source, target, leaf=0.005, rng=rng)
+            assert str(info.value) == str(exc)
+            return
+        got = coarse_align(source, target, leaf=0.005, rng=rng)
+        assert np.array_equal(got.rotation, expected[0])
+        assert np.array_equal(got.translation, expected[1])
+
+    def test_descriptor_pairs_computed_once_per_target(self, monkeypatch):
+        trees, features = [], []
+
+        def counting_tree(data):
+            trees.append(len(data))
+            return cKDTree(data)
+
+        def counting_fpfh(cloud, radius):
+            features.append(cloud)
+            return fpfh(cloud, radius)
+
+        monkeypatch.setattr(registration, "cKDTree", counting_tree)
+        monkeypatch.setattr(registration, "fpfh", counting_fpfh)
+        source, target = _random_pair()
+        other = PointCloud(target.points)
+        for rng in range(3):
+            registration.coarse_align(source, target, leaf=0.005, rng=rng)
+        assert len(trees) == 1
+        registration.coarse_align(source, other, leaf=0.005, rng=0)
+        registration.coarse_align(source, target, leaf=0.004, rng=0)
+        assert len(trees) == 3
+        # every attempt still asks for both clouds' descriptors
+        assert features == [source, target] * 3 + [source, other, source, target]
+
+
+class TestInlierBound:
+    """The bounded inlier count against dense counts, with pair distances at the threshold."""
+
+    LEAF = 0.005
+
+    @staticmethod
+    def pairs(distances_flipped):
+        # source (0, 1, z) pairs with target (d, +-1, z); the identity moves it
+        # to distance exactly d when the sign is +, the half turn about z
+        # when it is -, and both computations of that distance are exact
+        src, tgt = [], []
+        for k, (d, flipped) in enumerate(distances_flipped):
+            src.append([0.0, 1.0, 0.01 * k])
+            tgt.append([d, -1.0 if flipped else 1.0, 0.01 * k])
+        return np.array(src), np.array(tgt)
+
+    def check(self, distances_flipped, expected):
+        thr = 1.5 * self.LEAF
+        src, tgt = self.pairs(distances_flipped)
+        rot = np.stack([np.diag([-1.0, -1.0, 1.0]), np.eye(3)])
+        trans = np.zeros((2, 3))
+        dense = oracles.dense_inlier_counts(rot, trans, src, tgt, thr)
+        assert dense.tolist() == expected
+        top, count = registration._inlier_counter(src, tgt, thr)(rot, trans)
+        assert (top, count) == (int(np.argmax(dense)), int(dense.max()))
+
+    @pytest.mark.parametrize("ulps, inlier", [(-1, True), (0, True), (1, False)])
+    def test_single_pair_at_the_threshold(self, ulps, inlier):
+        thr = 1.5 * self.LEAF
+        d = {-1: np.nextafter(thr, 0.0), 0: thr, 1: np.nextafter(thr, 1.0)}[ulps]
+        self.check([(d, False)], [0, int(inlier)])
+
+    def test_one_ulp_decides_the_winner(self):
+        thr = 1.5 * self.LEAF
+        below, above = np.nextafter(thr, 0.0), np.nextafter(thr, 1.0)
+        # the half turn holds 3 pairs one ulp outside and 1 one ulp inside,
+        # the identity 2 pairs exactly at the threshold
+        self.check([(above, True)] * 3 + [(below, True)] + [(thr, False)] * 2, [1, 2])
+        # one ulp inward, the half turn's 4 pairs win
+        self.check([(below, True)] * 4 + [(thr, False)] * 2, [4, 2])
+
+    def test_pairs_at_the_threshold_outweigh_clear_inliers(self):
+        # the matmul form rounds squared distances by far more than an ulp of
+        # thr^2, so it alone would miss some of the half turn's 10 inliers
+        thr = 1.5 * self.LEAF
+        self.check([(np.nextafter(thr, 0.0), True)] * 10 + [(thr / 2, False)] * 9, [10, 9])
+        self.check([(thr, True)] * 10 + [(thr / 2, False)] * 9, [10, 9])
 
 
 class TestRegisterLocal:
