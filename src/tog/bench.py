@@ -288,41 +288,34 @@ def make_slab(n: int, rng, scale: float = 1.0, dims: dict | None = None) -> Poin
     return _build_from_patches(_box_patches("face", half, np.zeros(3)), n, rng, scale)
 
 
-GENERATORS: dict[str, Callable] = {
-    "mug": make_mug,
-    "bottle": make_bottle,
-    "scissor": make_scissor,
-    "slab": make_slab,
-}
-
-DEFAULT_DIMS: dict[str, dict] = {
-    "mug": MUG_DIMS,
-    "bottle": BOTTLE_DIMS,
-    "scissor": SCISSOR_DIMS,
-    "slab": SLAB_DIMS,
-}
+SHAPES: dict[str, tuple[Callable, dict]] = {
+    "mug": (make_mug, MUG_DIMS),
+    "bottle": (make_bottle, BOTTLE_DIMS),
+    "scissor": (make_scissor, SCISSOR_DIMS),
+    "slab": (make_slab, SLAB_DIMS),
+}  # object class -> (generator, default shape dims)
 
 
 def generate_object(
     object_class: str, n: int, rng, scale: float = 1.0, dims: dict | None = None
 ) -> PointCloud:
-    if object_class not in GENERATORS:
+    if object_class not in SHAPES:
         raise SceneSpecError(
             f"no generator for object class '{object_class}' "
-            f"(available: {sorted(GENERATORS)})"
+            f"(available: {sorted(SHAPES)})"
         )
     if n < 10:
         raise SceneSpecError("objects need at least 10 sampled points")
-    return GENERATORS[object_class](n, rng, scale, dims=dims)
+    return SHAPES[object_class][0](n, rng, scale, dims=dims)
 
 
 def perturbed_dims(object_class: str, rng, fraction: float = 0.2) -> dict:
     """Every shape dimension scaled by an independent uniform +-fraction."""
-    if object_class not in DEFAULT_DIMS:
+    if object_class not in SHAPES:
         raise SceneSpecError(f"no shape dims for class '{object_class}'")
     return {
         key: value * rng.uniform(1.0 - fraction, 1.0 + fraction)
-        for key, value in DEFAULT_DIMS[object_class].items()
+        for key, value in SHAPES[object_class][1].items()
     }
 
 
@@ -437,7 +430,8 @@ class Condition:
     `partial=True` the object is sampled more densely, a single viewpoint
     is taken, and the view is thinned back to `n_points`. `dims_fraction`
     perturbs every generator shape dimension by that uniform fraction, so
-    scenes are shape variants of the templates rather than copies.
+    scenes are shape variants of the templates rather than copies. A field
+    of the wrong type or out of range raises SceneSpecError.
     """
 
     name: str
@@ -454,8 +448,8 @@ class Condition:
     min_part_visibility: float = MIN_PART_VISIBILITY
 
     def __post_init__(self):
-        # conditions arrive from JSON files, so check each field's type here,
-        # before a trial uses it
+        # conditions arrive from JSON files, so check each field's type and
+        # range here, before a trial uses it
         kinds = {"str": str, "int": Integral, "float": Real, "bool": bool, "tuple": tuple}
         for f in fields(self):
             value, kind = getattr(self, f.name), kinds[f.type]
@@ -465,6 +459,20 @@ class Condition:
             raise SceneSpecError(
                 f"condition template_ids must be strings, got {self.template_ids!r}"
             )
+        ranges = (
+            ("n_points", self.n_points >= 10, "at least 10"),
+            ("dims_fraction", 0 <= self.dims_fraction < 1, "in [0, 1)"),
+            ("occlusion", 0 <= self.occlusion < 1, "in [0, 1)"),
+            ("noise_sigma", self.noise_sigma >= 0, "non-negative"),
+            ("smooth_k", self.smooth_k >= 0, "non-negative"),
+            ("scale", self.scale > 0, "positive"),
+            ("min_part_visibility", 0 < self.min_part_visibility <= 1, "in (0, 1]"),
+        )
+        for name, ok, rule in ranges:
+            if not ok:
+                raise SceneSpecError(
+                    f"condition {name} must be {rule}, got {getattr(self, name)!r}"
+                )
 
 
 @dataclass
@@ -722,8 +730,7 @@ def run_suite(
     gripper: GripperConfig | None = None,
 ) -> BenchReport:
     """Run every condition for `trials_per_condition` independent trials."""
-    if trials_per_condition < 1:
-        raise SceneSpecError("need at least one trial per condition")
+    check_integer_setting("trials_per_condition", trials_per_condition, 1)
     check_integer_setting("master_seed", master_seed, 0)
     all_trials = []
     per_condition = {}

@@ -153,13 +153,13 @@ def _parse_pair(text: str, what: str) -> tuple[str, str]:
 
 
 def _synthetic_specs(specs) -> list[tuple[str, int]]:
-    """(class, count) of each CLASS=COUNT spec."""
+    """(class, count) of each CLASS=COUNT spec; each count is at least 1."""
     pairs = []
     for spec in specs:
         object_class, count = _parse_pair(spec, "--synthetic")
-        if not count.isdecimal():
+        if not count.isdecimal() or int(count) < 1:
             raise SceneSpecError(
-                f"--synthetic count must be a whole number, got '{spec}'"
+                f"--synthetic count must be a whole number of at least 1, got '{spec}'"
             )
         pairs.append((object_class, int(count)))
     return pairs
@@ -206,7 +206,6 @@ def cmd_db_build(args) -> int:
             gripper=settings.gripper,
             graph=graph,
             template_id=Path(path).stem,
-            grasp_target=args.grasp_target,
             rng=(settings.rng_seed, i),
         )
         templates[template.id] = template
@@ -496,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate templates from the built-in shape generators",
     )
     p_build.add_argument("--leaf", type=float, help="template voxel size in meters")
-    p_build.add_argument(
-        "--grasp-target", type=int, default=50, help="grasps to sample per part"
-    )
     p_build.set_defaults(func=cmd_db_build)
 
     p_inspect = db_sub.add_parser("inspect", help="summarize a database")

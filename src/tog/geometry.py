@@ -239,10 +239,6 @@ def knn(cloud: PointCloud, query, k: int) -> list[int]:
     if k < 1 or k > n:
         raise InsufficientPointsError(f"k={k} outside [1, {n}]")
     q = np.asarray(query, dtype=np.float64).reshape(3)
-    if k == n:
-        d2 = np.einsum("ij,ij->i", cloud.points - q, cloud.points - q)
-        order = np.lexsort((np.arange(n), d2))
-        return order.tolist()
     d, _ = cloud.tree.query(q, k=k)
     kth = float(np.atleast_1d(d)[-1])
     # re-rank every candidate within the kth radius in numpy so the

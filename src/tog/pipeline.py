@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cloud_io import load_cloud, save_ply
-from .errors import NoFeasibleGraspError, SceneSpecError, TogError
+from .errors import NoFeasibleGraspError, NoGraspError, SceneSpecError, TogError
 from .geometry import PointCloud, apply_transform
 from .ontology import (
     ChatClient,
@@ -95,14 +95,20 @@ class PipelineResult:
 
 
 @contextmanager
-def _stage(name: str):
-    """Tag any engine error escaping the enclosed stage with its name."""
+def _stage(name: str, timings: dict[str, float]):
+    """Time the enclosed stage and tag the engine errors escaping it.
+
+    The stage's wall time goes to `timings[name + "_seconds"]`; a TogError
+    without a stage gets `name` as its stage.
+    """
+    start = time.perf_counter()
     try:
         yield
     except TogError as exc:
         if exc.stage is None:
             exc.stage = name
         raise
+    timings[f"{name}_seconds"] = time.perf_counter() - start
 
 
 def select_templates(
@@ -197,47 +203,44 @@ def run_pipeline(
     Any stage failure propagates as the stage's own error with its `stage`
     attribute set, so callers can report where the chain broke. With
     `strict=False` the chain tolerates an empty outcome past recognition
-    (no registration, or no feasible grasp) and reports what it has, which
-    suits snapshot export.
+    (no registration, no stored grasp for the part, or no feasible grasp)
+    and reports what it has, which suits snapshot export. With
+    `include_timings` the report's `timings` holds the wall seconds of each
+    stage (`setup_seconds`, `resolve_seconds`, `recognize_seconds`,
+    `register_seconds`, `plan_seconds`) and of the whole run
+    (`total_seconds`).
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
 
-    with _stage("setup"):
+    with _stage("setup", timings):
         if not config.db_path:
             raise SceneSpecError("no template database given (db_path is unset)")
         graph = config.graph()
         db = load_db(config.db_path)
         scene = load_cloud(scene_cloud_path)
 
-    with _stage("resolve"):
-        t0 = time.perf_counter()
+    with _stage("resolve", timings):
         resolved = resolve(
             graph,
             Instruction(instruction_text, target_class_hint=target_class_hint),
             client,
             novel_extension=novel_extension,
         )
-        timings["resolve_seconds"] = time.perf_counter() - t0
 
-    with _stage("recognize"):
+    with _stage("recognize", timings):
         selected = select_templates(
             db, resolved.object_class, resolved.part_path, config.template_cap
         )
-        t0 = time.perf_counter()
         recognition = recognize(scene, list(selected.values()), resolved.part_path)
-        timings["recognize_seconds"] = time.perf_counter() - t0
 
-    with _stage("register"):
-        t0 = time.perf_counter()
+    with _stage("register", timings):
         registrations, errors = register_all(
             scene, recognition, selected, config.rng_seed, strict=strict
         )
         winning = best_registration(registrations) if registrations else None
-        timings["register_seconds"] = time.perf_counter() - t0
 
-    with _stage("plan"):
-        t0 = time.perf_counter()
+    with _stage("plan", timings):
         candidates: list[GraspCandidate] = []
         if registrations:
             try:
@@ -245,10 +248,9 @@ def run_pipeline(
                     scene, recognition, registrations, selected,
                     gripper=config.gripper,
                 )
-            except NoFeasibleGraspError:
+            except (NoGraspError, NoFeasibleGraspError):
                 if strict:
                     raise
-        timings["plan_seconds"] = time.perf_counter() - t0
 
     timings["total_seconds"] = time.perf_counter() - t_start
     report = {

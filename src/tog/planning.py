@@ -2,11 +2,12 @@
 
 Template grasps live in the template model frame. Registration gives the
 transform taking scene points into that frame, so its inverse places each
-stored grasp over the matched part in the scene. Transferred candidates are
-then vetted geometrically: the finger sweep volumes must be clear of
-non-part scene points, and the jaw closing line must actually capture part
-material; candidates that miss are re-centered on the part's local bounding
-box before the final verdict.
+stored grasp over the matched part in the scene. A transferred candidate is
+a `GraspPose`, with its frame convention and checks, that also records where
+it came from. Candidates are then vetted geometrically: the finger sweep
+volumes must be clear of non-part scene points, and the jaw closing line
+must actually capture part material; candidates that miss are re-centered
+on the part's local bounding box before the final verdict.
 """
 
 from __future__ import annotations
@@ -23,28 +24,18 @@ from .errors import (
 )
 from .geometry import PointCloud, RigidTransform, knn
 from .registration import best_registration
-from .templates import GripperConfig, default_gripper
+from .templates import GraspPose, GripperConfig, default_gripper
 
 
 @dataclass(frozen=True)
-class GraspCandidate:
-    """One executable grasp hypothesis in the output frame."""
+class GraspCandidate(GraspPose):
+    """One executable grasp hypothesis in the output frame, with its provenance."""
 
-    pose: RigidTransform
-    width: float
     template_id: str
     part_path: str
     source_index: int
     adjustment: np.ndarray = field(default_factory=lambda: np.zeros(3))
     stick_ok_initially: bool = True
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.pose.translation
-
-    @property
-    def closing_axis(self) -> np.ndarray:
-        return self.pose.rotation[:, 0]
 
     @property
     def adjustment_norm(self) -> float:
@@ -82,8 +73,9 @@ def transfer_grasps(
     ]
 
 
-def _gripper_frame_points(pose: RigidTransform, points: np.ndarray) -> np.ndarray:
-    return pose.inverse().apply(points)
+def _gripper_frame_points(pose: RigidTransform, points) -> np.ndarray:
+    """Points as an (n, 3) array in the grasp frame."""
+    return pose.inverse().apply(np.asarray(points, dtype=np.float64).reshape(-1, 3))
 
 
 def check_placement(
@@ -99,10 +91,7 @@ def check_placement(
     |z| <= closure_height/2, in the grasp frame.
     """
     gripper = gripper or default_gripper()
-    pts = np.asarray(obstacle_points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        return True
-    local = _gripper_frame_points(pose, pts)
+    local = _gripper_frame_points(pose, obstacle_points)
     ax = np.abs(local[:, 0])
     in_finger_x = (ax >= width / 2) & (ax <= width / 2 + gripper.finger_thickness)
     in_section = (np.abs(local[:, 1]) <= gripper.jaw_depth / 2) & (
@@ -120,10 +109,7 @@ def points_in_closure(
     """Mask of points inside the closed box swept between the jaws:
     |x| <= width/2, |y| <= jaw_depth/2, |z| <= closure_height/2."""
     gripper = gripper or default_gripper()
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        return np.zeros(0, dtype=bool)
-    local = _gripper_frame_points(pose, pts)
+    local = _gripper_frame_points(pose, points)
     return (
         (np.abs(local[:, 0]) <= width / 2)
         & (np.abs(local[:, 1]) <= gripper.jaw_depth / 2)
@@ -145,10 +131,7 @@ def check_stick(
     it demands material where the fingertips actually meet.
     """
     gripper = gripper or default_gripper()
-    pts = np.asarray(part_points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        return False
-    local = _gripper_frame_points(pose, pts)
+    local = _gripper_frame_points(pose, part_points)
     on_axis = np.abs(local[:, 0]) <= width / 2
     radial2 = local[:, 1] ** 2 + local[:, 2] ** 2
     return bool(np.any(on_axis & (radial2 <= gripper.stick_radius**2)))

@@ -73,17 +73,6 @@ def cluster_size_from_counts(n_obj_all: int, n_tpl_part: int, n_tpl_all: int) ->
     return min(max(k, 3), n_obj_all)
 
 
-def cluster_size(o_all: PointCloud, template: "Template", part_path: str) -> int:
-    """Neighborhood size for clusters matched against one template part."""
-    if part_path not in template.parts:
-        raise SchemaError(
-            f"template '{template.id}' has no part '{part_path}'"
-        )
-    return cluster_size_from_counts(
-        len(o_all), len(template.parts[part_path]), len(template.full_cloud)
-    )
-
-
 def d_pca(o_part: PointCloud, m_part: PointCloud) -> float:
     """Shape dissimilarity: distance between unit-normalized PCA spectra."""
     spectra = []
@@ -168,7 +157,7 @@ class _TemplateStats:
 
 def _template_stats(o_all: PointCloud, template: "Template", part_path: str) -> _TemplateStats:
     m_part = template.parts[part_path]
-    k = cluster_size(o_all, template, part_path)
+    k = cluster_size_from_counts(len(o_all), len(m_part), len(template.full_cloud))
     if len(m_part) < 3:
         raise DegenerateTemplateError(
             f"template '{template.id}' part '{part_path}' has {len(m_part)} points, need >= 3"

@@ -367,10 +367,6 @@ def _nn_distances(mats, base, pivot, target: PointCloud) -> np.ndarray:
     return d.reshape(len(mats), len(base))
 
 
-def _mean_nn_distance(mats, base, pivot, target: PointCloud) -> np.ndarray:
-    return _nn_distances(mats, base, pivot, target).mean(axis=1)
-
-
 def optimize_rotation(
     o_all: PointCloud,
     seed,
@@ -434,7 +430,7 @@ def optimize_rotation(
     best = per_class.min()
     tol = 1e-9 * (scale + best)
     near = np.flatnonzero(np.isin(_GRID_CLASS, done[per_class <= best + tol]))
-    objectives = _mean_nn_distance(_GRID_MATS[near], base, pivot, m_all)
+    objectives = _nn_distances(_GRID_MATS[near], base, pivot, m_all).mean(axis=1)
     win = near[np.lexsort((near, _GRID_ANGLES[near], objectives))[0]]
     rot = _GRID_MATS[win]
     return RigidTransform(rot, pivot - rot @ pivot)

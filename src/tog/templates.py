@@ -305,7 +305,6 @@ def build_template(
     gripper: GripperConfig | None = None,
     graph=None,
     template_id: str | None = None,
-    grasp_target: int = GRASP_TARGET,
     rng=0,
 ) -> Template:
     """Turn one labeled model cloud into a ready-to-match template.
@@ -332,9 +331,7 @@ def build_template(
     grasps = {}
     for i, (path, part) in enumerate(template.parts.items()):
         try:
-            grasps[path] = sample_antipodal_grasps(
-                part, gripper, target_count=grasp_target, rng=(rng, i)
-            )
+            grasps[path] = sample_antipodal_grasps(part, gripper, rng=(rng, i))
         except NoGraspError:
             grasps[path] = ()
     return replace(template, grasps=grasps)

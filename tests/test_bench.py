@@ -440,6 +440,26 @@ class TestTrials:
         with pytest.raises(SceneSpecError, match=field):
             Condition(name="c", object_class="mug", part_path="handle", **{field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dims_fraction", 1.5), ("dims_fraction", 1.0), ("dims_fraction", -0.1),
+         ("scale", 0.0), ("scale", -1.0), ("noise_sigma", -0.001), ("smooth_k", -1),
+         ("min_part_visibility", 0.0), ("min_part_visibility", 1.5),
+         ("n_points", 9), ("occlusion", 1.0), ("occlusion", -0.2),
+         ("scale", float("nan"))],
+    )
+    def test_condition_field_ranges_checked(self, field, value):
+        with pytest.raises(SceneSpecError, match=f"condition {field} must be"):
+            Condition(name="c", object_class="mug", part_path="handle", **{field: value})
+
+    def test_condition_range_edges_accepted(self):
+        condition = Condition(
+            name="c", object_class="mug", part_path="handle", n_points=10,
+            dims_fraction=0.0, occlusion=0.0, noise_sigma=0.0, smooth_k=0,
+            min_part_visibility=1.0,
+        )
+        assert condition.n_points == 10
+
     def test_condition_accepts_numpy_numbers(self):
         condition = Condition(
             name="c", object_class="mug", part_path="handle",
@@ -553,6 +573,11 @@ class TestTrials:
     def test_suite_needs_trials(self, mug_templates):
         with pytest.raises(SceneSpecError):
             run_suite([], mug_templates, trials_per_condition=0)
+
+    @pytest.mark.parametrize("trials", [True, 1.5, "2"])
+    def test_suite_trials_must_be_an_integer(self, mug_templates, trials):
+        with pytest.raises(SceneSpecError, match="trials_per_condition"):
+            run_suite([], mug_templates, trials_per_condition=trials)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
     def test_suite_rejects_bad_master_seed(self, mug_templates, seed):

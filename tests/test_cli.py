@@ -1,5 +1,6 @@
 """Command-line interface tests: subcommands, exit codes, determinism."""
 
+import inspect
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import urllib.error
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ from tog.cli import main
 from tog.cloud_io import load_ply, save_json
 from tog.geometry import apply_transform
 from tog.ontology import FixtureChatClient, Instruction, default_graph, render_prompt
+from tog.templates import build_template, load_db, save_db
 
 POUR = "Pour the water out of the mug."
 
@@ -115,6 +118,25 @@ class TestDb:
             ["db", "build", "--out", str(tmp_path / "x"), "--synthetic", "mug=x"],
         )
         assert err["code"] == "spec"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["db", "build", "--out", "{out}"], ["bench", "run", "--trials", "1"]],
+        ids=["db-build", "bench-run"],
+    )
+    def test_synthetic_count_zero_is_a_spec_error(self, capsys, tmp_path, argv):
+        out = tmp_path / "x"
+        argv = [arg.format(out=out) for arg in argv]
+        err = run_error(capsys, [*argv, "--synthetic", "bottle=1", "--synthetic", "mug=0"])
+        assert err["code"] == "spec"
+        assert "at least 1, got 'mug=0'" in err["message"]
+        assert not out.exists()
+
+    def test_grasp_target_flag_is_gone(self, ws, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["db", "build", "--out", str(tmp_path / "x"), "--labeled",
+                  f"mug={ws['labeled']}", "--grasp-target", "5"])
+        assert "grasp_target" not in inspect.signature(build_template).parameters
         assert not (tmp_path / "x").exists()
 
     def test_unwritable_out_is_an_io_error(self, ws, capsys, tmp_path, monkeypatch):
@@ -379,6 +401,23 @@ class TestExportCli:
         ]
         assert payload["grasp_count"] > 0
 
+    def test_part_without_grasps_still_exports(self, ws, capsys, tmp_path):
+        # build_template stores no grasps for a part wider than the gripper
+        db = {
+            tid: replace(t, grasps={**t.grasps, "handle": ()})
+            for tid, t in load_db(ws["db"]).items()
+        }
+        save_db(db, tmp_path / "db")
+        pipeline = ["--db", str(tmp_path / "db"), "--fixtures", ws["chat"],
+                    "--instruction", POUR, "--scene", ws["scene"]]
+        payload = run_json(capsys, ["export", *pipeline, "--out", str(tmp_path / "snaps")])
+        assert [p.split("/")[-1] for p in payload["written"]] == [
+            "scene.ply", "cluster.ply", "overlay.ply",
+        ]
+        assert payload["grasp_count"] == 0
+        err = run_error(capsys, ["plan", *pipeline])
+        assert (err["code"], err["stage"]) == ("no-grasp", "plan")
+
 
 class TestCallersAgree:
     def test_register_and_recognize_match_plan_and_export(self, ws, capsys, tmp_path):
@@ -458,8 +497,11 @@ class TestBenchCli:
             {"name": "x"},
             {"name": "x", "object_class": "mug", "part_path": "handle", "n_points": "x"},
             {"name": "x", "object_class": "mug", "part_path": "handle", "template_ids": 5},
+            {"name": "x", "object_class": "mug", "part_path": "handle",
+             "dims_fraction": 1.5},
         ],
-        ids=["missing-fields", "n_points-string", "template_ids-number"],
+        ids=["missing-fields", "n_points-string", "template_ids-number",
+             "dims_fraction-out-of-range"],
     )
     def test_bad_conditions_file(self, ws, capsys, tmp_path, row):
         cond_path = tmp_path / "conditions.json"

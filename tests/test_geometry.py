@@ -243,6 +243,23 @@ class TestKnn:
         cloud = PointCloud(pts)
         assert knn(cloud, [0.5, 0.5, 0.5], 3) == [0, 1, 2]
 
+    @pytest.mark.parametrize(
+        "pts, query",
+        [
+            ([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [5, 5, 5]],
+             [0, 0, 0]),
+            ([[2, 2, 2], [0.5, 0.5, 0.5], [2, 2, 2], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
+             [0.5, 0.5, 0.5]),
+            ([[0.1, 0.2, 0.3]] * 6, [0, 0, 0]),
+            ([[1, 2, 3]], [0, 0, 0]),
+        ],
+        ids=["equidistant", "duplicates", "all-equal", "single-point"],
+    )
+    def test_k_equal_to_n_matches_linear_scan(self, pts, query):
+        pts = np.asarray(pts, dtype=np.float64)
+        n = len(pts)
+        assert knn(PointCloud(pts), query, n) == oracles.knn_linear(pts, query, n)
+
     def test_k_bounds(self):
         cloud = PointCloud([[0, 0, 0], [1, 1, 1]])
         with pytest.raises(InsufficientPointsError):

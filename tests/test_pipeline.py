@@ -108,6 +108,7 @@ class TestRunPipeline:
             assert np.asarray(g["pose"]).shape == (4, 4)
             assert g["width"] > 0
         assert set(report["timings"]) == {
+            "setup_seconds",
             "resolve_seconds",
             "recognize_seconds",
             "register_seconds",

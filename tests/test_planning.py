@@ -179,6 +179,36 @@ class TestClosureAndStick:
     def test_empty_part_fails_stick(self):
         assert not check_stick(pose_at([0, 0, 0]), 0.04, np.empty((0, 3)), GRIPPER)
 
+    @pytest.mark.parametrize("empty", [np.empty((0, 3)), [], np.empty(0)])
+    def test_empty_point_sets(self, empty):
+        pose = pose_at([0, 0, 0])
+        assert check_placement(pose, 0.04, empty, GRIPPER) is True
+        mask = points_in_closure(pose, 0.04, empty, GRIPPER)
+        assert mask.dtype == bool and mask.shape == (0,)
+        assert check_stick(pose, 0.04, empty, GRIPPER) is False
+
+
+class TestGraspCandidate:
+    def make(self, width):
+        return GraspCandidate(
+            pose=pose_at([0.01, 0.0, 0.0]),
+            width=width,
+            template_id="t",
+            part_path="face",
+            source_index=0,
+        )
+
+    def test_is_a_grasp_pose(self):
+        cand = self.make(0.04)
+        assert isinstance(cand, GraspPose)
+        assert np.array_equal(cand.contacts(), GraspPose(cand.pose, 0.04).contacts())
+        assert np.array_equal(cand.closing_axis, [1.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("width", [0.0, -0.01, float("nan")])
+    def test_rejects_non_positive_width(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            self.make(width)
+
 
 class TestAdjust:
     def test_translates_to_local_box_center(self):

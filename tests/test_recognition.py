@@ -20,7 +20,6 @@ from tog.errors import (
 from tog.bench import build_class_templates
 from tog.geometry import PointCloud, aabb
 from tog.recognition import (
-    cluster_size,
     cluster_size_from_counts,
     d_ccd,
     d_pca,
@@ -76,14 +75,6 @@ class TestClusterSize:
             cluster_size_from_counts(100, 0, 10)
         with pytest.raises(InsufficientPointsError):
             cluster_size_from_counts(2, 10, 10)
-
-    def test_template_wrapper(self):
-        rng = np.random.default_rng(0)
-        tpl = stub_template("t", rng.normal(size=(80, 3)), rng.normal(size=(20, 3)))
-        o_all = PointCloud(rng.normal(size=(100, 3)))
-        assert cluster_size(o_all, tpl, "part") == 25
-        with pytest.raises(SchemaError):
-            cluster_size(o_all, tpl, "missing")
 
 
 class TestDPca:
