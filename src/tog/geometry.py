@@ -175,6 +175,12 @@ class RigidTransform:
     def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
         return self.compose(other)
 
+    def __eq__(self, other):
+        return isinstance(other, RigidTransform) and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self):
+        return hash(tuple(self.matrix.ravel().tolist()))
+
     def rotation_angle(self) -> float:
         """Magnitude of the rotation, in radians."""
         c = np.clip((np.trace(self.rotation) - 1.0) / 2.0, -1.0, 1.0)
@@ -255,8 +261,8 @@ def knn_boundary_ties(d_kth: np.ndarray, d_next: np.ndarray) -> np.ndarray:
     """Mask of query rows whose kth and (k+1)th neighbor distances tie.
 
     A gap of at most 1e-9 relative (absolute below distance 1) counts as a
-    tie: which of the tied points a kd-tree query keeps is not defined, so
-    those rows must be re-ranked through `knn` to get its member set.
+    tie: which of the tied points a kd-tree query or a partition keeps is not
+    defined, so those rows must be re-ranked through `knn` for its member set.
     """
     return d_next - d_kth <= 1e-9 * np.maximum(d_next, 1.0)
 

@@ -27,7 +27,7 @@ from .registration import best_registration
 from .templates import GraspPose, GripperConfig, default_gripper
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # GraspPose's field-wise equality
 class GraspCandidate(GraspPose):
     """One executable grasp hypothesis in the output frame, with its provenance."""
 

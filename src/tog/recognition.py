@@ -17,20 +17,22 @@ and the public `d_pca`, `d_ppd` and `d_ccd` take the three statistics from
 one batched routine, `_cluster_stats`, so a template part scored as a
 cluster against itself comes out exactly 0.
 
-All seeds are scored in one pass over blocks of seeds, shared by every
-template: per block, one kd-tree query at the largest k (+1 for the tie
-check) and one `_gather` of the member points (copied once more one plane
-per axis, for the box and distance reductions) and of the member-to-seed
-distances. Rows come sorted by distance, so each template reads its
-cluster as the prefix ``[:, :k]`` of those rows; column 0 sits at distance
-0 (the seed, or an exact copy of it), so the dispersion term reads
-``[:, 1:k]``. A row whose kth and (k+1)th distances tie takes its members
-from `knn` instead, is gathered the same way and scored by the same
-`_prefix_scores`, so every member set equals `knn`'s.
+Blocks of seeds are scored on a thread pool, shared by every template:
+per block, one exact (block, n) squared-distance matrix (summed one axis at
+a time, as `_gather` sums it) and one `np.argpartition` put each template's
+k nearest points, unordered, in the prefix ``[:, :k]`` of each row, with
+column 0 at distance 0 (the seed, or an exact copy of it), so the
+dispersion term reads ``[:, 1:k]``. One `_gather` of the largest prefix
+gives the member points, their planes and distances. A row whose kth and
+(k+1)th distances (columns k-1 and k) tie takes its members from `knn`
+instead, is gathered the same way and scored by the same `_prefix_scores`,
+so every member set equals `knn`'s.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -141,8 +143,8 @@ class RecognitionResult:
     seed_scores: np.ndarray = field(repr=False, default=None)
 
 
-# seeds per block are sized so a (seeds, largest k) array holds about this
-# many neighbor entries
+# seeds per block are sized so the (seeds, n) distance blocks of all pool
+# workers together hold about this many entries
 _BLOCK_ENTRIES = 2**18
 
 
@@ -174,10 +176,10 @@ def _template_stats(o_all: PointCloud, template: "Template", part_path: str) -> 
 def _gather(points: np.ndarray, seeds: np.ndarray, idx: np.ndarray):
     """Members, coordinate planes and member-to-seed distances of m clusters.
 
-    ``idx`` is (m, k) member indices, column 0 at its row's seed (scene
-    rows come sorted by distance, template parts start at their reference
-    point). Returns the members as (m, k, 3), the same points as (3, m, k) one
-    plane per axis, and the (m, k) distances to the seed.
+    ``idx`` is (m, k) member indices, column 0 at its row's seed or a copy
+    of it (template parts start at their reference point). Returns the
+    members as (m, k, 3), the same points as (3, m, k) one plane per axis,
+    and the (m, k) distances to the seed.
     """
     members = points[idx]
     # the same points one plane per axis, so minima, maxima and distances
@@ -249,23 +251,27 @@ def _prefix_scores(
 def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarray:
     """(n, templates) combined score of every seed, NaN = degenerate.
 
-    One kd-tree query and gather per block of seeds serve every template;
-    each reads its clusters as the first k columns, and re-gathers the rows
-    tied at its own kth neighbor from `knn`'s members.
+    One distance block and partition per block of seeds, on one thread per
+    CPU, serve every template; each reads its clusters as the first k columns,
+    and re-gathers the rows tied at its own kth neighbor from `knn`'s members.
     """
     points = o_all.points
     n = len(points)
     whole_box = aabb(o_all)
     if whole_box.half_diagonal <= 0:
         raise DegenerateClusterError("observed cloud has zero bounding-box diagonal")
-    kmax = max(s.k for s in stats)
-    kq = min(kmax + 1, n)
-    block = max(1, _BLOCK_ENTRIES // kmax)
+    kq = min(max(s.k for s in stats) + 1, n)  # the largest k, and one more for the tie check
+    kth = sorted({0} | {s.k - 1 for s in stats} | {s.k for s in stats if s.k < n})
+    cpus = len(os.sched_getaffinity(0))
+    block = max(1, _BLOCK_ENTRIES // (cpus * n))
+    starts = range(0, n, block)
     scores = np.empty((n, len(stats)))
-    for start in range(0, n, block):
+
+    def score_block(start):
         seeds = points[start : start + block]
-        d, idx = o_all.tree.query(seeds, k=kq, workers=-1)
-        members, coords, dist = _gather(points, seeds, idx[:, :kmax])
+        d2 = sum((plane - seed_coord[:, None]) ** 2 for plane, seed_coord in zip(points.T, seeds.T))
+        idx = np.argpartition(d2, kth, axis=1)
+        members, coords, dist = _gather(points, seeds, idx[:, :kq])
         for j, s in enumerate(stats):
             k = s.k
             out = scores[start : start + len(seeds), j]
@@ -273,12 +279,16 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
                 members[:, :k], coords[:, :, :k], dist[:, :k], whole_box, s
             )
             if k < kq:
-                tied = np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]
+                tied = np.nonzero(knn_boundary_ties(dist[:, k - 1], dist[:, k]))[0]
                 if len(tied):
                     exact = np.array([knn(o_all, seeds[row], k) for row in tied])
                     out[tied] = _prefix_scores(
                         *_gather(points, seeds[tied], exact), whole_box, s
                     )
+
+    o_all.tree  # built here, so the tie repairs in the pool do not race to build it
+    with ThreadPoolExecutor(min(cpus, len(starts))) as pool:
+        list(pool.map(score_block, starts))
     return scores
 
 

@@ -35,6 +35,7 @@ RANSAC_CONFIDENCE = 0.999
 EDGE_RATIO = 0.9
 LOCAL_ATTEMPTS = 20
 FPFH_BINS = 11
+_PAIR_BLOCK = 2**16  # point pairs whose angle features are held at once
 
 
 @dataclass(frozen=True)
@@ -123,12 +124,6 @@ def _pair_features(points, normals, i_idx, j_idx):
     return alpha, phi, theta, dist, ok
 
 
-def _histogram_block(values, lo, hi, rows, n_points):
-    bins = np.clip(((values - lo) / (hi - lo) * FPFH_BINS).astype(np.intp), 0, FPFH_BINS - 1)
-    counts = np.bincount(rows * FPFH_BINS + bins, minlength=n_points * FPFH_BINS)
-    return counts.reshape(n_points, FPFH_BINS)
-
-
 def fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     """Fast point feature histograms (33 dims: 3 angle blocks of 11 bins).
 
@@ -146,21 +141,28 @@ def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     if n < 3:
         raise InsufficientPointsError("descriptors need >= 3 points")
     normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
-    neighborhoods = cloud.tree.query_ball_point(cloud.points, radius, workers=-1)
-    i_idx = np.repeat(np.arange(n), [len(nb) for nb in neighborhoods])
-    j_idx = np.concatenate([np.asarray(nb, dtype=np.intp) for nb in neighborhoods])
-    keep = i_idx != j_idx
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
+    pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
+    i_idx = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    j_idx = np.concatenate([pairs[:, 1], pairs[:, 0]])
     order = np.lexsort((j_idx, i_idx))  # deterministic accumulation order
     i_idx, j_idx = i_idx[order], j_idx[order]
 
     spfh = np.zeros((n, 3 * FPFH_BINS))
     if len(i_idx):
-        alpha, phi, theta, dist, ok = _pair_features(cloud.points, normals, i_idx, j_idx)
+        lo = np.array([[-1.0], [-1.0], [-np.pi]])  # alpha, phi and theta span [lo, -lo]
+        bins = np.empty((3, len(i_idx)), dtype=np.uint8)
+        dist, ok = np.empty(len(i_idx)), np.empty(len(i_idx), dtype=bool)
+        for start in range(0, len(i_idx), _PAIR_BLOCK):
+            part = slice(start, start + _PAIR_BLOCK)
+            *angles, dist[part], ok[part] = _pair_features(
+                cloud.points, normals, i_idx[part], j_idx[part]
+            )
+            scaled = (np.stack(angles) - lo) / (-2 * lo) * FPFH_BINS
+            bins[:, part] = np.clip(scaled.astype(np.intp), 0, FPFH_BINS - 1)
         i_ok, j_ok, dist = i_idx[ok], j_idx[ok], dist[ok]
-        spfh[:, 0:FPFH_BINS] = _histogram_block(alpha[ok], -1.0, 1.0, i_ok, n)
-        spfh[:, FPFH_BINS : 2 * FPFH_BINS] = _histogram_block(phi[ok], -1.0, 1.0, i_ok, n)
-        spfh[:, 2 * FPFH_BINS :] = _histogram_block(theta[ok], -np.pi, np.pi, i_ok, n)
+        for c, col in enumerate(bins[:, ok]):
+            hist = np.bincount(i_ok * FPFH_BINS + col, minlength=n * FPFH_BINS)
+            spfh[:, c * FPFH_BINS : (c + 1) * FPFH_BINS] = hist.reshape(n, FPFH_BINS)
         counts = np.bincount(i_ok, minlength=n).astype(np.float64)
         np.divide(spfh, counts[:, None], out=spfh, where=counts[:, None] > 0)
 

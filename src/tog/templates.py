@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from numbers import Real
 from pathlib import Path
 
@@ -104,6 +104,11 @@ class GraspPose:
             raise ValueError("pose must be a RigidTransform")
         if not self.width > 0:
             raise ValueError("grasp width must be positive")
+
+    def __eq__(self, other):  # every field equal; arrays and poses compare exactly
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
 
     @property
     def center(self) -> np.ndarray:

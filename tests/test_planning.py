@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -208,6 +209,13 @@ class TestGraspCandidate:
     def test_rejects_non_positive_width(self, width):
         with pytest.raises(ValueError, match="width must be positive"):
             self.make(width)
+
+    def test_equality_compares_fields_exactly(self):
+        assert self.make(0.04) == self.make(0.04)
+        assert self.make(0.04) != self.make(0.05)
+        moved = replace(self.make(0.04), adjustment=np.array([0.0, 0.0, 1e-12]))
+        assert (moved == self.make(0.04)) is False
+        assert self.make(0.04) != GraspPose(self.make(0.04).pose, 0.04)
 
 
 class TestAdjust:

@@ -1,5 +1,7 @@
 """Cluster-metric and part-recognition tests against brute-force oracles."""
 
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -493,6 +495,52 @@ class TestSharedNeighborQuery:
         rng = np.random.default_rng(3)
         o_pts = rng.uniform(-1, 1, size=(700, 3))
         whole = rng.uniform(-1, 1, size=(100, 3))
-        kmax = cluster_size_from_counts(700, 60, 100)
-        assert 700 > recognition._BLOCK_ENTRIES // kmax  # more than one block
+        # a block holds at most _BLOCK_ENTRIES // n seeds (one CPU), so
+        # 700 seeds take more than one block at any CPU count
+        assert 700 > recognition._BLOCK_ENTRIES // 700
         assert_matches_oracle(o_pts, [(whole, whole[:60]), (whole, whole[:10])])
+
+    def test_seed_scores_bitwise_equal_for_any_cpu_count(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-1, 1, size=(700, 3))
+        pts[::50] = pts[7]  # fourteen copies: rows tied at the kth neighbor in many blocks
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        templates = [
+            stub_template("a", whole, whole[:60]),
+            stub_template("b", whole, whole[:10]),
+        ]
+        assert 700 > recognition._BLOCK_ENTRIES // 700  # several blocks at every count
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for cpus in (1, 2, 7):
+                monkeypatch.setattr(
+                    recognition.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c))
+                )
+                # a fresh cloud each time, so its kd-tree is built during the call
+                runs.append(recognize(PointCloud(pts), templates, "part").seed_scores)
+        finally:
+            sys.setswitchinterval(interval)
+        for scores in runs[1:]:
+            assert np.array_equal(scores, runs[0], equal_nan=True)
+
+    def test_repeated_points_across_a_block_boundary(self, monkeypatch):
+        monkeypatch.setattr(recognition.os, "sched_getaffinity", lambda pid: {0})
+        block = recognition._BLOCK_ENTRIES // 700  # seeds per block on one CPU
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1, 1, size=(700, 3))
+        pts[[block - 2, block - 1, block, block + 1, 3, 690]] = pts[block - 1]
+        pts[[block - 3, block + 2]] = pts[block + 2]
+        whole = rng.uniform(-1, 1, size=(700, 3))
+        got = assert_matches_oracle(pts, [(whole, whole[:3]), (whole, whole[:12])])  # k = 3, 12
+        assert np.isnan(got.seed_scores[[block - 2, block - 1, block, block + 1]]).all()
+
+    def test_no_pool_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(recognition.os, "sched_getaffinity", lambda pid: {0, 1})
+        rng = np.random.default_rng(6)
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        before = threading.active_count()
+        o_all = PointCloud(rng.uniform(-1, 1, size=(700, 3)))
+        recognize(o_all, [stub_template("t", whole, whole[:20])], "part")
+        assert threading.active_count() == before

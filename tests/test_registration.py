@@ -174,6 +174,20 @@ class TestFpfh:
                 tracemalloc.stop()
         assert peaks[0] < 0.5 * peaks[1]
 
+    def test_peak_memory_below_a_quarter_of_the_oracle(self):
+        # pair features are held a block at a time, and only their bins kept
+        pts = cylinder(np.random.default_rng(12), n=2000)
+        peaks = []
+        for compute in (fpfh, oracles.fpfh_add_at):
+            cloud = PointCloud(pts)
+            tracemalloc.start()
+            try:
+                compute(cloud, 0.025)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.25 * peaks[1]
+
 
 class TestCoarseAlign:
     def test_recovered_pose_reaches_high_fitness_after_icp(self):

@@ -164,6 +164,13 @@ class TestGraspPose:
         with pytest.raises(ValueError):
             GraspPose(np.eye(4), 0.04)
 
+    def test_equal_poses_compare_equal(self):
+        a = GraspPose(RigidTransform(np.eye(3), [0.1, 0.0, 0.3]), 0.04)
+        b = GraspPose(RigidTransform(np.eye(3), [0.1, -0.0, 0.3]), 0.04)
+        assert a == b and hash(a) == hash(b)
+        assert a != GraspPose(RigidTransform(np.eye(3), [0.1, 1e-15, 0.3]), 0.04)
+        assert a != GraspPose(a.pose, 0.05)
+
 
 class TestPartPaths:
     def test_ancestors(self):
