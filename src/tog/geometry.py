@@ -293,16 +293,20 @@ def knn_indices_batch(cloud: PointCloud, queries: np.ndarray, k: int) -> np.ndar
     return idx.astype(np.intp)
 
 
-def singular_values_batch(member_points: np.ndarray) -> np.ndarray:
-    """Per-cluster PCA spectra for an (m, k, 3) stack of clusters.
+def singular_values_batch(planes: np.ndarray) -> np.ndarray:
+    """Per-cluster PCA spectra of m clusters given as (3, m, k) coordinate planes.
 
     Returns (m, min(k, 3)) singular values of each mean-centered cluster,
-    descending per row, from a batched SVD of the centered points (not of
-    their scatter matrices), so a planar or 3-point cluster's smallest
-    value stays within rounding of zero relative to the largest.
+    descending per row. Each centered (k, 3) cluster, whose columns are
+    its contiguous plane rows, is reduced by a batched Householder QR to its
+    R factor, whose singular values are the cluster's (Chan 1982). QR and
+    SVD are backward stable and no scatter matrix is formed, so a planar or
+    3-point cluster's smallest value stays within rounding of zero relative
+    to the largest.
     """
-    centered = member_points - member_points.mean(axis=1, keepdims=True)
-    return np.linalg.svd(centered, compute_uv=False)
+    centered = planes - planes.mean(axis=2, keepdims=True)
+    r = np.linalg.qr(centered.transpose(1, 2, 0), mode="r")
+    return np.linalg.svd(r, compute_uv=False)
 
 
 def estimate_normals(cloud: PointCloud, k: int = 15, orient_from=None) -> np.ndarray:

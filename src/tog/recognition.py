@@ -15,7 +15,9 @@ The seed with the lowest mean combined score across templates wins.
 Scene clusters, template parts (gathered with their reference point first)
 and the public `d_pca`, `d_ppd` and `d_ccd` take the three statistics from
 one batched routine, `_cluster_stats`, so a template part scored as a
-cluster against itself comes out exactly 0.
+cluster against itself comes out exactly 0. It reads each cluster as three
+coordinate planes (one contiguous row per axis), and its spectra come from
+a batched QR of the centered planes followed by an SVD of the 3x3 R factors.
 
 Blocks of seeds are scored on a thread pool, shared by every template:
 per block, one exact (block, n) squared-distance matrix (summed one axis at
@@ -23,7 +25,7 @@ a time, as `_gather` sums it) and one `np.argpartition` put each template's
 k nearest points, unordered, in the prefix ``[:, :k]`` of each row, with
 column 0 at distance 0 (the seed, or an exact copy of it), so the
 dispersion term reads ``[:, 1:k]``. One `_gather` of the largest prefix
-gives the member points, their planes and distances. A row whose kth and
+gives the members' coordinate planes and distances. A row whose kth and
 (k+1)th distances (columns k-1 and k) tie takes its members from `knn`
 instead, is gathered the same way and scored by the same `_prefix_scores`,
 so every member set equals `knn`'s.
@@ -174,36 +176,34 @@ def _template_stats(o_all: PointCloud, template: "Template", part_path: str) -> 
 
 
 def _gather(points: np.ndarray, seeds: np.ndarray, idx: np.ndarray):
-    """Members, coordinate planes and member-to-seed distances of m clusters.
+    """Coordinate planes and member-to-seed distances of m clusters.
 
     ``idx`` is (m, k) member indices, column 0 at its row's seed or a copy
     of it (template parts start at their reference point). Returns the
-    members as (m, k, 3), the same points as (3, m, k) one plane per axis,
-    and the (m, k) distances to the seed.
+    members as (3, m, k), one plane per axis, gathered straight from the
+    points with no (m, k, 3) copy, and the (m, k) distances to the seed.
     """
-    members = points[idx]
-    # the same points one plane per axis, so minima, maxima and distances
-    # run along contiguous rows; summing x², y², z² in that order gives
-    # np.linalg.norm(members - seed, axis=2) bit for bit
-    coords = np.ascontiguousarray(members.transpose(2, 0, 1))
+    coords = np.take(points.T, idx, axis=1)
+    # minima, maxima and distances run along contiguous rows; summing x², y²,
+    # z² in that order gives np.linalg.norm(points[idx] - seed, axis=2) bit for bit
     dist = np.zeros(coords.shape[1:])
     for plane, seed_coord in zip(coords, seeds.T):
         dist += (plane - seed_coord[:, None]) ** 2
     np.sqrt(dist, out=dist)
-    return members, coords, dist
+    return coords, dist
 
 
-def _cluster_stats(members: np.ndarray, coords: np.ndarray, dist: np.ndarray, whole_box):
+def _cluster_stats(coords: np.ndarray, dist: np.ndarray, whole_box):
     """The three part statistics of m clusters, NaN = degenerate.
 
-    The arguments are `_gather`'s three arrays and the box of the whole
-    cloud. Returns the (m, 3) unit SVD spectra, the (m,) spreads of the
+    The arguments are `_gather`'s two arrays and the box of the whole
+    cloud. Returns the (m, 3) unit PCA spectra, the (m,) spreads of the
     distances from column 0 (the seed or reference point) to the other
     members, std over largest deviation from their mean, and the (m,)
     offsets of the cluster box centers from the whole's, over its half
     diagonal.
     """
-    sigma = singular_values_batch(members)
+    sigma = singular_values_batch(coords)
     sig_norm = np.linalg.norm(sigma, axis=1)
     sigma_unit = sigma / np.where(sig_norm > 0, sig_norm, np.nan)[:, None]
 
@@ -230,17 +230,13 @@ def _stats_about(part: PointCloud, ref: int, whole: PointCloud) -> list:
 
 
 def _prefix_scores(
-    members: np.ndarray,
-    coords: np.ndarray,
-    dist: np.ndarray,
-    whole_box,
-    stats: _TemplateStats,
+    coords: np.ndarray, dist: np.ndarray, whole_box, stats: _TemplateStats
 ) -> np.ndarray:
     """Combined scores of m clusters against one template, NaN = degenerate.
 
-    The arguments are `_gather`'s three arrays, cut to the template's k.
+    The arguments are `_gather`'s two arrays, cut to the template's k.
     """
-    sigma_unit, spread, ratios = _cluster_stats(members, coords, dist, whole_box)
+    sigma_unit, spread, ratios = _cluster_stats(coords, dist, whole_box)
     return (
         np.linalg.norm(sigma_unit - stats.sigma_unit, axis=1)
         + np.abs(spread - stats.spread)
@@ -262,7 +258,10 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
         raise DegenerateClusterError("observed cloud has zero bounding-box diagonal")
     kq = min(max(s.k for s in stats) + 1, n)  # the largest k, and one more for the tie check
     kth = sorted({0} | {s.k - 1 for s in stats} | {s.k for s in stats if s.k < n})
-    cpus = len(os.sched_getaffinity(0))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # os.sched_getaffinity is Linux-only
+        cpus = os.cpu_count() or 1
     block = max(1, _BLOCK_ENTRIES // (cpus * n))
     starts = range(0, n, block)
     scores = np.empty((n, len(stats)))
@@ -271,13 +270,11 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
         seeds = points[start : start + block]
         d2 = sum((plane - seed_coord[:, None]) ** 2 for plane, seed_coord in zip(points.T, seeds.T))
         idx = np.argpartition(d2, kth, axis=1)
-        members, coords, dist = _gather(points, seeds, idx[:, :kq])
+        coords, dist = _gather(points, seeds, idx[:, :kq])
         for j, s in enumerate(stats):
             k = s.k
             out = scores[start : start + len(seeds), j]
-            out[:] = _prefix_scores(
-                members[:, :k], coords[:, :, :k], dist[:, :k], whole_box, s
-            )
+            out[:] = _prefix_scores(coords[:, :, :k], dist[:, :k], whole_box, s)
             if k < kq:
                 tied = np.nonzero(knn_boundary_ties(dist[:, k - 1], dist[:, k]))[0]
                 if len(tied):

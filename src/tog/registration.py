@@ -249,25 +249,21 @@ def coarse_align(
         m = min(batch, MAX_RANSAC_HYPOTHESES - tried)
         sel = rng.integers(0, n_pairs, size=(m, 3))
         tried += m
-        distinct = (
-            (sel[:, 0] != sel[:, 1]) & (sel[:, 0] != sel[:, 2]) & (sel[:, 1] != sel[:, 2])
-        )
-        sel = sel[distinct]
-        if not len(sel):
-            continue
-        s3 = src_pts[sel]  # (m, 3, 3)
-        t3 = tgt_pts[sel]
-        s_edges = np.linalg.norm(s3 - np.roll(s3, 1, axis=1), axis=2)
-        t_edges = np.linalg.norm(t3 - np.roll(t3, 1, axis=1), axis=2)
+        prev = sel[:, [2, 0, 1]]  # edge i joins vertex i to vertex i - 1
+        # edge lengths summed x², y², z² in order: np.linalg.norm(..., axis=2) bit for bit
+        s_edges = np.sqrt(sum((plane[sel] - plane[prev]) ** 2 for plane in src_pts.T))
+        t_edges = np.sqrt(sum((plane[sel] - plane[prev]) ** 2 for plane in tgt_pts.T))
+        # a repeated index gives a zero edge, which the 1e-9 gates reject
         good = (
-            (s_edges > 1e-9).all(axis=1)
-            & (t_edges > 1e-9).all(axis=1)
-            & (t_edges >= EDGE_RATIO * s_edges).all(axis=1)
-            & (s_edges >= EDGE_RATIO * t_edges).all(axis=1)
-        )
+            (s_edges > 1e-9)
+            & (t_edges > 1e-9)
+            & (t_edges >= EDGE_RATIO * s_edges)
+            & (s_edges >= EDGE_RATIO * t_edges)
+        ).all(axis=1)
         if not good.any():
             continue
-        s3, t3 = s3[good], t3[good]
+        sel = sel[good]
+        s3, t3 = src_pts[sel], tgt_pts[sel]  # (m, 3, 3)
         # batched Kabsch over all surviving 3-point hypotheses
         sc = s3.mean(axis=1, keepdims=True)
         tc = t3.mean(axis=1, keepdims=True)

@@ -49,6 +49,15 @@ def pca_sigma_accurate(points: np.ndarray) -> np.ndarray:
     return np.sort(np.linalg.norm(centered @ vecs, axis=0))[::-1]
 
 
+def svd_spectra(member_points: np.ndarray) -> np.ndarray:
+    """(m, min(k, 3)) singular values of each centered cluster of an (m, k, 3) stack.
+
+    The package's earlier spectra: one batched SVD of the centered points.
+    """
+    centered = member_points - member_points.mean(axis=1, keepdims=True)
+    return np.linalg.svd(centered, compute_uv=False)
+
+
 def voxel_centroids(points: np.ndarray, leaf: float) -> dict:
     """Map from integer voxel key to (centroid, count), dict bucketing."""
     buckets: dict = {}

@@ -289,12 +289,17 @@ class TestKnn:
             assert row.tolist() == [0, 1]
 
 
+def planes(stack) -> np.ndarray:
+    """An (m, k, 3) stack of clusters as the (3, m, k) planes the spectra take."""
+    return np.asarray(stack, dtype=np.float64).transpose(2, 0, 1)
+
+
 class TestPca:
     def test_cube_corners_isotropic(self):
         corners = np.array(
             [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float
         )
-        sig = singular_values_batch(corners[None])[0]
+        sig = singular_values_batch(planes(corners[None]))[0]
         assert np.allclose(sig, np.sqrt(2.0), atol=1e-12)
 
     @given(st.integers(0, 10_000))
@@ -317,7 +322,7 @@ class TestPca:
     def test_matches_eig_oracle_and_descending(self, seed):
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(rng.integers(3, 80), 3)) * [3.0, 1.0, 0.2]
-        sig = singular_values_batch(pts[None])[0]
+        sig = singular_values_batch(planes(pts[None]))[0]
         assert np.all(np.diff(sig) <= 1e-12)
         assert np.allclose(sig, oracles.pca_sigma_accurate(pts), atol=1e-8)
 
@@ -327,7 +332,7 @@ class TestPca:
         rng = np.random.default_rng(seed)
         pts = rng.normal(size=(30, 3))
         t = random_transform(rng)
-        a, b = singular_values_batch(np.stack([pts, t.apply(pts)]))
+        a, b = singular_values_batch(planes(np.stack([pts, t.apply(pts)])))
         assert np.allclose(a, b, atol=1e-9)
 
     def test_planar_clusters_have_zero_smallest_value(self):
@@ -336,10 +341,29 @@ class TestPca:
         rng = np.random.default_rng(0)
         triangles = rng.normal(size=(200, 3, 3))
         axes = np.linalg.qr(rng.normal(size=(200, 3, 3)))[0][:, :, :2]
-        planes = rng.normal(size=(200, 40, 2)) * [2.0, 0.5] @ axes.transpose(0, 2, 1)
-        for stack in (triangles, planes):
-            sig = singular_values_batch(stack)
+        flat = rng.normal(size=(200, 40, 2)) * [2.0, 0.5] @ axes.transpose(0, 2, 1)
+        for stack in (triangles, flat):
+            sig = singular_values_batch(planes(stack))
             assert np.all(sig[:, 2] <= 1e-15 * sig[:, 0])
+
+    @pytest.mark.parametrize("shape", ["random", "planar", "collinear", "three-point"])
+    def test_matches_svd_of_centered_points(self, shape):
+        # QR-then-SVD of the planes against the SVD of the centered (k, 3)
+        # points, to 1e-12 of each cluster's largest value
+        rng = np.random.default_rng(1)
+        m, k = 60, 500
+        offset = rng.normal(scale=10.0, size=(m, 1, 3))
+        if shape == "three-point":
+            stack = rng.normal(size=(m, 3, 3)) + offset
+        else:
+            dims = {"random": 3, "planar": 2, "collinear": 1}[shape]
+            axes = np.linalg.qr(rng.normal(size=(m, 3, 3)))[0][:, :, :dims]
+            coeffs = rng.normal(size=(m, k, dims)) * [3.0, 1.0, 0.2][:dims]
+            stack = coeffs @ axes.transpose(0, 2, 1) + offset
+        expected = oracles.svd_spectra(stack)
+        got = singular_values_batch(planes(stack))
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-12 * expected[:, :1])
 
 
 class TestTransformsOnClouds:

@@ -525,6 +525,20 @@ class TestSharedNeighborQuery:
         for scores in runs[1:]:
             assert np.array_equal(scores, runs[0], equal_nan=True)
 
+    @pytest.mark.parametrize("cpu_count", [None, 3])
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch, cpu_count):
+        # os.sched_getaffinity exists on Linux only; elsewhere os.cpu_count
+        # (None when unknown, then one worker) sizes the pool
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(-1, 1, size=(700, 3))
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        templates = [stub_template("a", whole, whole[:60])]
+        expected = recognize(PointCloud(pts), templates, "part").seed_scores
+        monkeypatch.delattr(recognition.os, "sched_getaffinity")
+        monkeypatch.setattr(recognition.os, "cpu_count", lambda: cpu_count)
+        got = recognize(PointCloud(pts), templates, "part").seed_scores
+        assert np.array_equal(got, expected, equal_nan=True)
+
     def test_repeated_points_across_a_block_boundary(self, monkeypatch):
         monkeypatch.setattr(recognition.os, "sched_getaffinity", lambda pid: {0})
         block = recognition._BLOCK_ENTRIES // 700  # seeds per block on one CPU
