@@ -100,10 +100,14 @@ def load_ply(path) -> PointCloud:
                 raise CloudParseError(f"{path}: element line needs a name and a count")
             in_vertex_element = parts[1] == "vertex"
             if in_vertex_element:
+                if n_vertices is not None:
+                    raise CloudParseError(f"{path}: element vertex declared twice")
                 n_vertices = _count(parts[2], path, "vertex count")
             elif n_vertices is None:
                 raise CloudParseError(f"{path}: first element must be vertex")
         elif parts[0] == "property" and in_vertex_element:
+            if parts[-1] in properties:
+                raise CloudParseError(f"{path}: vertex property {parts[-1]} declared twice")
             properties.append(parts[-1])
         elif parts[0] == "end_header":
             body_start = li + 1
@@ -133,7 +137,12 @@ def load_ply(path) -> PointCloud:
     points = np.stack([cols["x"], cols["y"], cols["z"]], axis=1)
     labels = None
     if "label" in cols:
-        ids = cols["label"].astype(np.int64)
+        values = cols["label"]
+        whole = np.isfinite(values) & (values == np.floor(values)) & (np.abs(values) < 2.0**63)
+        if not whole.all():
+            bad = values[np.argmin(whole)]
+            raise CloudParseError(f"{path}: label value {float(bad)!r} is not an integer id")
+        ids = values.astype(np.int64)
         unknown = set(ids.tolist()) - set(id_to_name)
         if unknown:
             raise CloudParseError(f"{path}: label ids {sorted(unknown)} not declared")

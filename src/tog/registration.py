@@ -5,23 +5,27 @@ aligned to the template part (descriptor RANSAC plus ICP, retried until
 enough correspondences hold; pairs are found once per part pair, and inliers
 measured exactly only where a matmul bound is in doubt), the whole cloud is
 then rotated about the aligned seed over a fixed grid to resolve part-level
-ambiguity (an exact bound-and-prune search that finishes only the rotations
-that can still win), and a final whole-cloud ICP refines the pose. The total
-transform maps observed (camera-frame) points into the template frame.
+ambiguity (an exact search that bounds every rotation from a distance field
+over the template and finishes only the rotations that can still win), and a
+final whole-cloud ICP refines the pose. The total transform maps observed
+(camera-frame) points into the template frame.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy import ndimage
 from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
 from .errors import (
     CoarseFailureError,
+    EmptyCloudError,
     InsufficientPointsError,
     LocalRegistrationFailureError,
     RegistrationFailureError,
@@ -356,6 +360,84 @@ _GRID_MATS, _GRID_ANGLES, _GRID_CLASS, _GRID_FIRST = _grid_classes()
 
 
 _CHUNKS = 16  # strided point chunks of the progressive-bound rotation search
+_FIELD_CELLS = 52  # distance-field cells along the template's longest side
+_GROUP_CELLS = 18  # point-group cells along the observed cloud's longest side
+_BOUND_ENTRIES = 2**13  # rotated points whose field bounds are held at once
+
+
+class _DistanceField(NamedTuple):
+    """Lower bounds on the distance from a cloud's voxel centres to the cloud.
+
+    Cell (i, j, k) starts at lo + (i, j, k) * spacing. It holds the Euclidean
+    distance transform of the empty cells (its centre to the nearest
+    occupied cell's centre) less half a cell diagonal, so no point of the
+    cloud is nearer its centre than that. `lo` and `hi` are the cloud's
+    bounding box.
+    """
+
+    values: np.ndarray
+    spacing: float
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _distance_field(cloud: PointCloud) -> _DistanceField:
+    """The cloud's field, in cells 1/52 of its longest side across."""
+    if len(cloud) == 0:
+        raise EmptyCloudError("cannot build a distance field over an empty cloud")
+    pts = cloud.points
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    spacing = float((hi - lo).max()) / _FIELD_CELLS or 1.0
+    empty = np.ones(((hi - lo) / spacing).astype(np.intp) + 1, dtype=bool)
+    empty[tuple(((pts - lo) / spacing).astype(np.intp).T)] = False
+    edt = ndimage.distance_transform_edt(empty, sampling=spacing)
+    return _DistanceField(edt - 0.5 * np.sqrt(3.0) * spacing, spacing, lo, hi)
+
+
+def _field_bounds(mats, pts, pivot, field: _DistanceField, out=None) -> np.ndarray:
+    """(len(mats), len(pts)) lower bounds on the rotated points' distances, into `out` if given.
+
+    For any cell c, a point p is at least values[c] - |p - centre(c)| from
+    the cloud (the triangle inequality), and at least its distance to the
+    cloud's box. c is p's own cell or, off the grid, the nearest edge cell.
+    Rotations are taken a block at a time, so temporaries stay small.
+    """
+    out = np.empty((len(mats), len(pts))) if out is None else out
+    lo, hi = field.lo[:, None], field.hi[:, None]
+    top = np.array(field.values.shape)[:, None] - 1
+    step = max(1, _BOUND_ENTRIES // len(pts))
+    for start in range(0, len(mats), step):
+        block = slice(start, start + step)
+        planes = (mats[block].reshape(-1, 3) @ pts.T).reshape(-1, 3, len(pts))
+        planes += pivot[:, None]
+        cell = np.clip(np.floor((planes - lo) / field.spacing), 0, top)
+        offset = planes - (lo + (cell + 0.5) * field.spacing)
+        idx = cell.astype(np.intp)
+        near = field.values[idx[:, 0], idx[:, 1], idx[:, 2]]
+        near -= np.sqrt((offset**2).sum(axis=1))
+        outside = planes - np.clip(planes, lo, hi)
+        out[block] = np.maximum(near, np.sqrt((outside**2).sum(axis=1)))
+    return out
+
+
+def _group_bounds(mats, pts, pivot, field: _DistanceField) -> np.ndarray:
+    """(len(mats),) lower bounds on the sums of the rotated points' distances.
+
+    The points are grouped into cells 1/18 of their longest side across. A
+    rotation keeps a group within its radius r of its rotated centroid q,
+    and the distance is 1-Lipschitz, so count * max(bound(q) - r, 0) bounds
+    the group's sum.
+    """
+    lo = pts.min(axis=0)
+    size = float((pts.max(axis=0) - lo).max()) / _GROUP_CELLS or 1.0
+    cell = ((pts - lo) / size).astype(np.intp) @ (_GROUP_CELLS + 1) ** np.arange(3)
+    _, group, count = np.unique(cell, return_inverse=True, return_counts=True)
+    centroid = np.stack([np.bincount(group, weights=plane) for plane in pts.T], axis=1)
+    centroid /= count[:, None]
+    radius = np.zeros(len(count))
+    np.maximum.at(radius, group, np.linalg.norm(pts - centroid[group], axis=1))
+    bounds = _field_bounds(mats, centroid, pivot, field) - radius
+    return (count * np.maximum(bounds, 0.0)).sum(axis=1)
 
 
 def _nn_distances(mats, base, pivot, target: PointCloud) -> np.ndarray:
@@ -387,47 +469,73 @@ def optimize_rotation(
     that set holds the full grid's winner, and the result is bitwise the one
     a search over all 512 entries returns.
 
-    The 208 objectives are bounded before they are computed. The points are
-    split into 16 strided chunks (chunk c is points c::16). Every rotation is
-    scored on chunk 0, the one with the lowest partial sum is finished on
-    all its points, and its objective is the upper bound `upper`. Distances
-    are non-negative, so a rotation's partial sum over any chunks, divided
-    by n, is at most its objective; a rotation whose partial sum exceeds
-    n * (upper + 2 * tol(upper)) is dropped, and the others go on to the next
-    chunk. Since best <= upper, a dropped rotation's objective exceeds
-    best + tol by at least tol(upper), far more than summation rounding, so
-    it could never join the set above. Each finished rotation's distances
-    fill its row in original point order, and its objective is that row's
-    mean, bitwise what scoring all its points at once gives. So the set, and
-    the result, are the same as without bounds.
+    The 208 objectives are bounded before they are computed, from a
+    distance field over the template (`_DistanceField`: the distance
+    transform of chamfer matching, Borgefors 1988), built once per template
+    cloud and cached on it. The search runs in four steps:
+
+    1. Every rotation is bounded from groups of the observed points
+       (`_group_bounds`).
+    2. The rotation with the smallest group bound is scored on all points,
+       and its objective is `upper`. A rotation whose bound sum exceeds
+       n * (upper + 2 * tol(upper)) is dropped.
+    3. Every other rotation gets a bound per point (`_field_bounds`), and is
+       then scored on 16 strided chunks of the points in turn (chunk c is
+       points c::16). Its exact distances on the chunks scored so far plus
+       its point bounds on the rest are its running bound, dropped as in
+       step 2.
+    4. The rotations left have been scored on every point and give the set
+       above. Since best <= upper, a dropped rotation's objective exceeds
+       best + tol by at least tol(upper), so it could never join that set.
+
+    Rounding: every bound sum has n * 1e-9 * scale taken off before it is
+    compared, where `scale` is 1 plus the largest coordinates of the points
+    about the seed, of the seed and of the template. Computed exactly, no
+    bound exceeds the distance the objective measures; in floats it can
+    only by rounding. The bounds rotate points with one matrix product and
+    the objective with an einsum, so the two differ by a few ulps of scale.
+    A template point on a cell face may be binned one cell over, a few ulps
+    outside the half diagonal. The cell centres, the transform's float64
+    square roots, the norms and the group radii add a few ulps of scale
+    each. All of that, and the rounding of the sums, stays far below
+    1e-9 * scale per point. Each finished rotation's distances fill its
+    row in original point order, and its objective is that row's mean,
+    bitwise what scoring all its points at once gives. So the set, and the
+    result, are the same as without bounds.
     """
     pivot = t_loc.apply(np.asarray(seed, dtype=np.float64).reshape(3))
     base = t_loc.apply(o_all.points) - pivot
     n = len(base)
-    scale = 1.0 + np.abs(base).max() + np.abs(pivot).max()
+    field = m_all.derived("distance-field", lambda: _distance_field(m_all))
+    reach = np.abs([field.lo, field.hi]).max()
+    scale = 1.0 + np.abs(base).max() + np.abs(pivot).max() + reach
+    margin = n * 1e-9 * scale
     mats = _GRID_MATS[_GRID_FIRST]
-    dist = np.empty((len(mats), n))
-    first = slice(0, None, _CHUNKS)
-    dist[:, first] = _nn_distances(mats, base[first], pivot, m_all)
-    partial = dist[:, first].sum(axis=1)
-    lead = int(np.argmin(partial))
-    rest = np.arange(n) % _CHUNKS != 0
-    dist[lead, rest] = _nn_distances(mats[lead : lead + 1], base[rest], pivot, m_all)[0]
-    upper = dist[lead].mean()
+    grouped = _group_bounds(mats, base, pivot, field) - margin
+    lead = int(np.argmin(grouped))
+    lead_dist = _nn_distances(mats[lead : lead + 1], base, pivot, m_all)[0]
+    upper = lead_dist.mean()
     bound = n * (upper + 2e-9 * (scale + upper))
-    live = np.flatnonzero(partial <= bound)
-    live = live[live != lead]
-    for c in range(1, min(_CHUNKS, n)):
+    live = np.flatnonzero(grouped <= bound)
+    rows = np.append(lead, live[live != lead])  # the rotation of each row of dist
+    dist = np.empty((len(rows), n))
+    dist[0] = lead_dist
+    _field_bounds(mats[rows[1:]], base, pivot, field, dist[1:])
+    partial = dist.sum(axis=1) - margin
+    live = np.flatnonzero(partial[1:] <= bound) + 1
+    for c in range(min(_CHUNKS, n)):
+        if not len(live):
+            break
         chunk = slice(c, None, _CHUNKS)
-        d = _nn_distances(mats[live], base[chunk], pivot, m_all)
+        d = _nn_distances(mats[rows[live]], base[chunk], pivot, m_all)
+        partial[live] += (d - dist[live, chunk]).sum(axis=1)
         dist[live, chunk] = d
-        partial[live] += d.sum(axis=1)
         live = live[partial[live] <= bound]
-    done = np.append(live, lead)
+    done = np.append(live, 0)
     per_class = dist[done].mean(axis=1)
     best = per_class.min()
     tol = 1e-9 * (scale + best)
-    near = np.flatnonzero(np.isin(_GRID_CLASS, done[per_class <= best + tol]))
+    near = np.flatnonzero(np.isin(_GRID_CLASS, rows[done][per_class <= best + tol]))
     objectives = _nn_distances(_GRID_MATS[near], base, pivot, m_all).mean(axis=1)
     win = near[np.lexsort((near, _GRID_ANGLES[near], objectives))[0]]
     rot = _GRID_MATS[win]

@@ -1,5 +1,8 @@
 """Round-trip and error-path tests for cloud file formats."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +174,51 @@ class TestMalformed:
         path = tmp_path / "c.ply"
         path.write_text(header + XYZ + "end_header\n0 0 0\n")
         with pytest.raises(CloudParseError):
+            load_ply(path)
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [("0.5", "0.5"), ("1.7", "1.7"), ("-0.25", "-0.25"), ("nan", "nan"),
+         ("inf", "inf"), ("-inf", "-inf"), ("1e30", "1e+30"), ("-1e30", "-1e+30")],
+    )
+    def test_label_that_is_not_an_integer_id_is_a_parse_error(self, tmp_path, value, shown):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\ncomment label 0 body\ncomment label 1 handle\n"
+            f"element vertex 2\n{XYZ}property int label\nend_header\n0 0 0 1\n1 1 1 {value}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way to the error
+            with pytest.raises(CloudParseError, match=f"label value {re.escape(shown)} "):
+                load_ply(path)
+
+    def test_whole_number_float_labels_are_ids(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\ncomment label 0 body\ncomment label 1 handle\n"
+            f"element vertex 2\n{XYZ}property float label\nend_header\n0 0 0 1.0\n1 1 1 0e0\n"
+        )
+        assert load_ply(path).labels.tolist() == ["handle", "body"]
+
+    @pytest.mark.parametrize("repeated", ["x", "z", "label"])
+    def test_repeated_vertex_property_is_a_parse_error(self, tmp_path, repeated):
+        path = tmp_path / "c.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\ncomment label 0 body\nelement vertex 1\n"
+            f"{XYZ}property int label\nproperty float {repeated}\nend_header\n0 0 0 0 5\n"
+        )
+        with pytest.raises(CloudParseError, match=f"property {repeated} declared twice"):
+            load_ply(path)
+
+    def test_second_vertex_element_is_a_parse_error(self, tmp_path):
+        # the second block's rows would otherwise be read as the vertices
+        path = tmp_path / "c.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex 1\n{XYZ}element face 1\n"
+            "property list uchar int vertex_indices\nelement vertex 1\nend_header\n"
+            "0 0 0\n3 0 0 0\n"
+        )
+        with pytest.raises(CloudParseError, match="element vertex declared twice"):
             load_ply(path)
 
     @pytest.mark.parametrize("name", ["c.ply", "c.json"])

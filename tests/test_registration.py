@@ -523,6 +523,83 @@ class TestOptimizeRotation:
         for t_loc in (pose.inverse(), nudge @ pose.inverse()):
             self.assert_matches_oracle(view.points, seed, template.points, t_loc)
 
+    @staticmethod
+    def degenerate_template(kind, rng):
+        """A template with zero extent on one axis or more."""
+        if kind == "one point":
+            return rng.uniform(-0.05, 0.05, (1, 3))
+        if kind == "all equal":
+            return np.tile(rng.uniform(-0.05, 0.05, 3), (40, 1))
+        if kind == "collinear":
+            start = rng.uniform(-0.05, 0.05, 3)
+            return start + np.outer(rng.uniform(0, 0.1, 60), [1.0, -2.0, 0.5])
+        pts = rng.uniform(-0.05, 0.05, (150, 3))  # planar
+        pts[:, 2] = 0.01
+        return pts
+
+    @pytest.mark.parametrize("kind", ["one point", "all equal", "collinear", "planar", "solid"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_field_bound_never_exceeds_the_nearest_distance(self, kind, offset):
+        rng = np.random.default_rng(25)
+        shift = np.array([offset, -offset, 0.5 * offset])
+        if kind == "solid":
+            m_pts = np.vstack([cylinder(rng, 300), torus_arc(rng, 200) + [0.05, 0, 0.05]])
+        else:
+            m_pts = self.degenerate_template(kind, rng)
+        m_pts = m_pts + shift
+        lo, hi = m_pts.min(axis=0), m_pts.max(axis=0)
+        pad = np.maximum(hi - lo, 0.01)
+        queries = np.vstack(
+            [
+                m_pts,  # on the template, so on occupied cells
+                rng.uniform(lo, hi, (300, 3)),  # inside the grid
+                rng.uniform(lo - pad, hi + pad, (300, 3)),  # mostly around it
+                rng.uniform(lo - 1.0, hi + 1.0, (100, 3)),  # far outside
+            ]
+        )
+        field = registration._distance_field(PointCloud(m_pts))
+        tree = cKDTree(m_pts)
+        scale = 1.0 + np.abs(queries).max()
+        # each point as given, then every grid rotation about a template point
+        bound = registration._field_bounds(np.eye(3)[None], queries, np.zeros(3), field)[0]
+        assert (bound <= tree.query(queries)[0]).all()
+        pivot = m_pts[0]
+        mats = registration._GRID_MATS[registration._GRID_FIRST]
+        bounds = registration._field_bounds(mats, queries - pivot, pivot, field)
+        exact = tree.query(np.einsum("mij,nj->mni", mats, queries - pivot) + pivot)[0]
+        assert (bounds <= exact + 1e-12 * scale).all()
+        assert (bounds > 0).any()
+        # and the bound per rotation from point groups, on clouds near and far
+        for pts in (queries[len(m_pts) :], m_pts + 0.01):
+            exact = tree.query(np.einsum("mij,nj->mni", mats, pts - pivot) + pivot)[0]
+            grouped = registration._group_bounds(mats, pts - pivot, pivot, field)
+            assert (grouped <= exact.sum(axis=1) + len(pts) * 1e-12 * scale).all()
+            assert (grouped > 0).any()
+
+    def test_group_bound_holds_when_a_group_spans_a_gap(self):
+        # two tight clusters 6 mm apart share one 1/18-of-a-metre group, whose
+        # centroid lies 3 mm from either; only the group radius keeps the bound
+        rng = np.random.default_rng(27)
+        m_pts = np.vstack([rng.normal(0, 1e-5, (20, 3)) + [x, 0, 0] for x in (-0.003, 0.003)])
+        o_pts = np.vstack([m_pts, [[1.0, 0.0, 0.0]]])
+        field = registration._distance_field(PointCloud(m_pts))
+        mats = registration._GRID_MATS[registration._GRID_FIRST]
+        exact = cKDTree(m_pts).query(np.einsum("mij,nj->mni", mats, o_pts - m_pts[0]) + m_pts[0])[0]
+        grouped = registration._group_bounds(mats, o_pts - m_pts[0], m_pts[0], field)
+        assert (grouped <= exact.sum(axis=1) + 1e-12 * len(o_pts)).all()
+        self.assert_matches_oracle(o_pts, m_pts[0], m_pts, RigidTransform.identity())
+
+    @pytest.mark.parametrize("kind", ["one point", "all equal", "collinear", "planar"])
+    def test_bitwise_equal_to_full_grid_on_degenerate_templates(self, kind):
+        rng = np.random.default_rng(26)
+        for case in range(3):
+            m_pts = self.degenerate_template(kind, rng)
+            o_pts = rng.uniform(-0.05, 0.05, (int(rng.integers(1, 120)), 3))
+            seed = o_pts[0] if case else m_pts[0]
+            t_loc = random_pose(rng) if case == 2 else RigidTransform.identity()
+            self.assert_matches_oracle(o_pts, seed, m_pts, t_loc)
+            self.assert_matches_oracle(m_pts, m_pts[-1], m_pts, RigidTransform.identity())
+
     def test_bound_prunes_most_point_queries(self):
         class CountingTree:
             def __init__(self, tree):
@@ -541,9 +618,10 @@ class TestOptimizeRotation:
         m_all._tree = counter
         t_opt = optimize_rotation(PointCloud(o_pts), o_pts[0], m_all, RigidTransform.identity())
         assert np.abs(t_opt.rotation - rot).max() < 1e-12
-        assert counter.points < 0.6 * 208 * len(o_pts)
-        # one query per chunk, one finishing the leader, one re-scoring near ties
-        assert counter.calls <= registration._CHUNKS + 2
+        # the field bounds leave only the leader: one query finishes it, one
+        # re-scores the eight grid entries of its rotation (y = 90 degrees)
+        assert counter.calls == 2
+        assert counter.points == 9 * len(o_pts)
 
 
 def make_mug_template(rng, n_body=500, n_handle=260):
