@@ -9,6 +9,15 @@ ambiguity (an exact search that bounds every rotation from a distance field
 over the template and finishes only the rotations that can still win), and a
 final whole-cloud ICP refines the pose. The total transform maps observed
 (camera-frame) points into the template frame.
+
+Both kernels skip repeated work and stay exact. ICP keeps a point's nearest
+neighbour while a triangle-inequality certificate (nearest, second nearest,
+drift since the last query, and a rounding margin) says it cannot have
+changed, and queries only the rest. FPFH computes each unordered point
+pair's offset once and takes the reverse pair's as its exact negation.
+Neither moves a bit of any result. kd-tree queries here run on the calling
+thread: the queries are small, and starting worker threads per call cost
+more than they saved.
 """
 
 from __future__ import annotations
@@ -53,19 +62,9 @@ class IcpResult:
     rmse_history: tuple
 
 
-def _correspondence_pass(
-    source_pts: np.ndarray, target: PointCloud, t: RigidTransform, max_dist: float
-):
-    moved = t.apply(source_pts)
-    d, j = target.tree.query(moved, workers=-1)
-    inlier = d <= max_dist
-    count = int(inlier.sum())
-    if count < 3:
-        raise RegistrationFailureError(
-            f"only {count} correspondences within {max_dist:.4g} m", stage="icp"
-        )
-    rmse = float(np.sqrt(np.mean(d[inlier] ** 2)))
-    return inlier, j, count, rmse
+def _norms(planes: np.ndarray) -> np.ndarray:
+    """Vector lengths from (3, m) coordinate planes, summing x², y², z² as cKDTree does."""
+    return np.sqrt((planes[0] ** 2 + planes[1] ** 2) + planes[2] ** 2)
 
 
 def icp(
@@ -81,17 +80,65 @@ def icp(
     the previous transform is kept and iteration stops, so the recorded RMSE
     history is non-increasing. Stops on relative RMSE change below 1e-6 or
     after 50 iterations. Fitness is the inlier fraction of the source.
+
+    A point's nearest neighbour is kept from pass to pass while a
+    certificate says it cannot have changed (cached nearest-neighbour
+    search for ICP: Greenspan & Godin 2001; Nüchter et al. 2007). When a
+    point is queried (k = 2) at its anchor position a, it stores its nearest
+    target point j and the distances d1 <= d2 to its nearest and second
+    nearest. On a later pass it has drifted by delta = |p - a|. By the
+    triangle inequality, j is still its strictly nearest target point while
+    d1 + 2 delta + eps < d2. No target point is within max_corr_dist while
+    d1 - delta > max_corr_dist + eps. Every other point is queried again
+    and re-anchored. Where d1 == d2 the index comes from a k = 1 query, so
+    ties break as the kd-tree breaks them. Each distance is then recomputed
+    from j as sqrt((dx² + dy²) + dz²), the kd-tree's own sum, so inliers,
+    RMSE and fit are bitwise those of querying every point on every pass.
+
+    Rounding: eps = 1e-9 * scale, where scale is 1 plus the largest
+    |coordinate| of the target and of every moved point so far (anchors
+    included). Every distance involved is at most 2 sqrt(3) scale. Each
+    computed d1, d2, delta and kd-tree distance is within a few ulps of its
+    exact value, about 1e-15 scale. So a kept j is exactly nearer than any
+    other target point by far more than the kd-tree's rounding, and a
+    rejected point's computed distance to any target point, j included,
+    exceeds max_corr_dist.
     """
     if len(source) < 3 or len(target) < 3:
         raise InsufficientPointsError("icp needs >= 3 points on both sides")
-    if max_corr_dist <= 0:
+    if not max_corr_dist > 0:  # NaN included
         raise ValueError("max_corr_dist must be positive")
     current = init if init is not None else RigidTransform.identity()
-    src = source.points
+    src, tgt = source.points, target.points
+    anchor = np.zeros_like(src)
+    d12 = np.full((len(src), 2), np.nan)  # NaN certifies nothing, so pass one queries all
+    near = np.zeros(len(src), dtype=np.intp)
+    scale = 1.0 + np.abs(tgt).max()
     history: list[float] = []
     accepted = None  # (transform, count, rmse) of the best accepted iterate
     for _ in range(MAX_ICP_ITERATIONS + 1):
-        inlier, j, count, rmse = _correspondence_pass(src, target, current, max_corr_dist)
+        moved = current.apply(src)
+        scale = max(scale, 1.0 + np.abs(moved).max())
+        eps = 1e-9 * scale
+        drift = _norms((moved - anchor).T)
+        kept = d12[:, 0] + 2 * drift + eps < d12[:, 1]
+        rejected = d12[:, 0] - drift > max_corr_dist + eps
+        stale = np.flatnonzero(~(kept | rejected))
+        if len(stale):
+            anchor[stale] = moved[stale]
+            d12[stale], pair = target.tree.query(moved[stale], k=2)
+            near[stale] = pair[:, 0]
+            tied = stale[d12[stale, 0] == d12[stale, 1]]
+            if len(tied):
+                near[tied] = target.tree.query(moved[tied])[1]
+        d = _norms((moved - tgt[near]).T)
+        inlier = d <= max_corr_dist
+        count = int(inlier.sum())
+        if count < 3:
+            raise RegistrationFailureError(
+                f"only {count} correspondences within {max_corr_dist:.4g} m", stage="icp"
+            )
+        rmse = float(np.sqrt(np.mean(d[inlier] ** 2)))
         if accepted is not None and rmse > accepted[2]:
             # trimmed objective worsened after rejection churn: keep previous
             current, count, rmse = accepted
@@ -103,29 +150,40 @@ def icp(
         accepted = (current, count, rmse)
         if converged or len(history) > MAX_ICP_ITERATIONS:
             break
-        current = fit_rigid(src[inlier], target.points[j[inlier]])
+        current = fit_rigid(src[inlier], tgt[near[inlier]])
     fitness = count / len(source)
     return IcpResult(current, float(fitness), float(rmse), count, tuple(history))
 
 
-def _pair_features(points, normals, i_idx, j_idx):
-    """Darboux-frame angle features for directed point pairs (i -> j)."""
-    d = points[j_idx] - points[i_idx]
-    dist = np.linalg.norm(d, axis=1)
-    ok = dist > 1e-12
-    d_hat = np.zeros_like(d)
-    d_hat[ok] = d[ok] / dist[ok, None]
-    u = normals[i_idx]
-    v = np.cross(d_hat, u)
-    v_norm = np.linalg.norm(v, axis=1)
-    ok &= v_norm > 1e-12
-    v[ok] = v[ok] / v_norm[ok, None]
-    w = np.cross(u, v)
-    n_j = normals[j_idx]
-    alpha = np.einsum("ij,ij->i", v, n_j)
-    phi = np.einsum("ij,ij->i", u, d_hat)
-    theta = np.arctan2(np.einsum("ij,ij->i", w, n_j), np.einsum("ij,ij->i", u, n_j))
-    return alpha, phi, theta, dist, ok
+def _cross(a, b):
+    """Cross products of (3, m) coordinate planes, as np.cross forms them."""
+    return np.stack(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    )
+
+
+def _dot(a, b):
+    """Dot products of (3, m) coordinate planes, summed x, z, then y as np.einsum sums them."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _pair_bins(d_hat, u, n_other):
+    """Angle-feature bins (3, m) and valid mask of directed pairs, as coordinate planes.
+
+    `d_hat` is the unit offset from each pair's first point to its second,
+    `u` the first point's normal and `n_other` the second's (Darboux frame).
+    """
+    v = _cross(d_hat, u)
+    v_norm = _norms(v)
+    ok = v_norm > 1e-12
+    np.divide(v, v_norm, out=v, where=ok)
+    w = _cross(u, v)
+    bins = np.empty((3, len(ok)), dtype=np.uint8)
+    # alpha and phi span [-1, 1], theta [-pi, pi]
+    angles = (_dot(v, n_other), _dot(u, d_hat), np.arctan2(_dot(w, n_other), _dot(u, n_other)))
+    for row, angle, lo in zip(bins, angles, (-1.0, -1.0, -np.pi)):
+        row[:] = np.clip(((angle - lo) / (-2 * lo) * FPFH_BINS).astype(np.intp), 0, FPFH_BINS - 1)
+    return bins, ok
 
 
 def fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
@@ -145,32 +203,39 @@ def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     if n < 3:
         raise InsufficientPointsError("descriptors need >= 3 points")
     normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
-    pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
-    i_idx = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    j_idx = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    order = np.lexsort((j_idx, i_idx))  # deterministic accumulation order
-    i_idx, j_idx = i_idx[order], j_idx[order]
+    normals, pts = np.ascontiguousarray(normals.T), np.ascontiguousarray(cloud.points.T)
+    first, second = cloud.tree.query_pairs(radius, output_type="ndarray").T
+    m = len(first)
 
     spfh = np.zeros((n, 3 * FPFH_BINS))
-    if len(i_idx):
-        lo = np.array([[-1.0], [-1.0], [-np.pi]])  # alpha, phi and theta span [lo, -lo]
-        bins = np.empty((3, len(i_idx)), dtype=np.uint8)
-        dist, ok = np.empty(len(i_idx)), np.empty(len(i_idx), dtype=bool)
-        for start in range(0, len(i_idx), _PAIR_BLOCK):
+    if m:
+        # each unordered pair's offset, length and direction are computed once;
+        # the reverse pair's are their exact negations, fl(a - b) = -fl(b - a)
+        bins = np.empty((3, 2, m), dtype=np.uint8)  # angle, direction, pair
+        ok, dist = np.empty((2, m), dtype=bool), np.empty(m)
+        for start in range(0, m, _PAIR_BLOCK):
             part = slice(start, start + _PAIR_BLOCK)
-            *angles, dist[part], ok[part] = _pair_features(
-                cloud.points, normals, i_idx[part], j_idx[part]
-            )
-            scaled = (np.stack(angles) - lo) / (-2 * lo) * FPFH_BINS
-            bins[:, part] = np.clip(scaled.astype(np.intp), 0, FPFH_BINS - 1)
-        i_ok, j_ok, dist = i_idx[ok], j_idx[ok], dist[ok]
-        for c, col in enumerate(bins[:, ok]):
+            i, j = first[part], second[part]
+            d = np.take(pts, j, axis=1) - np.take(pts, i, axis=1)
+            dist[part] = _norms(d)
+            # a coincident pair keeps a zero direction, which `_pair_bins` rejects
+            d_hat = np.divide(d, dist[part], out=np.zeros_like(d), where=dist[part] > 1e-12)
+            n_i, n_j = np.take(normals, i, axis=1), np.take(normals, j, axis=1)
+            bins[:, 0, part], ok[0, part] = _pair_bins(d_hat, n_i, n_j)
+            bins[:, 1, part], ok[1, part] = _pair_bins(-d_hat, n_j, n_i)
+        keep = ok.reshape(-1)  # directed pairs i -> j, then j -> i
+        i_ok = np.concatenate([first, second])[keep]
+        j_ok = np.concatenate([second, first])[keep]
+        for c, col in enumerate(bins.reshape(3, -1)[:, keep]):
             hist = np.bincount(i_ok * FPFH_BINS + col, minlength=n * FPFH_BINS)
             spfh[:, c * FPFH_BINS : (c + 1) * FPFH_BINS] = hist.reshape(n, FPFH_BINS)
         counts = np.bincount(i_ok, minlength=n).astype(np.float64)
         np.divide(spfh, counts[:, None], out=spfh, where=counts[:, None] > 0)
 
         # blend in neighbor histograms by inverse distance; each row sums in j order
+        order = np.argsort(i_ok * n + j_ok)  # the keys are unique: np.lexsort's order
+        i_ok, j_ok = i_ok[order], j_ok[order]
+        dist = np.concatenate([dist, dist])[keep][order]
         w = 1.0 / np.maximum(dist, 1e-9)
         feat = csr_matrix((w, j_ok, np.searchsorted(i_ok, np.arange(n + 1))), shape=(n, n)) @ spfh
         has = counts > 0
@@ -239,7 +304,7 @@ def coarse_align(
     inlier_dist = 1.5 * leaf
     src_feat, tgt_feat = fpfh(source, radius), fpfh(target, radius)
     nearest = source.derived(
-        ("fpfh-pairs", radius, target), lambda: cKDTree(tgt_feat).query(src_feat, workers=-1)[1]
+        ("fpfh-pairs", radius, target), lambda: cKDTree(tgt_feat).query(src_feat)[1]
     )
     src_pts, tgt_pts = source.points, target.points[nearest]
     n_pairs = len(nearest)
@@ -443,7 +508,7 @@ def _group_bounds(mats, pts, pivot, field: _DistanceField) -> np.ndarray:
 def _nn_distances(mats, base, pivot, target: PointCloud) -> np.ndarray:
     """(len(mats), len(base)) distances from each rotated point to the target."""
     rotated = np.einsum("mij,nj->mni", mats, base) + pivot
-    d, _ = target.tree.query(rotated.reshape(-1, 3), workers=-1)
+    d, _ = target.tree.query(rotated.reshape(-1, 3))
     return d.reshape(len(mats), len(base))
 
 
@@ -536,8 +601,12 @@ def optimize_rotation(
     best = per_class.min()
     tol = 1e-9 * (scale + best)
     near = np.flatnonzero(np.isin(_GRID_CLASS, rows[done][per_class <= best + tol]))
-    objectives = _nn_distances(_GRID_MATS[near], base, pivot, m_all).mean(axis=1)
-    win = near[np.lexsort((near, _GRID_ANGLES[near], objectives))[0]]
+    # each finished row of dist scored its class's first entry; score the rest
+    score = np.full(len(_GRID_MATS), np.nan)
+    score[_GRID_FIRST[rows[done]]] = per_class
+    fresh = near[np.isnan(score[near])]
+    score[fresh] = _nn_distances(_GRID_MATS[fresh], base, pivot, m_all).mean(axis=1)
+    win = near[np.lexsort((near, _GRID_ANGLES[near], score[near]))[0]]
     rot = _GRID_MATS[win]
     return RigidTransform(rot, pivot - rot @ pivot)
 

@@ -3,9 +3,10 @@
 Everything here is deliberately written the slow, obvious way (linear scans,
 per-item loops, dict bucketing) and shares no code with the package under
 test, so agreement is meaningful. The registration references
-(`fpfh_add_at`, `coarse_align_dense`) are the package's earlier code, which
-the faster one must reproduce bit for bit; they take the normals and the
-pair features, which did not change, from the package.
+(`icp_requery`, `pair_features`, `fpfh_add_at`, `coarse_align_dense`) are
+the package's earlier code, which the faster one must reproduce bit for bit;
+they take the normals, the rigid fit and the result types, which did not
+change, from the package.
 """
 
 from __future__ import annotations
@@ -264,10 +265,70 @@ def rotation_grid_search(o_points: np.ndarray, seed, m_points: np.ndarray, t_loc
     return best, pivot - best @ pivot
 
 
+def icp_requery(source, target, init=None, max_corr_dist: float = 0.01):
+    """ICP querying every source point's nearest target point on every pass.
+
+    Returns the package's `IcpResult`.
+    """
+    from tog.errors import InsufficientPointsError, RegistrationFailureError
+    from tog.geometry import RigidTransform, fit_rigid
+    from tog.registration import IcpResult
+
+    if len(source) < 3 or len(target) < 3:
+        raise InsufficientPointsError("icp needs >= 3 points on both sides")
+    if not max_corr_dist > 0:
+        raise ValueError("max_corr_dist must be positive")
+    current = init if init is not None else RigidTransform.identity()
+    src = source.points
+    history = []
+    accepted = None  # (transform, count, rmse) of the best accepted iterate
+    for _ in range(51):
+        d, j = target.tree.query(current.apply(src), workers=-1)
+        inlier = d <= max_corr_dist
+        count = int(inlier.sum())
+        if count < 3:
+            raise RegistrationFailureError(
+                f"only {count} correspondences within {max_corr_dist:.4g} m", stage="icp"
+            )
+        rmse = float(np.sqrt(np.mean(d[inlier] ** 2)))
+        if accepted is not None and rmse > accepted[2]:
+            current, count, rmse = accepted
+            break
+        history.append(rmse)
+        converged = accepted is not None and abs(accepted[2] - rmse) <= (
+            1e-6 * max(accepted[2], 1e-12)
+        )
+        accepted = (current, count, rmse)
+        if converged or len(history) > 50:
+            break
+        current = fit_rigid(src[inlier], target.points[j[inlier]])
+    return IcpResult(current, float(count / len(source)), float(rmse), count, tuple(history))
+
+
+def pair_features(points, normals, i_idx, j_idx):
+    """Darboux-frame angle features for directed point pairs (i -> j)."""
+    d = points[j_idx] - points[i_idx]
+    dist = np.linalg.norm(d, axis=1)
+    ok = dist > 1e-12
+    d_hat = np.zeros_like(d)
+    d_hat[ok] = d[ok] / dist[ok, None]
+    u = normals[i_idx]
+    v = np.cross(d_hat, u)
+    v_norm = np.linalg.norm(v, axis=1)
+    ok &= v_norm > 1e-12
+    v[ok] = v[ok] / v_norm[ok, None]
+    w = np.cross(u, v)
+    n_j = normals[j_idx]
+    alpha = np.einsum("ij,ij->i", v, n_j)
+    phi = np.einsum("ij,ij->i", u, d_hat)
+    theta = np.arctan2(np.einsum("ij,ij->i", w, n_j), np.einsum("ij,ij->i", u, n_j))
+    return alpha, phi, theta, dist, ok
+
+
 def fpfh_add_at(cloud, radius: float) -> np.ndarray:
     """FPFH accumulated with `np.add.at` over explicit per-pair arrays."""
     from tog.geometry import estimate_normals
-    from tog.registration import FPFH_BINS, _pair_features
+    from tog.registration import FPFH_BINS
 
     n = len(cloud)
     normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
@@ -289,7 +350,7 @@ def fpfh_add_at(cloud, radius: float) -> np.ndarray:
 
     spfh = np.zeros((n, 3 * FPFH_BINS))
     if len(i_idx):
-        alpha, phi, theta, dist, ok = _pair_features(cloud.points, normals, i_idx, j_idx)
+        alpha, phi, theta, dist, ok = pair_features(cloud.points, normals, i_idx, j_idx)
         i_ok, j_ok, dist = i_idx[ok], j_idx[ok], dist[ok]
         spfh[:, 0:FPFH_BINS] = block(alpha[ok], -1.0, 1.0, i_ok)
         spfh[:, FPFH_BINS : 2 * FPFH_BINS] = block(phi[ok], -1.0, 1.0, i_ok)

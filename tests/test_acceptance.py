@@ -327,6 +327,7 @@ def test_criterion_04_posed_template_parts_are_recognized(
 # criterion 5: shape variants (+-20% dims) in partial views, IoU >= 0.5
 
 
+@pytest.mark.slow
 def test_criterion_05_shape_variants_recognized_in_partial_views(
     bottle_bank, scissor_bank
 ):
@@ -586,6 +587,7 @@ def test_criterion_08_transfer_exactness_and_recentering(
 # criterion 9: success degrades gracefully under occlusion, noise, scaling
 
 
+@pytest.mark.slow
 def test_criterion_09_benchmark_degrades_gracefully():
     t0 = time.perf_counter()
     templates = build_class_templates("bottle", count=3)

@@ -1,7 +1,10 @@
 """Registration-stage tests: ICP, coarse RANSAC, rotation grid, full stack."""
 
+import dataclasses
 import itertools
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,9 +19,10 @@ from tog.errors import (
     InsufficientPointsError,
     LocalRegistrationFailureError,
     RegistrationFailureError,
+    TogError,
 )
-from tog.geometry import PointCloud, RigidTransform, apply_transform
-from tog.recognition import RecognitionResult
+from tog.geometry import PointCloud, RigidTransform, apply_transform, fit_rigid
+from tog.recognition import RecognitionResult, recognize
 from tog.registration import (
     best_registration,
     coarse_align,
@@ -29,7 +33,11 @@ from tog.registration import (
     register_local,
     rotation_candidates,
 )
-from tog.templates import Template
+from tog.templates import Template, load_db, save_db
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))  # for perfbench's scene recipes
 
 
 def torus_arc(rng, n=400, major=0.02, minor=0.006, sweep=1.6 * np.pi):
@@ -99,6 +107,42 @@ EXACTNESS_CLOUDS = {
 }
 
 
+class CountingTree:
+    """A kd-tree proxy that counts the points it is asked to query."""
+
+    def __init__(self, tree):
+        self.tree, self.points, self.calls = tree, 0, 0
+
+    def query(self, x, *args, **kwargs):
+        self.points += len(x)
+        self.calls += 1
+        return self.tree.query(x, *args, **kwargs)
+
+
+def nudge(pose, degrees=4.0, shift=0.003):
+    """`pose` followed by a small fixed rotation and translation."""
+    turn = Rotation.from_rotvec(np.deg2rad(degrees) * np.array([0.6, -0.48, 0.64])).as_matrix()
+    return RigidTransform(turn, [shift, -shift, 0.5 * shift]) @ pose
+
+
+def assert_icp_matches_oracle(source, target, **kwargs):
+    """`icp` is bitwise `oracles.icp_requery`, or raises its error; returns the result."""
+    try:
+        expected = oracles.icp_requery(source, PointCloud(target.points), **kwargs)
+    except RegistrationFailureError as exc:
+        with pytest.raises(RegistrationFailureError) as info:
+            icp(source, target, **kwargs)
+        assert str(info.value) == str(exc)
+        return None
+    got = icp(source, target, **kwargs)
+    assert got.transform.rotation.tobytes() == expected.transform.rotation.tobytes()
+    assert got.transform.translation.tobytes() == expected.transform.translation.tobytes()
+    assert np.array(got.rmse_history).tobytes() == np.array(expected.rmse_history).tobytes()
+    assert got.rmse == expected.rmse
+    assert (got.correspondences, got.fitness) == (expected.correspondences, expected.fitness)
+    return got
+
+
 class TestIcp:
     def test_self_registration_identity(self):
         rng = np.random.default_rng(0)
@@ -141,6 +185,90 @@ class TestIcp:
             icp(cloud, big)
         with pytest.raises(ValueError):
             icp(big, big, max_corr_dist=0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            icp(big, big, max_corr_dist=float("nan"))
+
+    @pytest.mark.parametrize("max_corr_dist", [0.0075, 0.03])
+    @pytest.mark.parametrize("name", sorted(EXACTNESS_CLOUDS))
+    def test_bitwise_equal_to_requery_oracle(self, name, max_corr_dist):
+        source, target = EXACTNESS_CLOUDS[name]()
+        # from the identity, and from near the pose that maps source onto target
+        paired = len(source) == len(target)
+        true_pose = fit_rigid(source.points, target.points) if paired else RigidTransform.identity()
+        for init in (None, nudge(true_pose)):
+            assert_icp_matches_oracle(
+                source, PointCloud(target.points), init=init, max_corr_dist=max_corr_dist
+            )
+
+    def test_bitwise_equal_where_nearest_distances_tie(self):
+        # every target point appears twice, so each nearest distance ties
+        rng = np.random.default_rng(33)
+        pts = torus_arc(rng, n=200)
+        target = PointCloud(np.vstack([pts, pts[::-1], pts[:50]]))
+        pose = random_pose(rng, scale=0.005)
+        res = assert_icp_matches_oracle(PointCloud(pose.apply(pts)), target, max_corr_dist=0.02)
+        assert res.fitness == 1.0
+        # cell centres of a dyadic lattice are exactly as far from 8 distinct
+        # lattice points, where a k = 2 query can order the tie unlike k = 1
+        step = 2.0**-6
+        lattice = step * np.array(list(itertools.product(range(5), repeat=3)), dtype=float)
+        centres = lattice[(lattice < 4 * step).all(axis=1)] + step / 2
+        tree = PointCloud(lattice).tree
+        assert (tree.query(centres)[1] != tree.query(centres, k=2)[1][:, 0]).any()
+        assert_icp_matches_oracle(PointCloud(centres), PointCloud(lattice), max_corr_dist=step)
+
+    def test_bitwise_equal_when_points_cross_the_rejection_distance(self):
+        # a 3 cm cube of points, shifted 4 mm along x, with probes beside its
+        # x faces: as ICP undoes the shift, the probes beyond +x come within
+        # reach of the cube and those beyond -x leave it
+        rng = np.random.default_rng(34)
+        cube = rng.uniform(0.0, 0.03, (3000, 3))
+        side = rng.uniform(0.01, 0.02, (10, 2))
+        probes = np.vstack(
+            [
+                np.column_stack([np.full(10, 0.03 + 0.0055), side]),
+                np.column_stack([np.full(10, -0.0085), side]),
+            ]
+        )
+        shift = np.array([0.004, 0.0, 0.0])
+        source = PointCloud(np.vstack([cube + shift, probes + shift]))
+        target = PointCloud(cube)
+        res = assert_icp_matches_oracle(source, target, max_corr_dist=0.0075)
+        before = target.tree.query(source.points[-20:])[0] <= 0.0075
+        after = target.tree.query(res.transform.apply(source.points[-20:]))[0] <= 0.0075
+        assert not before[:10].any() and after[:10].all()
+        assert before[10:].all() and not after[10:].any()
+
+    def test_bitwise_equal_far_from_the_origin(self):
+        # at +100 m the coordinate scale, not the distances, sets eps
+        source, target = _random_pair()
+        shift = np.array([100.0, 100.0, 100.0])
+        far_source, far_target = PointCloud(source.points + shift), PointCloud(target.points + shift)
+        true_pose = fit_rigid(far_source.points, far_target.points)
+        for init in (None, nudge(true_pose)):
+            assert_icp_matches_oracle(far_source, far_target, init=init, max_corr_dist=0.03)
+
+    def test_bitwise_equal_from_a_large_motion_init(self):
+        # a half turn and 30 cm away, with a reach wide enough to pull it back
+        source, target = _symmetric_cylinder_pair()
+        init = RigidTransform(Rotation.from_rotvec([0.0, 3.0, 0.5]).as_matrix(), [0.3, -0.1, 0.2])
+        res = assert_icp_matches_oracle(source, target, init=init, max_corr_dist=0.5)
+        assert len(res.rmse_history) > 5
+
+    def test_converging_icp_queries_under_half_its_points(self):
+        # two independent samples of one mug, 2 degrees and 2 mm apart: ICP
+        # creeps over many passes, and most correspondences hold between them
+        source = bench.generate_object("mug", 2000, np.random.default_rng(5))
+        target = PointCloud(bench.generate_object("mug", 2000, np.random.default_rng(6)).points)
+        counter = CountingTree(target.tree)
+        target._tree = counter
+        init = nudge(RigidTransform.identity(), degrees=2.0, shift=0.002)
+        res = assert_icp_matches_oracle(
+            PointCloud(source.points), target, init=init, max_corr_dist=0.015
+        )
+        passes = len(res.rmse_history)
+        assert passes > 10
+        assert counter.points < 0.5 * len(source) * passes
 
 
 class TestFpfh:
@@ -160,6 +288,24 @@ class TestFpfh:
     def test_bitwise_equal_to_add_at_oracle(self, name, radius):
         source, _ = EXACTNESS_CLOUDS[name]()
         assert np.array_equal(fpfh(source, radius), oracles.fpfh_add_at(source, radius))
+
+    def test_plane_products_are_numpys(self):
+        # the features are bitwise the np.cross / np.einsum form only if
+        # these are: on x86-64 einsum sums three terms x, z, then y
+        rng = np.random.default_rng(35)
+        a, b = rng.normal(size=(2, 10_000, 3))
+        assert np.array_equal(registration._cross(a.T, b.T).T, np.cross(a, b))
+        assert np.array_equal(registration._dot(a.T, b.T), np.einsum("ij,ij->i", a, b))
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_bitwise_equal_across_pair_blocks(self, monkeypatch, block):
+        # small blocks put pairs of one point on both sides of a block edge
+        monkeypatch.setattr(registration, "_PAIR_BLOCK", block)
+        for name in ("random", "repeated-points", "ten-points"):
+            source, _ = EXACTNESS_CLOUDS[name]()
+            for radius in (0.01, 0.025):
+                got = fpfh(PointCloud(source.points), radius)
+                assert np.array_equal(got, oracles.fpfh_add_at(source, radius))
 
     def test_peak_memory_below_half_the_oracle(self):
         pts = cylinder(np.random.default_rng(12), n=2000)
@@ -601,15 +747,6 @@ class TestOptimizeRotation:
             self.assert_matches_oracle(m_pts, m_pts[-1], m_pts, RigidTransform.identity())
 
     def test_bound_prunes_most_point_queries(self):
-        class CountingTree:
-            def __init__(self, tree):
-                self.tree, self.points, self.calls = tree, 0, 0
-
-            def query(self, x, **kwargs):
-                self.points += len(x)
-                self.calls += 1
-                return self.tree.query(x, **kwargs)
-
         rng = np.random.default_rng(24)
         o_pts = rng.uniform(-0.05, 0.05, (400, 3))
         rot = Rotation.from_euler("xyz", [0, 90, 45], degrees=True).as_matrix()
@@ -619,9 +756,9 @@ class TestOptimizeRotation:
         t_opt = optimize_rotation(PointCloud(o_pts), o_pts[0], m_all, RigidTransform.identity())
         assert np.abs(t_opt.rotation - rot).max() < 1e-12
         # the field bounds leave only the leader: one query finishes it, one
-        # re-scores the eight grid entries of its rotation (y = 90 degrees)
+        # re-scores the other seven grid entries of its rotation (y = 90 degrees)
         assert counter.calls == 2
-        assert counter.points == 9 * len(o_pts)
+        assert counter.points == 8 * len(o_pts)
 
 
 def make_mug_template(rng, n_body=500, n_handle=260):
@@ -687,6 +824,41 @@ class TestRegister:
         d, _ = tpl.full_cloud.tree.query(moved)
         assert np.median(d) < 0.0025
         assert res.template_id == "mug0"
+
+
+class TestRegisterOnBenchmarkScenes:
+    """`register` on a benchmark scene is bitwise what the oracle kernels give."""
+
+    @pytest.mark.parametrize("workload", ["mug-handle-partial", "bottle-body-full"])
+    def test_bitwise_equal_with_oracle_icp_and_fpfh(self, workload, monkeypatch, tmp_path):
+        from perfbench.workloads import BY_NAME, make_scene
+
+        spec = BY_NAME[workload]
+        scene = make_scene(spec, 1, 0).points
+        save_db(bench.build_class_templates(spec.object_class, count=3), tmp_path / "db")
+        recognition = recognize(
+            PointCloud(scene), list(load_db(tmp_path / "db").values()), spec.part_path
+        )
+
+        def register_each():
+            # fresh clouds and templates, so no descriptor is cached across runs
+            templates = load_db(tmp_path / "db")
+            rec = dataclasses.replace(
+                recognition, part_cloud=PointCloud(recognition.part_cloud.points)
+            )
+            out = {}
+            for i, (tid, template) in enumerate(templates.items()):
+                try:
+                    out[tid] = register(PointCloud(scene), rec, template, template.leaf, seed=i)
+                except TogError as exc:
+                    out[tid] = f"{exc.code}: {exc}"
+            return out
+
+        fast = register_each()
+        assert any(isinstance(r, registration.RegistrationResult) for r in fast.values())
+        monkeypatch.setattr(registration, "icp", oracles.icp_requery)
+        monkeypatch.setattr(registration, "fpfh", oracles.fpfh_add_at)
+        assert register_each() == fast
 
 
 class TestBestRegistration:
