@@ -24,7 +24,7 @@ from scipy.spatial.transform import Rotation
 
 from .errors import SceneSpecError, TogError
 from .geometry import PointCloud, RigidTransform, aabb, apply_transform, knn_indices_batch
-from .pipeline import check_integer_setting, register_all, select_templates
+from .pipeline import check_integer_setting, check_unique, register_all, select_templates
 from .planning import check_placement, check_stick, plan, points_in_closure
 from .recognition import recognize
 from .templates import GripperConfig, build_template, default_gripper
@@ -729,9 +729,14 @@ def run_suite(
     master_seed: int = 0,
     gripper: GripperConfig | None = None,
 ) -> BenchReport:
-    """Run every condition for `trials_per_condition` independent trials."""
+    """Run every condition for `trials_per_condition` independent trials.
+
+    Conditions are reported by name, so a repeated name is a SceneSpecError.
+    """
     check_integer_setting("trials_per_condition", trials_per_condition, 1)
     check_integer_setting("master_seed", master_seed, 0)
+    conditions = list(conditions)
+    check_unique("condition names", [condition.name for condition in conditions])
     all_trials = []
     per_condition = {}
     for c_idx, condition in enumerate(conditions):

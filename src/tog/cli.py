@@ -6,14 +6,28 @@ output is key-sorted and versioned with ``schema_version``; with fixtures
 and ``--no-timings`` the same inputs produce byte-identical output.
 
 Setting precedence is CLI flag > environment variable > config file
-(``--config`` names a JSON file) > default. Every subcommand resolves its
-settings once into one ``PipelineConfig``, which checks types and ranges,
-so a bad value is a ``spec`` error before any work. Templates register at
-the leaf they were built at, so only the two commands that build templates,
-``db build`` and ``bench run --synthetic``, take ``--leaf`` (config
-``leaf``), checked by ``templates.check_leaf`` as it is resolved. Chat
-backends: ``--fixtures`` replays canned responses, ``--endpoint`` talks to
-a live service.
+(``--config`` names a JSON file) > default. Each subcommand takes
+``--config`` and the flags of only the settings it reads:
+
+- ``db build``: ``--ontology --rng-seed --leaf``;
+- ``db inspect``: ``--db``;
+- ``ontology resolve``: ``--ontology`` and the chat settings (``--fixtures
+  --endpoint --api-key --model``);
+- ``ontology optimize``: the chat settings;
+- ``recognize``: ``--db --template-cap``;
+- ``register``: ``--db --template-cap --rng-seed``;
+- ``plan`` and ``export``: every one of these but ``--leaf``;
+- ``bench run``: ``--db --ontology --rng-seed --leaf``. The last three
+  apply to ``--synthetic`` templates, so with a database they are a
+  ``spec`` error.
+
+The config file is shared by every subcommand and validated whole: each
+one resolves its settings once into one ``PipelineConfig``, which checks
+types and ranges, so a bad value is a ``spec`` error before any work, even
+for a setting the subcommand does not read. Templates register at the leaf
+they were built at, so only the two commands that build templates check
+``leaf`` (``templates.check_leaf``). Chat backends: ``--fixtures`` replays
+canned responses, ``--endpoint`` talks to a live service.
 
 A failure prints one JSON error (``code``, ``stage``, ``message``) on
 stderr and exits 2: an engine error with its own code, a file the command
@@ -52,6 +66,8 @@ from .ontology import (
 )
 from .pipeline import (
     PipelineConfig,
+    check_integer_setting,
+    check_unique,
     cluster_cloud,
     export_artifacts,
     register_all,
@@ -107,28 +123,35 @@ def _gripper_from_config(config: dict) -> GripperConfig | None:
 class _Context:
     """Settings shared by every subcommand, resolved once per invocation.
 
-    `settings` holds every source-less setting at its `PipelineConfig`
-    default; `leaf` is set only on the template-building subcommands.
+    A flag the subcommand does not take reads as None, so its setting comes
+    from the environment, the config file or the default. `settings` holds
+    every source-less setting at its `PipelineConfig` default; `leaf` is set
+    only on the subcommands that take `--leaf`, the template builders.
     """
 
     def __init__(self, args):
         config = _load_config_file(args.config)
+        flags = vars(args)
+
+        def setting(name, env_name=None, default=None):
+            return _setting(flags.get(name), env_name, config, name, default)
+
         values = {
-            "db_path": _setting(args.db, DB_ENV, config, "db"),
-            "ontology_path": _setting(args.ontology, ONTOLOGY_ENV, config, "ontology"),
+            "db_path": setting("db", DB_ENV),
+            "ontology_path": setting("ontology", ONTOLOGY_ENV),
             "gripper": _gripper_from_config(config),
-            "template_cap": _setting(args.template_cap, None, config, "template_cap"),
-            "rng_seed": _setting(args.rng_seed, None, config, "rng_seed"),
+            "template_cap": setting("template_cap"),
+            "rng_seed": setting("rng_seed"),
         }
         self.settings = PipelineConfig(
             **{name: value for name, value in values.items() if value is not None}
         )
-        if "leaf" in args:
-            self.leaf = check_leaf(_setting(args.leaf, None, config, "leaf", DEFAULT_LEAF))
-        self.fixtures = _setting(args.fixtures, FIXTURES_ENV, config, "fixtures")
-        self.endpoint = _setting(args.endpoint, ENDPOINT_ENV, config, "endpoint")
-        self.api_key = _setting(args.api_key, API_KEY_ENV, config, "api_key")
-        self.model = _setting(args.model, MODEL_ENV, config, "model")
+        if "leaf" in args.settings:
+            self.leaf = check_leaf(setting("leaf", default=DEFAULT_LEAF))
+        self.fixtures = setting("fixtures", FIXTURES_ENV)
+        self.endpoint = setting("endpoint", ENDPOINT_ENV)
+        self.api_key = setting("api_key", API_KEY_ENV)
+        self.model = setting("model", MODEL_ENV)
 
     def chat_client(self):
         if self.fixtures:
@@ -165,6 +188,16 @@ def _synthetic_specs(specs) -> list[tuple[str, int]]:
     return pairs
 
 
+def _check_template_ids(labeled, synthetic) -> None:
+    """SceneSpecError naming each template id that two inputs share.
+
+    Ids are file stems for labeled clouds, `<class>-<i>` for synthetic ones.
+    """
+    ids = [Path(path).stem for _, path in labeled]
+    ids += [f"{cls}-{i}" for cls, count in synthetic for i in range(count)]
+    check_unique("template ids", ids)
+
+
 def _synthetic_templates(ctx: _Context, pairs, graph) -> dict:
     """Templates built by the shape generators from `_synthetic_specs` pairs."""
     templates = {}
@@ -194,6 +227,7 @@ def cmd_db_build(args) -> int:
     graph = settings.graph()
     labeled = [_parse_pair(spec, "--labeled") for spec in args.labeled or ()]
     synthetic = _synthetic_specs(args.synthetic or ())
+    _check_template_ids(labeled, synthetic)
     # a bad --out fails before any template is built
     Path(args.out).mkdir(parents=True, exist_ok=True)
     templates = {}
@@ -265,6 +299,7 @@ def cmd_ontology_resolve(args) -> int:
 
 def cmd_ontology_optimize(args) -> int:
     ctx = _Context(args)
+    check_integer_setting("max_rounds", args.max_rounds, 1)
     if args.prompt_file:
         # code "io", like any other file the command cannot read
         seed_prompt = read_text(args.prompt_file, OSError)
@@ -425,11 +460,15 @@ def _bench_conditions(args) -> list[Condition]:
 def cmd_bench_run(args) -> int:
     ctx = _Context(args)
     if ctx.settings.db_path:
-        if args.leaf is not None:
-            raise SceneSpecError("--leaf applies to --synthetic templates, not --db")
+        for name in ("ontology", "rng_seed", "leaf"):
+            if getattr(args, name) is not None:
+                raise SceneSpecError(
+                    f"{_flag(name)} applies to --synthetic templates, not --db"
+                )
         templates = load_db(ctx.settings.db_path)
     else:
         pairs = _synthetic_specs(args.synthetic or ("mug=3", "bottle=3"))
+        _check_template_ids((), pairs)
         templates = _synthetic_templates(ctx, pairs, ctx.settings.graph())
     report = run_suite(
         _bench_conditions(args),
@@ -449,22 +488,32 @@ def cmd_bench_run(args) -> int:
 # parser assembly
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+# argparse options of each settings flag; the config key is the flag's name
+_FLAGS = {
+    "db": dict(help=f"template database directory (env {DB_ENV})"),
+    "ontology": dict(help=f"ontology JSON file (env {ONTOLOGY_ENV}; default built-in)"),
+    "rng_seed": dict(type=int, help="master random seed"),
+    "template_cap": dict(type=int, help="max templates matched per class"),
+    "leaf": dict(type=float, help="template voxel size in meters"),
+    "fixtures": dict(help=f"chat fixture directory (env {FIXTURES_ENV})"),
+    "endpoint": dict(help=f"chat endpoint URL (env {ENDPOINT_ENV})"),
+    "api_key": dict(help=f"chat API key (env {API_KEY_ENV})"),
+    "model": dict(help=f"chat model name (env {MODEL_ENV})"),
+}
+_CHAT = ("fixtures", "endpoint", "api_key", "model")
+_PIPELINE = ("db", "ontology", "rng_seed", "template_cap", *_CHAT)
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _add_common(parser: argparse.ArgumentParser, *settings: str) -> None:
+    """`--config` plus the flags of the named settings, which `_Context` reads."""
     parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--db", help=f"template database directory (env {DB_ENV})")
-    parser.add_argument(
-        "--ontology", help=f"ontology JSON file (env {ONTOLOGY_ENV}; default built-in)"
-    )
-    parser.add_argument("--rng-seed", type=int, help="master random seed")
-    parser.add_argument(
-        "--template-cap", type=int, help="max templates matched per class"
-    )
-    parser.add_argument(
-        "--fixtures", help=f"chat fixture directory (env {FIXTURES_ENV})"
-    )
-    parser.add_argument("--endpoint", help=f"chat endpoint URL (env {ENDPOINT_ENV})")
-    parser.add_argument("--api-key", help=f"chat API key (env {API_KEY_ENV})")
-    parser.add_argument("--model", help=f"chat model name (env {MODEL_ENV})")
+    for name in settings:
+        parser.add_argument(_flag(name), **_FLAGS[name])
+    parser.set_defaults(settings=settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
 
     p_build = db_sub.add_parser("build", help="build templates into a database")
-    _add_common(p_build)
+    _add_common(p_build, "ontology", "rng_seed", "leaf")
     p_build.add_argument("--out", required=True, help="output directory")
     p_build.add_argument(
         "--labeled",
@@ -494,18 +543,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CLASS=COUNT",
         help="generate templates from the built-in shape generators",
     )
-    p_build.add_argument("--leaf", type=float, help="template voxel size in meters")
     p_build.set_defaults(func=cmd_db_build)
 
     p_inspect = db_sub.add_parser("inspect", help="summarize a database")
-    _add_common(p_inspect)
+    _add_common(p_inspect, "db")
     p_inspect.set_defaults(func=cmd_db_inspect)
 
     p_onto = sub.add_parser("ontology", help="instruction resolution tools")
     onto_sub = p_onto.add_subparsers(dest="ontology_command", required=True)
 
     p_resolve = onto_sub.add_parser("resolve", help="instruction -> part path")
-    _add_common(p_resolve)
+    _add_common(p_resolve, "ontology", *_CHAT)
     p_resolve.add_argument("--text", required=True, help="task instruction")
     p_resolve.add_argument("--hint", help="object class hint")
     p_resolve.add_argument(
@@ -517,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_resolve.set_defaults(func=cmd_ontology_resolve)
 
     p_opt = onto_sub.add_parser("optimize", help="iterative prompt refinement")
-    _add_common(p_opt)
+    _add_common(p_opt, *_CHAT)
     p_opt.add_argument("--prompt", help="seed prompt text")
     p_opt.add_argument("--prompt-file", help="file holding the seed prompt")
     p_opt.add_argument(
@@ -530,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(func=cmd_ontology_optimize)
 
     p_rec = sub.add_parser("recognize", help="locate a part in a scene cloud")
-    _add_common(p_rec)
+    _add_common(p_rec, "db", "template_cap")
     p_rec.add_argument("--scene", required=True, help="scene cloud (.ply/.json)")
     p_rec.add_argument("--part", required=True, help="part path to find")
     p_rec.add_argument("--class", dest="object_class", help="restrict to one class")
@@ -538,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.set_defaults(func=cmd_recognize)
 
     p_reg = sub.add_parser("register", help="align templates to a scene part")
-    _add_common(p_reg)
+    _add_common(p_reg, "db", "template_cap", "rng_seed")
     p_reg.add_argument("--scene", required=True)
     p_reg.add_argument("--part", required=True)
     p_reg.add_argument("--class", dest="object_class")
@@ -548,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser(
         "plan", help="instruction + scene -> ranked grasps with provenance"
     )
-    _add_common(p_plan)
+    _add_common(p_plan, *_PIPELINE)
     p_plan.add_argument("--instruction", required=True)
     p_plan.add_argument("--scene", required=True)
     p_plan.add_argument("--hint", help="object class hint")
@@ -567,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="synthetic benchmark")
     bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
     p_run = bench_sub.add_parser("run", help="run benchmark conditions")
-    _add_common(p_run)
+    _add_common(p_run, "db", "ontology", "rng_seed", "leaf")
     p_run.add_argument("--conditions", help="JSON file of condition objects")
     p_run.add_argument("--trials", type=int, default=10)
     p_run.add_argument("--master-seed", type=int, default=0)
@@ -577,12 +625,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CLASS=COUNT",
         help="build synthetic templates instead of loading --db",
     )
-    p_run.add_argument("--leaf", type=float, help="template voxel size in meters")
     p_run.add_argument("--out", help="also write the report JSON here")
     p_run.set_defaults(func=cmd_bench_run)
 
     p_export = sub.add_parser("export", help="write PLY snapshots of a run")
-    _add_common(p_export)
+    _add_common(p_export, *_PIPELINE)
     p_export.add_argument("--instruction", required=True)
     p_export.add_argument("--scene", required=True)
     p_export.add_argument("--hint")

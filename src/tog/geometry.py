@@ -283,13 +283,11 @@ def knn_indices_batch(cloud: PointCloud, queries: np.ndarray, k: int) -> np.ndar
         for i, q in enumerate(queries):
             idx[i] = knn(cloud, q, k)
         return idx
-    kq = min(k + 1, n)
-    d, idx = cloud.tree.query(queries, k=kq, workers=-1)
-    if kq > k:
-        ambiguous = np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]
-        idx = idx[:, :k]
-        for row in ambiguous:
-            idx[row] = knn(cloud, queries[row], k)
+    d, idx = cloud.tree.query(queries, k=k + 1)
+    ambiguous = np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]
+    idx = idx[:, :k]
+    for row in ambiguous:
+        idx[row] = knn(cloud, queries[row], k)
     return idx.astype(np.intp)
 
 
@@ -309,18 +307,18 @@ def singular_values_batch(planes: np.ndarray) -> np.ndarray:
     return np.linalg.svd(r, compute_uv=False)
 
 
-def estimate_normals(cloud: PointCloud, k: int = 15, orient_from=None) -> np.ndarray:
-    """Unit surface normals by PCA over each point's k nearest neighbors.
+def estimate_normals(cloud: PointCloud) -> np.ndarray:
+    """Unit surface normals by PCA over each point's 15 nearest neighbors.
 
-    :param orient_from: optional 3-vector; normals are flipped to point away
-        from it (e.g. the part centroid for outward orientation).
+    A cloud of fewer than 15 points uses all of them. Normals are flipped to
+    point away from the cloud's centroid, outward on a convex part.
+
     :return: (n, 3) array of unit normals.
     """
     n = len(cloud)
     if n < 3:
         raise InsufficientPointsError("normal estimation needs >= 3 points")
-    k = min(k, n)
-    idx = knn_indices_batch(cloud, cloud.points, k)
+    idx = knn_indices_batch(cloud, cloud.points, min(15, n))
     nbrs = cloud.points[idx]
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     scatter = np.einsum("mki,mkj->mij", centered, centered)
@@ -328,10 +326,9 @@ def estimate_normals(cloud: PointCloud, k: int = 15, orient_from=None) -> np.nda
     normals = vecs[:, :, 0]  # eigenvector of the smallest eigenvalue
     norms = np.linalg.norm(normals, axis=1, keepdims=True)
     normals = np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
-    if orient_from is not None:
-        outward = cloud.points - np.asarray(orient_from, dtype=np.float64)
-        flip = np.einsum("ij,ij->i", normals, outward) < 0
-        normals[flip] *= -1
+    outward = cloud.points - cloud.points.mean(axis=0)
+    flip = np.einsum("ij,ij->i", normals, outward) < 0
+    normals[flip] *= -1
     return normals
 
 

@@ -13,6 +13,7 @@ The CLI and the benchmark call the same stage helpers: `select_templates`,
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -48,6 +49,13 @@ def check_integer_setting(name: str, value, low: int) -> None:
         raise SceneSpecError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise SceneSpecError(f"{name} must be at least {low}, got {value}")
+
+
+def check_unique(what: str, names) -> None:
+    """SceneSpecError naming every entry of `names` that occurs more than once."""
+    repeated = sorted(name for name, n in Counter(names).items() if n > 1)
+    if repeated:
+        raise SceneSpecError(f"{what} {repeated} are given more than once")
 
 
 @dataclass(frozen=True)

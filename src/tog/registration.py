@@ -202,7 +202,7 @@ def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
     n = len(cloud)
     if n < 3:
         raise InsufficientPointsError("descriptors need >= 3 points")
-    normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
+    normals = estimate_normals(cloud)
     normals, pts = np.ascontiguousarray(normals.T), np.ascontiguousarray(cloud.points.T)
     first, second = cloud.tree.query_pairs(radius, output_type="ndarray").T
     m = len(first)

@@ -259,7 +259,7 @@ def sample_antipodal_grasps(
     generator = np.random.default_rng(rng)
     points = part.points
     n = len(points)
-    normals = estimate_normals(part, k=15, orient_from=points.mean(axis=0))
+    normals = estimate_normals(part)
     centroid = points.mean(axis=0)
     cos_limit = math.cos(math.radians(FRICTION_HALF_ANGLE_DEG))
     cos_dup = math.cos(math.radians(DEDUP_AXIS_ANGLE_DEG))

@@ -331,7 +331,7 @@ def fpfh_add_at(cloud, radius: float) -> np.ndarray:
     from tog.registration import FPFH_BINS
 
     n = len(cloud)
-    normals = estimate_normals(cloud, k=min(15, n), orient_from=cloud.points.mean(axis=0))
+    normals = estimate_normals(cloud)
     neighborhoods = cloud.tree.query_ball_point(cloud.points, radius, workers=-1)
     i_idx = np.concatenate(
         [np.full(len(nb), i, dtype=np.intp) for i, nb in enumerate(neighborhoods)]

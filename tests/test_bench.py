@@ -570,6 +570,17 @@ class TestTrials:
         assert set(first.per_condition) == {"a", "b"}
         assert signature(first) == signature(second)
 
+    def test_suite_rejects_repeated_condition_names(self, mug_templates, monkeypatch):
+        monkeypatch.setattr(
+            "tog.bench.run_trial", lambda *a, **kw: pytest.fail("a trial ran")
+        )
+        conditions = [
+            Condition(name=name, object_class="mug", part_path="handle")
+            for name in ("same", "other", "same")
+        ]
+        with pytest.raises(SceneSpecError, match=r"condition names \['same'\]"):
+            run_suite(conditions, mug_templates, trials_per_condition=1)
+
     def test_suite_needs_trials(self, mug_templates):
         with pytest.raises(SceneSpecError):
             run_suite([], mug_templates, trials_per_condition=0)

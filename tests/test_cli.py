@@ -132,6 +132,40 @@ class TestDb:
         assert "at least 1, got 'mug=0'" in err["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,repeated",
+        [
+            (["db", "build", "--out", "{out}", "--synthetic", "mug=2",
+              "--synthetic", "mug=1"], "mug-0"),
+            (["db", "build", "--out", "{out}", "--labeled", "mug={labeled}",
+              "--labeled", "mug={labeled}"], "mug-custom"),
+            (["db", "build", "--out", "{out}", "--labeled", "mug={mug0}",
+              "--synthetic", "mug=1"], "mug-0"),
+            (["bench", "run", "--out", "{out}", "--trials", "1", "--synthetic",
+              "mug=1", "--synthetic", "mug=1"], "mug-0"),
+        ],
+        ids=["db-build-synthetic", "db-build-labeled", "db-build-mixed", "bench-run"],
+    )
+    def test_repeated_template_id_is_a_spec_error(
+        self, ws, capsys, tmp_path, monkeypatch, argv, repeated
+    ):
+        built = []
+        monkeypatch.setattr(
+            "tog.cli.build_template", lambda *a, **kw: built.append(kw["template_id"])
+        )
+        monkeypatch.setattr(
+            "tog.cli.build_class_templates", lambda *a, **kw: built.append(a[0])
+        )
+        mug0 = tmp_path / "mug-0.json"
+        shutil.copy(ws["labeled"], mug0)
+        out = tmp_path / "out"
+        fields = {"out": out, "labeled": ws["labeled"], "mug0": mug0}
+        err = run_error(capsys, [arg.format(**fields) for arg in argv])
+        assert err["code"] == "spec"
+        assert f"'{repeated}'" in err["message"]
+        assert built == []
+        assert not out.exists()
+
     def test_grasp_target_flag_is_gone(self, ws, tmp_path):
         with pytest.raises(SystemExit):
             main(["db", "build", "--out", str(tmp_path / "x"), "--labeled",
@@ -279,6 +313,21 @@ class TestOntologyCli:
     def test_optimize_needs_prompt(self, ws, capsys):
         err = run_error(capsys, ["ontology", "optimize", "--fixtures", ws["chat"]])
         assert err["code"] == "spec"
+
+    @pytest.mark.parametrize("rounds", ["0", "-3"])
+    def test_optimize_max_rounds_below_one_is_a_spec_error(
+        self, ws, capsys, monkeypatch, rounds
+    ):
+        monkeypatch.setattr(
+            "tog.cli.optimize_prompt", lambda *a, **kw: pytest.fail("chat was called")
+        )
+        err = run_error(
+            capsys,
+            ["ontology", "optimize", "--fixtures", ws["chat"], "--prompt", "Name it.",
+             "--feedback", "accept", "--max-rounds", rounds],
+        )
+        assert err["code"] == "spec"
+        assert err["message"] == f"max_rounds must be at least 1, got {rounds}"
 
     def test_optimize_missing_prompt_file_is_an_io_error(self, ws, capsys, tmp_path):
         missing = tmp_path / "missing.txt"
@@ -512,6 +561,20 @@ class TestBenchCli:
         )
         assert err["code"] == "spec"
 
+    def test_repeated_condition_name_is_a_spec_error(self, ws, capsys, tmp_path):
+        row = {"name": "same", "object_class": "mug", "part_path": "handle",
+               "n_points": 700}
+        cond_path = tmp_path / "conditions.json"
+        cond_path.write_text(json.dumps([row, {**row, "part_path": "body.outside"}]))
+        err = run_error(
+            capsys,
+            ["bench", "run", "--db", ws["db"], "--conditions", str(cond_path),
+             "--trials", "1", "--out", str(tmp_path / "report.json")],
+        )
+        assert err["code"] == "spec"
+        assert "'same'" in err["message"]
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestPrecedence:
     def test_config_file_supplies_db(self, ws, capsys, tmp_path, monkeypatch):
@@ -622,6 +685,20 @@ SUBCOMMANDS = {
                   "--out", "{out}"],
 }
 TEMPLATE_MAKERS = ("db build", "bench run")
+CHAT = ["--fixtures", "--endpoint", "--api-key", "--model"]
+PIPELINE = ["--db", "--ontology", "--rng-seed", "--template-cap", *CHAT]
+# The settings flags each subcommand takes besides --config: those it reads
+TAKES = {
+    "db build": ["--ontology", "--rng-seed", "--leaf"],
+    "db inspect": ["--db"],
+    "ontology resolve": ["--ontology", *CHAT],
+    "ontology optimize": CHAT,
+    "recognize": ["--db", "--template-cap"],
+    "register": ["--db", "--template-cap", "--rng-seed"],
+    "plan": PIPELINE,
+    "export": PIPELINE,
+    "bench run": ["--db", "--ontology", "--rng-seed", "--leaf"],
+}
 # (config key, flag, value); a flag of None means the config file only
 BAD_SETTINGS = [
     ("template_cap", "--template-cap", -1),
@@ -646,7 +723,7 @@ def _bad_cases():
     for name in SUBCOMMANDS:
         rows = BAD_SETTINGS + (BAD_LEAVES if name in TEMPLATE_MAKERS else [])
         for key, flag, value in rows:
-            for source in ("flag", "config") if flag else ("config",):
+            for source in ("flag", "config") if flag in TAKES[name] else ("config",):
                 yield pytest.param(name, key, flag, value, source,
                                    id=f"{name}-{key}={value}-{source}")
 
@@ -683,6 +760,34 @@ class TestSettingsValidation:
             main([*argv, "--leaf", "0.005"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --leaf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,flag",
+        [(name, flag) for name in SUBCOMMANDS for flag in PIPELINE
+         if flag not in TAKES[name]],
+    )
+    def test_flags_a_subcommand_does_not_read_are_unrecognized(
+        self, ws, capsys, tmp_path, name, flag
+    ):
+        argv = subcommand_argv(ws, name, tmp_path / "out")
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--rng-seed", "--ontology"])
+    def test_bench_synthetic_settings_with_a_database_are_spec_errors(
+        self, ws, capsys, tmp_path, flag
+    ):
+        err = run_error(
+            capsys,
+            ["bench", "run", "--db", ws["db"], flag, "1", "--trials", "1",
+             "--out", str(tmp_path / "report.json")],
+        )
+        assert err["code"] == "spec"
+        assert flag in err["message"]
+        assert not (tmp_path / "report.json").exists()
 
     def test_bench_leaf_with_a_database_is_a_spec_error(self, ws, capsys, tmp_path):
         err = run_error(

@@ -381,7 +381,7 @@ class TestNormals:
         rng = np.random.default_rng(11)
         pts = np.zeros((200, 3))
         pts[:, :2] = rng.uniform(-0.1, 0.1, size=(200, 2))
-        normals = estimate_normals(PointCloud(pts), k=15)
+        normals = estimate_normals(PointCloud(pts))
         assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
         assert np.allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-12)
 
@@ -390,7 +390,7 @@ class TestNormals:
         # points on a sphere: normals should point radially outward
         raw = rng.normal(size=(300, 3))
         pts = raw / np.linalg.norm(raw, axis=1, keepdims=True) * 0.05
-        normals = estimate_normals(PointCloud(pts), k=15, orient_from=np.zeros(3))
+        normals = estimate_normals(PointCloud(pts))
         dots = np.einsum("ij,ij->i", normals, pts / np.linalg.norm(pts, axis=1, keepdims=True))
         assert np.all(dots > 0.9)
 
