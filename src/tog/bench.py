@@ -533,6 +533,11 @@ class ConditionMetrics:
         )
 
 
+# the size factor of each template `build_class_templates` builds, in order
+_TEMPLATE_SCALES = (1.0, 0.93, 1.08, 0.88, 1.15, 0.8, 1.25, 0.75, 1.3, 0.7)
+MAX_TEMPLATES_PER_CLASS = len(_TEMPLATE_SCALES)
+
+
 def build_class_templates(
     object_class: str,
     count: int = 3,
@@ -543,13 +548,12 @@ def build_class_templates(
     graph=None,
 ) -> dict:
     """Build `count` templates of one class at slightly varied sizes."""
-    factors = [1.0, 0.93, 1.08, 0.88, 1.15, 0.8, 1.25, 0.75, 1.3, 0.7]
-    if count > len(factors):
-        raise SceneSpecError(f"at most {len(factors)} templates per class")
+    if count > MAX_TEMPLATES_PER_CLASS:
+        raise SceneSpecError(f"at most {MAX_TEMPLATES_PER_CLASS} templates per class")
     out = {}
     for i in range(count):
         rng = np.random.default_rng((rng_seed, i))
-        cloud = generate_object(object_class, n_points, rng, scale=factors[i])
+        cloud = generate_object(object_class, n_points, rng, scale=_TEMPLATE_SCALES[i])
         template = build_template(
             cloud,
             object_class,

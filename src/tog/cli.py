@@ -48,7 +48,13 @@ import sys
 import traceback
 from pathlib import Path
 
-from .bench import Condition, build_class_templates, run_suite
+from .bench import (
+    MAX_TEMPLATES_PER_CLASS,
+    SHAPES,
+    Condition,
+    build_class_templates,
+    run_suite,
+)
 from .cloud_io import load_cloud, read_json, read_text, save_ply
 from .errors import SceneSpecError, TogError
 from .ontology import (
@@ -176,13 +182,26 @@ def _parse_pair(text: str, what: str) -> tuple[str, str]:
 
 
 def _synthetic_specs(specs) -> list[tuple[str, int]]:
-    """(class, count) of each CLASS=COUNT spec; each count is at least 1."""
+    """(class, count) of each CLASS=COUNT spec.
+
+    Each class has a shape generator, and each count is at least 1 and at
+    most `MAX_TEMPLATES_PER_CLASS`.
+    """
     pairs = []
     for spec in specs:
         object_class, count = _parse_pair(spec, "--synthetic")
+        if object_class not in SHAPES:
+            raise SceneSpecError(
+                f"no generator for object class '{object_class}' in '{spec}'"
+                f" (available: {sorted(SHAPES)})"
+            )
         if not count.isdecimal() or int(count) < 1:
             raise SceneSpecError(
                 f"--synthetic count must be a whole number of at least 1, got '{spec}'"
+            )
+        if int(count) > MAX_TEMPLATES_PER_CLASS:
+            raise SceneSpecError(
+                f"at most {MAX_TEMPLATES_PER_CLASS} templates per class, got '{spec}'"
             )
         pairs.append((object_class, int(count)))
     return pairs
@@ -465,13 +484,17 @@ def cmd_bench_run(args) -> int:
                 raise SceneSpecError(
                     f"{_flag(name)} applies to --synthetic templates, not --db"
                 )
-        templates = load_db(ctx.settings.db_path)
+        pairs = None
     else:
         pairs = _synthetic_specs(args.synthetic or ("mug=3", "bottle=3"))
         _check_template_ids((), pairs)
+    conditions = _bench_conditions(args)  # before any template is loaded or built
+    if pairs is None:
+        templates = load_db(ctx.settings.db_path)
+    else:
         templates = _synthetic_templates(ctx, pairs, ctx.settings.graph())
     report = run_suite(
-        _bench_conditions(args),
+        conditions,
         templates,
         trials_per_condition=args.trials,
         master_seed=args.master_seed,

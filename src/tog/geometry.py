@@ -300,7 +300,9 @@ def singular_values_batch(planes: np.ndarray) -> np.ndarray:
     R factor, whose singular values are the cluster's (Chan 1982). QR and
     SVD are backward stable and no scatter matrix is formed, so a planar or
     3-point cluster's smallest value stays within rounding of zero relative
-    to the largest.
+    to the largest. Recognition reads spectra off running scatter sums and
+    falls back to this route for the clusters (flat ones among them) whose
+    scatter eigenvalues cannot certify their smallest values.
     """
     centered = planes - planes.mean(axis=2, keepdims=True)
     r = np.linalg.qr(centered.transpose(1, 2, 0), mode="r")

@@ -10,14 +10,28 @@ over the template and finishes only the rotations that can still win), and a
 final whole-cloud ICP refines the pose. The total transform maps observed
 (camera-frame) points into the template frame.
 
-Both kernels skip repeated work and stay exact. ICP keeps a point's nearest
+The kernels skip repeated work and stay exact. ICP keeps a point's nearest
 neighbour while a triangle-inequality certificate (nearest, second nearest,
 drift since the last query, and a rounding margin) says it cannot have
 changed, and queries only the rest. FPFH computes each unordered point
 pair's offset once and takes the reverse pair's as its exact negation.
-Neither moves a bit of any result. kd-tree queries here run on the calling
-thread: the queries are small, and starting worker threads per call cost
-more than they saved.
+RANSAC draws each 1024-hypothesis batch by its own `rng.integers` call, but
+gates (edge by edge, each edge only where the earlier ones held), fits and
+bounds the batches a group at a time (breadth-first, as preemptive RANSAC
+scores hypotheses: Nister 2003). It then replays the one-batch-at-a-time
+rule in order and discards the draws past its stopping point. Each fit is
+computed per matrix (batched SVD, determinant and three-term products), so
+grouping does not change it. Inliers are bounded from one matmul of squared
+pair distances, whose terms sum in magnitude to under 6 scale^2 (scale = 1
+plus the inlier distance plus 3 times the largest coordinate): in any
+summation order it errs by under 17 u 6 scale^2 (u = 2^-53), far inside
+the margin 1e-9 scale^2, and so does the dense norm test. So pairs within
+thr^2 - margin are inliers and pairs past thr^2 + margin are not, a
+hypothesis with no pair between the two has its count exactly, and pairs
+are counted one by one only for hypotheses whose bounds differ and whose
+upper bound can still win their batch. None of this moves a bit of any
+result. kd-tree queries here run on the calling thread: the queries are
+small, and starting worker threads per call cost more than they saved.
 """
 
 from __future__ import annotations
@@ -49,6 +63,9 @@ EDGE_RATIO = 0.9
 LOCAL_ATTEMPTS = 20
 FPFH_BINS = 11
 _PAIR_BLOCK = 2**16  # point pairs whose angle features are held at once
+_BATCH = 1024  # RANSAC hypotheses per draw
+_GROUP_BATCHES = 8  # most RANSAC batches gated, fitted and bounded at once
+_HYPOTHESIS_PAIRS = 2**16  # hypothesis-pair distances held at once
 
 
 @dataclass(frozen=True)
@@ -256,28 +273,42 @@ def _inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist) -> np.ndarray:
 
 
 def _inlier_counter(src_pts, tgt_pts, inlier_dist):
-    """Batch (rot, trans) -> (index, count) of its first hypothesis with the most inliers.
+    """(rot, trans, batch, floor) -> per hypothesis, its inlier count where it can matter.
 
-    A squared distance is [vec R, R^T t, t] @ coef + offset + |t|^2. With c the largest
-    |coordinate|, a Kabsch fit has |t| <= 2 sqrt(3) c, so its terms sum in magnitude to at
-    most 48 c^2 < 6 scale^2 and round off far inside margin.
+    ``batch`` numbers each hypothesis's batch, in ascending order. A squared distance is
+    [vec R, R^T t, t, 1, |t|^2] @ coef. With c the largest |coordinate|, a Kabsch fit has
+    |t| <= 2 sqrt(3) c, so its terms sum in magnitude to at most 48 c^2 < 6 scale^2 and
+    round off far inside margin. A hypothesis whose upper bound is at most ``floor`` gets
+    that bound; the others get their lower bound, or their exact count where the bounds
+    differ and the upper bound reaches the largest value of their batch. So in every
+    batch whose most inliers exceed ``floor``, the first hypothesis with the most, and
+    its count, are exact, and no other batch has a value above ``floor``.
     """
     qs = np.einsum("ni,nj->ijn", tgt_pts, src_pts).reshape(9, -1)
-    coef = np.vstack([-2.0 * qs, 2.0 * src_pts.T, -2.0 * tgt_pts.T])
     offset = (src_pts**2).sum(axis=1) + (tgt_pts**2).sum(axis=1)
+    coef = np.vstack([-2.0 * qs, 2.0 * src_pts.T, -2.0 * tgt_pts.T, offset, np.ones_like(offset)])
     scale = 1.0 + inlier_dist + 3.0 * max(np.abs(src_pts).max(), np.abs(tgt_pts).max())
     margin, thr2 = 1e-9 * scale**2, inlier_dist**2
+    rows = max(1, _HYPOTHESIS_PAIRS // len(offset))
 
-    def best(rot, trans):
-        d2 = np.hstack([rot.reshape(-1, 9), np.einsum("mji,mj->mi", rot, trans), trans]) @ coef
-        d2 += offset
-        d2 += (trans**2).sum(axis=1)[:, None]
-        upper = (d2 <= thr2 + margin).sum(axis=1)
-        doubt = np.flatnonzero(upper >= (d2 <= thr2 - margin).sum(axis=1).max())
-        exact = _inlier_counts(rot[doubt], trans[doubt], src_pts, tgt_pts, inlier_dist)
-        top = int(np.argmax(exact))
-        return int(doubt[top]), int(exact[top])
-    return best
+    def counts(rot, trans, batch, floor):
+        value, high = np.empty((2, len(rot)), dtype=np.intp)
+        for start in range(0, len(rot), rows):
+            r, t = rot[start : start + rows], trans[start : start + rows]
+            terms = [r.reshape(-1, 9), np.einsum("mji,mj->mi", r, t), t, np.ones((len(r), 1))]
+            d2 = np.hstack(terms + [(t**2).sum(axis=1)[:, None]]) @ coef
+            high[start : start + rows] = np.count_nonzero(d2 <= thr2 + margin, axis=1)
+            hot = np.flatnonzero(high[start : start + rows] > floor)
+            value[start : start + rows] = high[start : start + rows]
+            value[start + hot] = np.count_nonzero(d2[hot] <= thr2 - margin, axis=1)
+        first = np.flatnonzero(np.r_[True, batch[1:] != batch[:-1]])
+        batch_max = np.repeat(np.maximum.reduceat(value, first), np.diff(np.r_[first, len(value)]))
+        doubt = np.flatnonzero((value < high) & (high > floor) & (high >= batch_max))
+        for start in range(0, len(doubt), rows):
+            some = doubt[start : start + rows]
+            value[some] = _inlier_counts(rot[some], trans[some], src_pts, tgt_pts, inlier_dist)
+        return value
+    return counts
 
 
 def coarse_align(
@@ -292,10 +323,16 @@ def coarse_align(
     target descriptor; 3-point hypotheses must pass a 0.9 edge-length ratio
     gate, and inliers are correspondence pairs within 1.5x leaf after the
     hypothesis transform. Sampling is driven entirely by ``rng``, so a fixed
-    seed reproduces the same alignment. Descriptor pairs are cached on the
+    seed reproduces the same alignment (a Generator passed in may be left
+    past the draws the result used). Descriptor pairs are cached on the
     source per radius and target, so retries skip the descriptor search.
-    Each batch's inliers are bounded from one matmul of squared distances and
-    measured exactly only for the hypotheses the bound leaves able to win.
+
+    Hypotheses are drawn in batches of 1024. A batch's first hypothesis with
+    the most inliers replaces the best so far when it has strictly more (and
+    at least 3), and each replacement recomputes how many hypotheses the
+    RANSAC confidence needs. Batches are scored a group at a time: the first
+    group holds one batch, each next one twice as many up to
+    `_GROUP_BATCHES`, never past the hypotheses still needed.
     """
     if len(source) < 10 or len(target) < 10:
         raise InsufficientPointsError("coarse alignment needs >= 10 points per cloud")
@@ -308,54 +345,70 @@ def coarse_align(
     )
     src_pts, tgt_pts = source.points, target.points[nearest]
     n_pairs = len(nearest)
-    best_of = _inlier_counter(src_pts, tgt_pts, inlier_dist)
+    count_of = _inlier_counter(src_pts, tgt_pts, inlier_dist)
+    ends_at = np.vstack([src_pts.T, tgt_pts.T])  # each pair's two points, as coordinate planes
 
     best = None  # (count, transform)
     tried = 0
     needed = MAX_RANSAC_HYPOTHESES
-    batch = 1024
+    group = 1
     while tried < min(needed, MAX_RANSAC_HYPOTHESES):
-        m = min(batch, MAX_RANSAC_HYPOTHESES - tried)
-        sel = rng.integers(0, n_pairs, size=(m, 3))
-        tried += m
-        prev = sel[:, [2, 0, 1]]  # edge i joins vertex i to vertex i - 1
-        # edge lengths summed x², y², z² in order: np.linalg.norm(..., axis=2) bit for bit
-        s_edges = np.sqrt(sum((plane[sel] - plane[prev]) ** 2 for plane in src_pts.T))
-        t_edges = np.sqrt(sum((plane[sel] - plane[prev]) ** 2 for plane in tgt_pts.T))
-        # a repeated index gives a zero edge, which the 1e-9 gates reject
-        good = (
-            (s_edges > 1e-9)
-            & (t_edges > 1e-9)
-            & (t_edges >= EDGE_RATIO * s_edges)
-            & (s_edges >= EDGE_RATIO * t_edges)
-        ).all(axis=1)
-        if not good.any():
-            continue
-        sel = sel[good]
-        s3, t3 = src_pts[sel], tgt_pts[sel]  # (m, 3, 3)
-        # batched Kabsch over all surviving 3-point hypotheses
-        sc = s3.mean(axis=1, keepdims=True)
-        tc = t3.mean(axis=1, keepdims=True)
-        h = np.einsum("mki,mkj->mij", s3 - sc, t3 - tc)
-        u, _, vt = np.linalg.svd(h)
-        det = np.linalg.det(np.einsum("mij,mjk->mik", vt.transpose(0, 2, 1), u.transpose(0, 2, 1)))
-        flip = np.broadcast_to(np.eye(3), u.shape).copy()
-        flip[:, 2, 2] = np.sign(det)
-        rot = np.einsum("mij,mjk,mkl->mil", vt.transpose(0, 2, 1), flip, u.transpose(0, 2, 1))
-        trans = tc[:, 0, :] - np.einsum("mij,mj->mi", rot, sc[:, 0, :])
-        top, count = best_of(rot, trans)
-        if count >= 3 and (best is None or count > best[0]):
-            best = (count, RigidTransform(rot[top], trans[top]))
-            ratio = best[0] / n_pairs
-            if 0 < ratio < 1:
-                needed = int(
-                    min(
-                        MAX_RANSAC_HYPOTHESES,
-                        np.ceil(np.log(1 - RANSAC_CONFIDENCE) / np.log(1 - ratio**3)),
-                    )
-                )
-            else:
-                needed = tried
+        draws, ends = [], []
+        drawn = tried
+        while len(draws) < group and drawn < min(needed, MAX_RANSAC_HYPOTHESES):
+            m = min(_BATCH, MAX_RANSAC_HYPOTHESES - drawn)
+            draws.append(rng.integers(0, n_pairs, size=(m, 3)))
+            drawn += m
+            ends.append(drawn)
+        group = min(2 * group, _GROUP_BATCHES)
+        sel = np.concatenate(draws)
+        batch = np.repeat(np.arange(len(draws)), [len(d) for d in draws])
+        keep = np.arange(len(sel))
+        for i in range(3):  # edge i joins vertex i to vertex i - 1, gated where the others held
+            d = np.take(ends_at, sel[keep, i], axis=1) - np.take(ends_at, sel[keep, i - 1], axis=1)
+            d **= 2
+            # lengths summed x², y², z² in order: np.linalg.norm(..., axis=2) bit for bit
+            s_edge, t_edge = np.sqrt((d[0] + d[1]) + d[2]), np.sqrt((d[3] + d[4]) + d[5])
+            # a repeated index gives a zero edge, which the 1e-9 gates reject
+            keep = keep[
+                (s_edge > 1e-9)
+                & (t_edge > 1e-9)
+                & (t_edge >= EDGE_RATIO * s_edge)
+                & (s_edge >= EDGE_RATIO * t_edge)
+            ]
+        sel, batch = sel[keep], batch[keep]
+        if len(sel):
+            s3, t3 = src_pts[sel], tgt_pts[sel]  # (m, 3, 3)
+            # batched Kabsch over all surviving 3-point hypotheses
+            sc = s3.mean(axis=1, keepdims=True)
+            tc = t3.mean(axis=1, keepdims=True)
+            h = np.einsum("mki,mkj->mij", s3 - sc, t3 - tc)
+            u, _, vt = np.linalg.svd(h)
+            det = np.linalg.det(np.einsum("mij,mjk->mik", vt.transpose(0, 2, 1), u.transpose(0, 2, 1)))
+            flip = np.broadcast_to(np.eye(3), u.shape).copy()
+            flip[:, 2, 2] = np.sign(det)
+            rot = np.einsum("mij,mjk,mkl->mil", vt.transpose(0, 2, 1), flip, u.transpose(0, 2, 1))
+            trans = tc[:, 0, :] - np.einsum("mij,mj->mi", rot, sc[:, 0, :])
+            counts = count_of(rot, trans, batch, 2 if best is None else best[0])
+        bounds = np.searchsorted(batch, np.arange(len(draws) + 1))
+        for lo, hi, tried in zip(bounds, bounds[1:], ends):  # replay batch by batch
+            if hi > lo:
+                top = lo + int(np.argmax(counts[lo:hi]))
+                count = int(counts[top])
+                if count >= 3 and (best is None or count > best[0]):
+                    best = (count, RigidTransform(rot[top], trans[top]))
+                    ratio = best[0] / n_pairs
+                    if 0 < ratio < 1:
+                        needed = int(
+                            min(
+                                MAX_RANSAC_HYPOTHESES,
+                                np.ceil(np.log(1 - RANSAC_CONFIDENCE) / np.log(1 - ratio**3)),
+                            )
+                        )
+                    else:
+                        needed = tried
+            if tried >= min(needed, MAX_RANSAC_HYPOTHESES):
+                break
     if best is None:
         raise CoarseFailureError(
             "no 3-point hypothesis reached 3 inliers", stage="coarse"

@@ -6,7 +6,8 @@ test, so agreement is meaningful. The registration references
 (`icp_requery`, `pair_features`, `fpfh_add_at`, `coarse_align_dense`) are
 the package's earlier code, which the faster one must reproduce bit for bit;
 they take the normals, the rigid fit and the result types, which did not
-change, from the package.
+change, from the package. `cluster_stats_qr` is the package's earlier
+recognition statistics, which the running-sum route must match to rounding.
 """
 
 from __future__ import annotations
@@ -57,6 +58,28 @@ def svd_spectra(member_points: np.ndarray) -> np.ndarray:
     """
     centered = member_points - member_points.mean(axis=1, keepdims=True)
     return np.linalg.svd(centered, compute_uv=False)
+
+
+def cluster_stats_qr(coords: np.ndarray, dist: np.ndarray, whole_box):
+    """The package's earlier statistics of m clusters: (unit spectra, spreads, box ratios).
+
+    ``coords`` holds the members as (3, m, k) coordinate planes, column 0 at
+    the seed, and ``dist`` the (m, k) member-to-seed distances. Spectra come
+    from a batched Householder QR of the centered planes and an SVD of the R
+    factors; spreads from the two-pass mean, std and largest deviation of
+    the distances to the other members; NaN = degenerate.
+    """
+    centered = coords - coords.mean(axis=2, keepdims=True)
+    sigma = np.linalg.svd(np.linalg.qr(centered.transpose(1, 2, 0), mode="r"), compute_uv=False)
+    sig_norm = np.linalg.norm(sigma, axis=1)
+    sigma_unit = sigma / np.where(sig_norm > 0, sig_norm, np.nan)[:, None]
+    others = dist[:, 1:] if dist.shape[1] > 1 else dist
+    mean = others.mean(axis=1)
+    max_dev = np.abs(others - mean[:, None]).max(axis=1)
+    spread = others.std(axis=1) / np.where(max_dev > 0, max_dev, np.nan)
+    centers = 0.5 * (coords.min(axis=2) + coords.max(axis=2)).T
+    offsets = np.linalg.norm(centers - whole_box.center, axis=1)
+    return sigma_unit, spread, offsets / (whole_box.half_diagonal or np.nan)
 
 
 def voxel_centroids(points: np.ndarray, leaf: float) -> dict:
@@ -376,11 +399,12 @@ def dense_inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist) -> np.ndarray
     return (dists <= inlier_dist).sum(axis=1)
 
 
-def coarse_align_dense(source, target, leaf: float = 0.005, rng=0):
+def coarse_align_dense(source, target, leaf: float = 0.005, rng=0, trace=None):
     """Descriptor RANSAC counting every hypothesis's inliers densely.
 
     Returns (rotation, translation), or raises the package's
-    `CoarseFailureError` when no hypothesis reaches 3 inliers.
+    `CoarseFailureError` when no hypothesis reaches 3 inliers. A ``trace``
+    list gets the [hypotheses, gate survivors] of each batch, in order.
     """
     from tog.errors import CoarseFailureError
 
@@ -402,6 +426,8 @@ def coarse_align_dense(source, target, leaf: float = 0.005, rng=0):
             (sel[:, 0] != sel[:, 1]) & (sel[:, 0] != sel[:, 2]) & (sel[:, 1] != sel[:, 2])
         )
         sel = sel[distinct]
+        if trace is not None:
+            trace.append([m, 0])
         if not len(sel):
             continue
         s3 = src_pts[sel]
@@ -416,6 +442,8 @@ def coarse_align_dense(source, target, leaf: float = 0.005, rng=0):
         )
         if not good.any():
             continue
+        if trace is not None:
+            trace[-1][1] = int(good.sum())
         s3, t3 = s3[good], t3[good]
         sc = s3.mean(axis=1, keepdims=True)
         tc = t3.mean(axis=1, keepdims=True)

@@ -18,6 +18,7 @@ import pytest
 from tog.bench import desk_pose, generate_object
 from tog.cli import main
 from tog.cloud_io import load_ply, save_json
+from tog.errors import SceneSpecError
 from tog.geometry import apply_transform
 from tog.ontology import FixtureChatClient, Instruction, default_graph, render_prompt
 from tog.templates import build_template, load_db, save_db
@@ -131,6 +132,38 @@ class TestDb:
         assert err["code"] == "spec"
         assert "at least 1, got 'mug=0'" in err["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [("bottle=11", "at most 10 templates per class, got 'bottle=11'"),
+         ("teapot=1", "no generator for object class 'teapot'")],
+        ids=["count-above-limit", "class-without-generator"],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["db", "build", "--out", "{out}"],
+                 ["bench", "run", "--trials", "1", "--out", "{out}"]],
+        ids=["db-build", "bench-run"],
+    )
+    def test_synthetic_spec_checked_before_any_build(
+        self, capsys, tmp_path, monkeypatch, argv, spec, message
+    ):
+        def build_class_templates(*args, **kwargs):
+            raise AssertionError("a template was built")
+
+        monkeypatch.setattr("tog.cli.build_class_templates", build_class_templates)
+        out = tmp_path / "D"
+        argv = [arg.format(out=out) for arg in argv]
+        err = run_error(capsys, [*argv, "--synthetic", "mug=2", "--synthetic", spec])
+        assert err["code"] == "spec"
+        assert message in err["message"]
+        assert not out.exists()
+
+    def test_synthetic_limit_is_the_builders(self):
+        from tog import bench
+
+        assert bench.MAX_TEMPLATES_PER_CLASS == 10
+        with pytest.raises(SceneSpecError, match="at most 10 templates per class"):
+            bench.build_class_templates("mug", count=11)
 
     @pytest.mark.parametrize(
         "argv,repeated",
@@ -573,6 +606,26 @@ class TestBenchCli:
         )
         assert err["code"] == "spec"
         assert "'same'" in err["message"]
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("source", ["synthetic", "db"])
+    def test_conditions_file_checked_before_templates(
+        self, ws, capsys, tmp_path, monkeypatch, source
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("templates were loaded or built")
+
+        monkeypatch.setattr("tog.cli.build_class_templates", refuse)
+        monkeypatch.setattr("tog.cli.load_db", refuse)
+        cond_path = tmp_path / "conditions.json"
+        cond_path.write_text(json.dumps({"conditions": [{"name": "x"}]}))
+        templates = ["--synthetic", "mug=2"] if source == "synthetic" else ["--db", ws["db"]]
+        err = run_error(
+            capsys,
+            ["bench", "run", *templates, "--conditions", str(cond_path), "--trials", "1",
+             "--out", str(tmp_path / "report.json")],
+        )
+        assert err["code"] == "spec"
         assert not (tmp_path / "report.json").exists()
 
 

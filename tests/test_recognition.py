@@ -20,7 +20,7 @@ from tog.errors import (
     SchemaError,
 )
 from tog.bench import build_class_templates
-from tog.geometry import PointCloud, aabb
+from tog.geometry import PointCloud, aabb, knn
 from tog.recognition import (
     cluster_size_from_counts,
     d_ccd,
@@ -345,13 +345,103 @@ class TestTemplateStats:
         whole_box = aabb(tpl.full_cloud)
         for path, part in tpl.parts.items():
             stats = recognition._template_stats(tpl.full_cloud, tpl, path)
-            ref = part_reference_index(part)
-            order = [ref] + [i for i in range(len(part)) if i != ref]
-            gathered = recognition._gather(
-                part.points, part.points[[ref]], np.array([order])
-            )
-            score = recognition._prefix_scores(*gathered, whole_box, stats)
-            assert score.tolist() == [0.0], path
+            gathered = recognition._gather_about(part.points, part_reference_index(part))
+            cluster = recognition._cluster_stats(*gathered, [len(part)], whole_box)[0]
+            assert recognition._score(cluster, stats).tolist() == [0.0], path
+
+
+def gathered(stack):
+    """(m, k, 3) clusters, column 0 the seed, as `_gather` gives them, nearer others first."""
+    stack = np.asarray(stack, dtype=np.float64)
+    dist = np.linalg.norm(stack - stack[:, :1], axis=2)
+    order = np.hstack([np.zeros((len(stack), 1), int), 1 + np.argsort(dist[:, 1:], axis=1)])
+    stack = np.take_along_axis(stack, order[:, :, None], axis=1)
+    idx = np.arange(stack.shape[0] * stack.shape[1]).reshape(stack.shape[:2])
+    return recognition._gather(stack.reshape(-1, 3), stack[:, 0], idx)
+
+
+def cluster_stack(shape, rng, m=60, k=200):
+    """m clusters of one shape, far from the origin, as an (m, k, 3) stack."""
+    offset = rng.normal(scale=10.0, size=(m, 1, 3))
+    if shape == "three-point":
+        return rng.normal(size=(m, 3, 3)) + offset
+    if shape == "coincident":
+        return np.broadcast_to(offset, (m, k, 3)).copy()
+    if shape == "equidistant":  # the seed, and the others at unit distance along the axes
+        return np.round(offset) + np.vstack([np.zeros(3), np.eye(3), -np.eye(3)])
+    if shape == "repeated":  # each point twice, the seed's copy included
+        return np.repeat(cluster_stack("random", rng, m, k // 2), 2, axis=1)
+    dims = {"random": 3, "planar": 2, "collinear": 1}[shape]
+    axes = np.linalg.qr(rng.normal(size=(m, 3, 3)))[0][:, :, :dims]
+    coeffs = rng.normal(size=(m, k, dims)) * [3.0, 1.0, 0.2][:dims]
+    return coeffs @ axes.transpose(0, 2, 1) + offset
+
+
+class TestClusterStats:
+    """The running-sum statistics against the earlier QR and two-pass route."""
+
+    BOX = aabb(PointCloud([[-20.0, -30.0, -40.0], [25.0, 35.0, 45.0]]))
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["random", "planar", "collinear", "three-point", "coincident", "equidistant", "repeated"],
+    )
+    def test_matches_qr_route(self, shape):
+        coords, dist = gathered(cluster_stack(shape, np.random.default_rng(1)))
+        k = dist.shape[1]
+        got = recognition._cluster_stats(coords, dist, [k], self.BOX)[0]
+        want = oracles.cluster_stats_qr(coords, dist, self.BOX)
+        if shape == "coincident":
+            # shifted to the seed, coincident points are exactly zero; centered
+            # on their rounded mean, they keep a spectrum of rounding noise
+            assert np.isnan(got[0]).all()
+            got, want = got[1:], want[1:]
+        for g, w in zip(got, want):
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+            assert np.all(np.abs(g - w)[~np.isnan(w)] <= 1e-12)
+        assert np.array_equal(got[-1], want[-1])  # box extremes are exact
+        if shape in ("coincident", "equidistant"):
+            assert np.isnan(got[-2]).all()
+
+    @pytest.mark.parametrize("shape", ["planar", "collinear", "three-point"])
+    def test_flat_clusters_keep_a_zero_smallest_value(self, shape):
+        # sqrt of a scatter eigenvalue near zero carries an error near
+        # sqrt(eps) of the largest; these rows must take the QR route
+        coords, dist = gathered(cluster_stack(shape, np.random.default_rng(2), m=200))
+        sigma_unit = recognition._cluster_stats(coords, dist, [dist.shape[1]], self.BOX)[0][0]
+        assert np.all(sigma_unit[:, 2] <= 1e-15 * sigma_unit[:, 0])
+
+    def test_flat_mug_cluster_keeps_a_zero_smallest_value(self):
+        # a 173-point cluster on a partial benchmark mug that lies in one
+        # plane; its smallest value read from the sums alone is about 1e-8
+        from perfbench.workloads import BY_NAME, make_scene
+
+        scene = PointCloud(make_scene(BY_NAME["mug-handle-partial"], 1, 1).points)
+        idx = np.array([knn(scene, scene.points[1144], 173)])
+        coords, dist = recognition._gather(scene.points, scene.points[[1144]], idx)
+        sigma_unit = recognition._cluster_stats(coords, dist, [173], aabb(scene))[0][0]
+        assert sigma_unit[0, 2] <= 1e-15 * sigma_unit[0, 0]
+
+    def test_every_size_from_one_pass(self):
+        # each k's statistics from one walk over the partitioned prefix equal
+        # the QR route on that k's members alone
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-1, 1, size=(400, 3))
+        pts[:100, 2] = 0.25  # a planar patch
+        pts[100:140, 1:] = 0.5  # a line
+        seeds = pts[::7]
+        ks = [3, 4, 37, 38, 150, 399]
+        kth = sorted({0, 1} | {k - 1 for k in ks} | {k for k in ks if k < len(pts)})
+        d2 = ((pts[None] - seeds[:, None]) ** 2).sum(axis=2)
+        idx = np.argpartition(d2, kth, axis=1)[:, : ks[-1]]
+        coords, dist = recognition._gather(pts, seeds, idx)
+        whole = aabb(PointCloud(pts))
+        for k, got in zip(ks, recognition._cluster_stats(coords, dist, ks, whole)):
+            want = oracles.cluster_stats_qr(coords[:, :, :k], dist[:, :k], whole)
+            for g, w in zip(got, want):
+                assert np.array_equal(np.isnan(g), np.isnan(w)), k
+                assert np.all(np.abs(g - w)[~np.isnan(w)] <= 1e-12), k
+            assert np.array_equal(got[2], want[2])
 
 
 class TestRecognize:
@@ -483,6 +573,29 @@ class TestSharedNeighborQuery:
         ks = [cluster_size_from_counts(90, 8, 90), cluster_size_from_counts(90, 21, 90)]
         assert ks == [8, 21]
         assert_matches_oracle(grid, [(whole, whole[:8]), (whole, whole[:21])])
+
+    def test_planar_collinear_and_coincident_regions(self):
+        # flat clusters take the QR route for their spectra, coincident ones
+        # are NaN, and k = 3 clusters are 3-point clusters
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(-1, 1, size=(160, 3))
+        pts[:50, 2] = 0.3  # a planar patch
+        pts[50:80, :2] = [0.2, -0.4]  # a line along z
+        pts[80:92] = pts[80]  # twelve coincident points
+        whole = rng.uniform(-1, 1, size=(160, 3))
+        parts = [whole[:3], whole[:16], whole[:40]]
+        assert [cluster_size_from_counts(160, len(p), 160) for p in parts] == [3, 16, 40]
+        got = assert_matches_oracle(pts, [(whole, p) for p in parts])
+        assert np.isnan(got.seed_scores[80:92]).all()
+
+    def test_templates_sharing_one_k(self):
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(-1, 1, size=(120, 3))
+        whole = rng.uniform(-1, 1, size=(60, 3))
+        parts = [whole[:12], whole[20:32], whole[40:52]]
+        assert cluster_size_from_counts(120, 12, 60) == 24
+        got = assert_matches_oracle(pts, [(whole, p) for p in parts])
+        assert len(set(got.per_template_scores.values())) == 3
 
     def test_whole_cloud_template_next_to_small_k(self):
         rng = np.random.default_rng(2)
