@@ -18,8 +18,8 @@ from tog.bench import build_class_templates, generate_object
 from tog.ontology import default_graph
 from tog.templates import (
     FRICTION_HALF_ANGLE_DEG,
+    GripperConfig,
     build_template,
-    default_gripper,
     load_db,
     sample_antipodal_grasps,
     save_db,
@@ -27,7 +27,7 @@ from tog.templates import (
 
 
 def main():
-    gripper = default_gripper()
+    gripper = GripperConfig()
     print(
         f"gripper: max opening {gripper.max_opening * 1000:.0f} mm, "
         f"finger depth {gripper.jaw_depth * 1000:.0f} mm, "

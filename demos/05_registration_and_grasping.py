@@ -20,14 +20,14 @@ from tog.geometry import apply_transform
 from tog.planning import plan
 from tog.recognition import recognize
 from tog.registration import register
-from tog.templates import default_gripper
+from tog.templates import GripperConfig
 
 
 def main():
     rng = default_rng(SeedSequence(5))
     bank = build_class_templates("bottle", count=3, n_points=4000)
     templates = list(bank.values())
-    gripper = default_gripper()
+    gripper = GripperConfig()
 
     true_pose = desk_pose(rng)
     scene = apply_transform(generate_object("bottle", 1500, rng), true_pose)
@@ -37,7 +37,7 @@ def main():
     print(f"recognized cap cluster: {len(rec.members)} points")
 
     registrations = {
-        t.id: register(scene, rec, t, leaf=0.005, seed=j)
+        t.id: register(scene, rec, t, seed=j)
         for j, t in enumerate(templates)
     }
     for tid, reg in registrations.items():

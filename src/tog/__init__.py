@@ -17,7 +17,6 @@ from .templates import (
     GripperConfig,
     Template,
     build_template,
-    default_gripper,
     load_db,
     save_db,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "__version__",
     "best_registration",
     "build_template",
-    "default_gripper",
     "default_graph",
     "export_artifacts",
     "load_db",

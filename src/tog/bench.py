@@ -27,7 +27,7 @@ from .geometry import PointCloud, RigidTransform, aabb, apply_transform, knn_ind
 from .pipeline import check_integer_setting, check_unique, register_all, select_templates
 from .planning import check_placement, check_stick, plan, points_in_closure
 from .recognition import recognize
-from .templates import GripperConfig, build_template, default_gripper
+from .templates import GripperConfig, build_template
 from .templates import part_mask as truth_mask
 
 HPR_RADIUS_FACTOR = 100.0
@@ -538,11 +538,16 @@ _TEMPLATE_SCALES = (1.0, 0.93, 1.08, 0.88, 1.15, 0.8, 1.25, 0.75, 1.3, 0.7)
 MAX_TEMPLATES_PER_CLASS = len(_TEMPLATE_SCALES)
 
 
+def class_template_ids(object_class: str, count: int) -> list[str]:
+    """The ids `build_class_templates` gives its `count` templates, in order."""
+    return [f"{object_class}-{i}" for i in range(count)]
+
+
 def build_class_templates(
     object_class: str,
     count: int = 3,
     leaf: float = 0.005,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
     rng_seed: int = 0,
     n_points: int = 6000,
     graph=None,
@@ -551,7 +556,7 @@ def build_class_templates(
     if count > MAX_TEMPLATES_PER_CLASS:
         raise SceneSpecError(f"at most {MAX_TEMPLATES_PER_CLASS} templates per class")
     out = {}
-    for i in range(count):
+    for i, template_id in enumerate(class_template_ids(object_class, count)):
         rng = np.random.default_rng((rng_seed, i))
         cloud = generate_object(object_class, n_points, rng, scale=_TEMPLATE_SCALES[i])
         template = build_template(
@@ -560,7 +565,7 @@ def build_class_templates(
             leaf=leaf,
             gripper=gripper,
             graph=graph,
-            template_id=f"{object_class}-{i}",
+            template_id=template_id,
             rng=(rng_seed, i),
         )
         out[template.id] = template
@@ -629,7 +634,7 @@ def run_trial(
     condition: Condition,
     templates: dict,
     rng,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
     trial_index: int = 0,
 ) -> TrialReport:
     """One generate-degrade-recognize-register-plan-score round trip.
@@ -637,7 +642,6 @@ def run_trial(
     Pipeline failures are recorded on the report (with the stage's error
     slug), never raised: a benchmark measures failure rates.
     """
-    gripper = gripper or default_gripper()
     report = TrialReport(condition=condition.name, trial_index=trial_index)
     t_start = time.perf_counter()
     try:
@@ -731,7 +735,7 @@ def run_suite(
     templates: dict,
     trials_per_condition: int = 10,
     master_seed: int = 0,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
 ) -> BenchReport:
     """Run every condition for `trials_per_condition` independent trials.
 

@@ -53,6 +53,7 @@ from .bench import (
     SHAPES,
     Condition,
     build_class_templates,
+    class_template_ids,
     run_suite,
 )
 from .cloud_io import load_cloud, read_json, read_text, save_ply
@@ -207,13 +208,15 @@ def _synthetic_specs(specs) -> list[tuple[str, int]]:
     return pairs
 
 
-def _check_template_ids(labeled, synthetic) -> None:
-    """SceneSpecError naming each template id that two inputs share.
+def _labeled_template_id(path) -> str:
+    """The id of the template built from a labeled cloud file: the file's stem."""
+    return Path(path).stem
 
-    Ids are file stems for labeled clouds, `<class>-<i>` for synthetic ones.
-    """
-    ids = [Path(path).stem for _, path in labeled]
-    ids += [f"{cls}-{i}" for cls, count in synthetic for i in range(count)]
+
+def _check_template_ids(labeled, synthetic) -> None:
+    """SceneSpecError naming each template id that two inputs share."""
+    ids = [_labeled_template_id(path) for _, path in labeled]
+    ids += [tid for cls, count in synthetic for tid in class_template_ids(cls, count)]
     check_unique("template ids", ids)
 
 
@@ -258,7 +261,7 @@ def cmd_db_build(args) -> int:
             leaf=ctx.leaf,
             gripper=settings.gripper,
             graph=graph,
-            template_id=Path(path).stem,
+            template_id=_labeled_template_id(path),
             rng=(settings.rng_seed, i),
         )
         templates[template.id] = template

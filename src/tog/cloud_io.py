@@ -31,6 +31,12 @@ def save_ply(cloud: PointCloud, path) -> None:
     lines = ["ply", "format ascii 1.0"]
     if labeled:
         names = sorted(set(cloud.labels.tolist()))
+        for name in names:  # `load_ply` reads a name back as its words joined by one space
+            if not name or " ".join(name.split()) != name:
+                raise CloudParseError(
+                    f"{path}: label {name!r} cannot be stored in a PLY header,"
+                    " which holds a label as non-empty words joined by single spaces"
+                )
         name_to_id = {name: i for i, name in enumerate(names)}
         for name, i in name_to_id.items():
             lines.append(f"comment label {i} {name}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from os import PathLike
 from pathlib import Path
@@ -36,7 +36,7 @@ from .ontology import (
 from .planning import GraspCandidate, plan
 from .recognition import RecognitionResult, recognize
 from .registration import RegistrationResult, best_registration, register
-from .templates import GripperConfig, Template, default_gripper, load_db
+from .templates import GripperConfig, Template, load_db
 
 REPORT_SCHEMA_VERSION = 1
 TRIAD_AXIS_LENGTH = 0.02
@@ -71,7 +71,7 @@ class PipelineConfig:
 
     db_path: str | None = None
     ontology_path: str | None = None
-    gripper: GripperConfig = field(default_factory=default_gripper)
+    gripper: GripperConfig = GripperConfig()
     template_cap: int = 3
     rng_seed: int = 0
 
@@ -80,6 +80,8 @@ class PipelineConfig:
             value = getattr(self, name)
             if value is not None and not isinstance(value, (str, PathLike)):
                 raise SceneSpecError(f"{name} must be a path, got {value!r}")
+        if not isinstance(self.gripper, GripperConfig):
+            raise SceneSpecError(f"gripper must be a GripperConfig, got {self.gripper!r}")
         check_integer_setting("template_cap", self.template_cap, 1)
         check_integer_setting("rng_seed", self.rng_seed, 0)
 
@@ -154,10 +156,7 @@ def register_all(
     errors: dict[str, str] = {}
     for i, (tid, template) in enumerate(templates.items()):
         try:
-            registrations[tid] = register(
-                scene, recognition, template, leaf=template.leaf,
-                seed=seed_base * 1000 + i,
-            )
+            registrations[tid] = register(scene, recognition, template, seed_base * 1000 + i)
         except TogError as exc:
             errors[tid] = f"{exc.code}: {exc}"
     if not registrations and strict:

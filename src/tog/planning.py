@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import PointCloud, RigidTransform, knn
 from .registration import best_registration
-from .templates import GraspPose, GripperConfig, default_gripper
+from .templates import GraspPose, GripperConfig
 
 
 @dataclass(frozen=True, eq=False)  # GraspPose's field-wise equality
@@ -82,7 +82,7 @@ def check_placement(
     pose: RigidTransform,
     width: float,
     obstacle_points: np.ndarray,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
 ) -> bool:
     """True when both finger volumes are clear of the given points.
 
@@ -90,7 +90,6 @@ def check_placement(
     x in +-[width/2, width/2 + finger_thickness], |y| <= jaw_depth/2,
     |z| <= closure_height/2, in the grasp frame.
     """
-    gripper = gripper or default_gripper()
     local = _gripper_frame_points(pose, obstacle_points)
     ax = np.abs(local[:, 0])
     in_finger_x = (ax >= width / 2) & (ax <= width / 2 + gripper.finger_thickness)
@@ -104,11 +103,10 @@ def points_in_closure(
     pose: RigidTransform,
     width: float,
     points: np.ndarray,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
 ) -> np.ndarray:
     """Mask of points inside the closed box swept between the jaws:
     |x| <= width/2, |y| <= jaw_depth/2, |z| <= closure_height/2."""
-    gripper = gripper or default_gripper()
     local = _gripper_frame_points(pose, points)
     return (
         (np.abs(local[:, 0]) <= width / 2)
@@ -121,7 +119,7 @@ def check_stick(
     pose: RigidTransform,
     width: float,
     part_points: np.ndarray,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
 ) -> bool:
     """True when part material crosses the jaw closing line.
 
@@ -130,7 +128,6 @@ def check_stick(
     stick_radius^2 in the grasp frame. Stricter than `points_in_closure`:
     it demands material where the fingertips actually meet.
     """
-    gripper = gripper or default_gripper()
     local = _gripper_frame_points(pose, part_points)
     on_axis = np.abs(local[:, 0]) <= width / 2
     radial2 = local[:, 1] ** 2 + local[:, 2] ** 2
@@ -167,7 +164,7 @@ def plan(
     recognition,
     registrations: dict,
     templates: dict,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
 ) -> list[GraspCandidate]:
     """Produce executable grasps for the recognized part, best first.
 
@@ -178,7 +175,6 @@ def plan(
     Survivors are ordered by (needed adjustment?, adjustment distance,
     stored order), in the scene frame.
     """
-    gripper = gripper or default_gripper()
     template_id = best_registration(registrations)
     template = templates[template_id]
     t_total = registrations[template_id].t_total

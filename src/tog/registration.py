@@ -3,7 +3,7 @@
 The observed cloud is registered in three stages: the recognized part is
 aligned to the template part (descriptor RANSAC plus ICP, retried until
 enough correspondences hold; pairs are found once per part pair, and inliers
-measured exactly only where a matmul bound is in doubt), the whole cloud is
+counted pair by pair only where a matmul bound is in doubt), the whole cloud is
 then rotated about the aligned seed over a fixed grid to resolve part-level
 ambiguity (an exact search that bounds every rotation from a distance field
 over the template and finishes only the rotations that can still win), and a
@@ -17,7 +17,7 @@ changed, and queries only the rest. FPFH computes each unordered point
 pair's offset once and takes the reverse pair's as its exact negation.
 RANSAC draws each 1024-hypothesis batch by its own `rng.integers` call, but
 gates (edge by edge, each edge only where the earlier ones held), fits and
-bounds the batches a group at a time (breadth-first, as preemptive RANSAC
+counts the batches in fixed groups (breadth-first, as preemptive RANSAC
 scores hypotheses: Nister 2003). It then replays the one-batch-at-a-time
 rule in order and discards the draws past its stopping point. Each fit is
 computed per matrix (batched SVD, determinant and three-term products), so
@@ -28,10 +28,10 @@ summation order it errs by under 17 u 6 scale^2 (u = 2^-53), far inside
 the margin 1e-9 scale^2, and so does the dense norm test. So pairs within
 thr^2 - margin are inliers and pairs past thr^2 + margin are not, a
 hypothesis with no pair between the two has its count exactly, and pairs
-are counted one by one only for hypotheses whose bounds differ and whose
-upper bound can still win their batch. None of this moves a bit of any
-result. kd-tree queries here run on the calling thread: the queries are
-small, and starting worker threads per call cost more than they saved.
+are counted one by one only for the hypotheses whose bounds differ. None
+of this moves a bit of any result. kd-tree queries here run on the calling
+thread: the queries are small, and starting worker threads per call cost
+more than they saved.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ LOCAL_ATTEMPTS = 20
 FPFH_BINS = 11
 _PAIR_BLOCK = 2**16  # point pairs whose angle features are held at once
 _BATCH = 1024  # RANSAC hypotheses per draw
-_GROUP_BATCHES = 8  # most RANSAC batches gated, fitted and bounded at once
+_GROUP_BATCHES = 8  # RANSAC batches gated, fitted and counted at once
 _HYPOTHESIS_PAIRS = 2**16  # hypothesis-pair distances held at once
 
 
@@ -273,16 +273,13 @@ def _inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist) -> np.ndarray:
 
 
 def _inlier_counter(src_pts, tgt_pts, inlier_dist):
-    """(rot, trans, batch, floor) -> per hypothesis, its inlier count where it can matter.
+    """(rot, trans) -> every hypothesis's exact inlier count.
 
-    ``batch`` numbers each hypothesis's batch, in ascending order. A squared distance is
-    [vec R, R^T t, t, 1, |t|^2] @ coef. With c the largest |coordinate|, a Kabsch fit has
-    |t| <= 2 sqrt(3) c, so its terms sum in magnitude to at most 48 c^2 < 6 scale^2 and
-    round off far inside margin. A hypothesis whose upper bound is at most ``floor`` gets
-    that bound; the others get their lower bound, or their exact count where the bounds
-    differ and the upper bound reaches the largest value of their batch. So in every
-    batch whose most inliers exceed ``floor``, the first hypothesis with the most, and
-    its count, are exact, and no other batch has a value above ``floor``.
+    A squared distance is [vec R, R^T t, t, 1, |t|^2] @ coef. With c the largest
+    |coordinate|, a Kabsch fit has |t| <= 2 sqrt(3) c, so its terms sum in magnitude to at
+    most 48 c^2 < 6 scale^2 and round off far inside margin. Pairs within thr^2 - margin
+    are inliers and pairs past thr^2 + margin are not, so a hypothesis whose two bounds
+    agree has that count, and the others are counted pair by pair.
     """
     qs = np.einsum("ni,nj->ijn", tgt_pts, src_pts).reshape(9, -1)
     offset = (src_pts**2).sum(axis=1) + (tgt_pts**2).sum(axis=1)
@@ -291,22 +288,16 @@ def _inlier_counter(src_pts, tgt_pts, inlier_dist):
     margin, thr2 = 1e-9 * scale**2, inlier_dist**2
     rows = max(1, _HYPOTHESIS_PAIRS // len(offset))
 
-    def counts(rot, trans, batch, floor):
-        value, high = np.empty((2, len(rot)), dtype=np.intp)
+    def counts(rot, trans):
+        value = np.empty(len(rot), dtype=np.intp)
         for start in range(0, len(rot), rows):
             r, t = rot[start : start + rows], trans[start : start + rows]
             terms = [r.reshape(-1, 9), np.einsum("mji,mj->mi", r, t), t, np.ones((len(r), 1))]
             d2 = np.hstack(terms + [(t**2).sum(axis=1)[:, None]]) @ coef
-            high[start : start + rows] = np.count_nonzero(d2 <= thr2 + margin, axis=1)
-            hot = np.flatnonzero(high[start : start + rows] > floor)
-            value[start : start + rows] = high[start : start + rows]
-            value[start + hot] = np.count_nonzero(d2[hot] <= thr2 - margin, axis=1)
-        first = np.flatnonzero(np.r_[True, batch[1:] != batch[:-1]])
-        batch_max = np.repeat(np.maximum.reduceat(value, first), np.diff(np.r_[first, len(value)]))
-        doubt = np.flatnonzero((value < high) & (high > floor) & (high >= batch_max))
-        for start in range(0, len(doubt), rows):
-            some = doubt[start : start + rows]
-            value[some] = _inlier_counts(rot[some], trans[some], src_pts, tgt_pts, inlier_dist)
+            low = np.count_nonzero(d2 <= thr2 - margin, axis=1)
+            doubt = np.flatnonzero(np.count_nonzero(d2 <= thr2 + margin, axis=1) > low)
+            low[doubt] = _inlier_counts(r[doubt], t[doubt], src_pts, tgt_pts, inlier_dist)
+            value[start : start + rows] = low
         return value
     return counts
 
@@ -330,9 +321,9 @@ def coarse_align(
     Hypotheses are drawn in batches of 1024. A batch's first hypothesis with
     the most inliers replaces the best so far when it has strictly more (and
     at least 3), and each replacement recomputes how many hypotheses the
-    RANSAC confidence needs. Batches are scored a group at a time: the first
-    group holds one batch, each next one twice as many up to
-    `_GROUP_BATCHES`, never past the hypotheses still needed.
+    RANSAC confidence needs. Batches are scored in groups of
+    `_GROUP_BATCHES`, never past the hypotheses still needed, and the rule
+    is replayed batch by batch, so draws past its stop are discarded.
     """
     if len(source) < 10 or len(target) < 10:
         raise InsufficientPointsError("coarse alignment needs >= 10 points per cloud")
@@ -351,16 +342,14 @@ def coarse_align(
     best = None  # (count, transform)
     tried = 0
     needed = MAX_RANSAC_HYPOTHESES
-    group = 1
     while tried < min(needed, MAX_RANSAC_HYPOTHESES):
         draws, ends = [], []
         drawn = tried
-        while len(draws) < group and drawn < min(needed, MAX_RANSAC_HYPOTHESES):
+        while len(draws) < _GROUP_BATCHES and drawn < min(needed, MAX_RANSAC_HYPOTHESES):
             m = min(_BATCH, MAX_RANSAC_HYPOTHESES - drawn)
             draws.append(rng.integers(0, n_pairs, size=(m, 3)))
             drawn += m
             ends.append(drawn)
-        group = min(2 * group, _GROUP_BATCHES)
         sel = np.concatenate(draws)
         batch = np.repeat(np.arange(len(draws)), [len(d) for d in draws])
         keep = np.arange(len(sel))
@@ -389,7 +378,7 @@ def coarse_align(
             flip[:, 2, 2] = np.sign(det)
             rot = np.einsum("mij,mjk,mkl->mil", vt.transpose(0, 2, 1), flip, u.transpose(0, 2, 1))
             trans = tc[:, 0, :] - np.einsum("mij,mj->mi", rot, sc[:, 0, :])
-            counts = count_of(rot, trans, batch, 2 if best is None else best[0])
+            counts = count_of(rot, trans)
         bounds = np.searchsorted(batch, np.arange(len(draws) + 1))
         for lo, hi, tried in zip(bounds, bounds[1:], ends):  # replay batch by batch
             if hi > lo:
@@ -678,14 +667,9 @@ class RegistrationResult:
     template_id: str
 
 
-def register(
-    o_all: PointCloud,
-    recognition,
-    template,
-    leaf: float = 0.005,
-    seed: int = 0,
-) -> RegistrationResult:
-    """Full observed-to-template alignment through all three stages."""
+def register(o_all: PointCloud, recognition, template, seed: int = 0) -> RegistrationResult:
+    """Full observed-to-template alignment through all three stages, at the template's leaf."""
+    leaf = template.leaf
     m_part = template.part(recognition.part_path)
     local = register_local(recognition.part_cloud, m_part, leaf, seed=seed)
     t_loc = local.transform

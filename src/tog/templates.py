@@ -45,8 +45,8 @@ DEDUP_CENTER_DIST = 0.005
 DEDUP_AXIS_ANGLE_DEG = 10.0
 
 
-def _is_leaf(value) -> bool:
-    """Whether `value` is a usable voxel size: a finite positive number."""
+def _is_positive(value) -> bool:
+    """Whether `value` is a finite positive number, and not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real):
         return False
     return 0 < value < math.inf
@@ -54,7 +54,7 @@ def _is_leaf(value) -> bool:
 
 def check_leaf(leaf):
     """``leaf`` itself if it is a usable voxel size, else a `SceneSpecError`."""
-    if not _is_leaf(leaf):
+    if not _is_positive(leaf):
         raise SceneSpecError(f"leaf must be a positive number of meters, got {leaf!r}")
     return leaf
 
@@ -77,14 +77,11 @@ class GripperConfig:
             "closure_height",
             "stick_radius",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"gripper {name} must be positive")
+            value = getattr(self, name)
+            if not _is_positive(value):
+                raise ValueError(f"gripper {name} must be a positive finite number, got {value!r}")
         if self.stick_radius >= self.max_opening / 2:
             raise ValueError("stick_radius must be smaller than half the opening")
-
-
-def default_gripper() -> GripperConfig:
-    return GripperConfig()
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ class Template:
     def __post_init__(self):
         if not self.id or not self.object_class:
             raise SchemaError("template id and object_class must be non-empty")
-        if not _is_leaf(self.leaf):
+        if not _is_positive(self.leaf):
             raise SchemaError(
                 f"template leaf must be a positive number, got {self.leaf!r}"
             )
@@ -243,7 +240,7 @@ def _grasp_from_pair(p_a, p_b, width, centroid) -> GraspPose:
 
 def sample_antipodal_grasps(
     part: PointCloud,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
     target_count: int = GRASP_TARGET,
     rng=0,
 ) -> tuple:
@@ -255,7 +252,6 @@ def sample_antipodal_grasps(
     orientation cannot flip the verdict. Near-duplicate grasps (centers
     closer than 5 mm with closing axes within 10 degrees) are dropped.
     """
-    gripper = gripper or default_gripper()
     generator = np.random.default_rng(rng)
     points = part.points
     n = len(points)
@@ -307,7 +303,7 @@ def build_template(
     labeled_cloud: PointCloud,
     object_class: str,
     leaf: float = DEFAULT_LEAF,
-    gripper: GripperConfig | None = None,
+    gripper: GripperConfig = GripperConfig(),
     graph=None,
     template_id: str | None = None,
     rng=0,
@@ -321,7 +317,6 @@ def build_template(
     gets an empty grasp set, and planning on it raises NoGraspError.
     """
     check_leaf(leaf)
-    gripper = gripper or default_gripper()
     model = voxel_downsample(labeled_cloud, leaf)
     template = Template(template_id or object_class, object_class, model, {}, leaf)
     if graph is not None:

@@ -63,7 +63,7 @@ from tog.registration import (
     register,
     rotation_candidates,
 )
-from tog.templates import default_gripper
+from tog.templates import GripperConfig
 
 LEAF = 0.005
 
@@ -393,7 +393,7 @@ def test_criterion_06_registration_recovers_known_poses(mug_bank):
             members=members,
             part_path="handle",
         )
-        reg = register(partial, stub, tpl, leaf=LEAF, seed=s)
+        reg = register(partial, stub, tpl, seed=s)
         moved = reg.t_total.apply(partial.points)
         residual = float(np.median(tpl.full_cloud.tree.query(moved)[0]))
         wins += int(residual < 0.005)
@@ -441,7 +441,7 @@ def _first_feasible(candidates, scene_points, gripper):
 def test_criterion_07_pipeline_beats_direct_registration(scissor_bank):
     t0 = time.perf_counter()
     tlist = list(scissor_bank.values())
-    gripper = default_gripper()
+    gripper = GripperConfig()
     pipe_wins = base_wins = stick_initial = total_plans = 0
     for i in range(20):
         rng = default_rng(SeedSequence((1717, i)))
@@ -450,7 +450,7 @@ def test_criterion_07_pipeline_beats_direct_registration(scissor_bank):
         try:
             rec = recognize(scene, tlist, "handle")
             regs = {
-                t.id: register(scene, rec, t, leaf=LEAF, seed=i * 100 + j)
+                t.id: register(scene, rec, t, seed=i * 100 + j)
                 for j, t in enumerate(tlist)
             }
             plans = plan(scene, rec, regs, scissor_bank)

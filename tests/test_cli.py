@@ -659,6 +659,23 @@ class TestPrecedence:
         err = run_error(capsys, ["db", "inspect", "--config", str(config)])
         assert err["code"] == "spec"
 
+    @pytest.mark.parametrize(
+        "gripper", [{"max_opening": True}, {"jaw_depth": float("inf")}], ids=["true", "infinity"]
+    )
+    @pytest.mark.parametrize("command", ["db-build", "plan"])
+    def test_gripper_must_be_finite_numbers(self, ws, capsys, tmp_path, gripper, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"gripper": gripper}))  # inf is written as Infinity
+        out = tmp_path / "db"
+        argv = {
+            "db-build": ["db", "build", "--out", str(out), "--synthetic", "slab=1"],
+            "plan": ["plan", "--db", ws["db"], "--fixtures", ws["chat"],
+                     "--instruction", POUR, "--scene", ws["scene"]],
+        }[command]
+        err = run_error(capsys, [*argv, "--config", str(config)])
+        assert err["code"] == "spec" and next(iter(gripper)) in err["message"]
+        assert not out.exists()  # refused before any work
+
     def test_bad_config_file(self, ws, capsys, tmp_path):
         config = tmp_path / "config.json"
         config.write_text("[1, 2]")

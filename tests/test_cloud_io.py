@@ -38,6 +38,19 @@ class TestPly:
         assert np.allclose(back.points, labeled_cloud.points, atol=1e-7)
         assert back.labels.tolist() == labeled_cloud.labels.tolist()
 
+    @pytest.mark.parametrize("names", [["a", "b.c"], ["two words", "x"]], ids=str)
+    def test_round_trip_label_names(self, tmp_path, names):
+        cloud = PointCloud(np.zeros((4, 3)), names * 2)
+        save_ply(cloud, tmp_path / "c.ply")
+        assert load_ply(tmp_path / "c.ply").labels.tolist() == names * 2
+
+    @pytest.mark.parametrize("name", ["", "a  b", "line\nbreak", " lead", "tab\tbed"], ids=repr)
+    def test_refuses_a_label_that_would_not_read_back(self, tmp_path, name):
+        cloud = PointCloud(np.zeros((2, 3)), ["ok", name])
+        with pytest.raises(TogError, match=re.escape(repr(name))):
+            save_ply(cloud, tmp_path / "c.ply")
+        assert not (tmp_path / "c.ply").exists()
+
     def test_round_trip_unlabeled(self, tmp_path):
         cloud = PointCloud([[0.001, -0.5, 2.25], [1e-6, 0, 3]])
         path = tmp_path / "c.ply"

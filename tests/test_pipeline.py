@@ -31,7 +31,7 @@ from tog.pipeline import (
     select_templates,
 )
 from tog.recognition import recognize
-from tog.registration import register
+from tog.registration import register_local
 from tog.templates import GripperConfig, build_template, load_db, save_db
 
 POUR = "Pour the water out of the mug."
@@ -87,6 +87,8 @@ class TestConfig:
             PipelineConfig(db_path="x", template_cap=0)
         with pytest.raises(SceneSpecError):
             PipelineConfig(db_path="x", rng_seed=-1)
+        with pytest.raises(SceneSpecError, match="gripper must be a GripperConfig, got None"):
+            PipelineConfig(db_path="x", gripper=None)
 
 
 class TestRunPipeline:
@@ -215,7 +217,7 @@ class TestStages:
     def test_register_all_seeds_and_captures_errors(self, monkeypatch):
         seeds = []
 
-        def fake_register(scene, recognition, template, leaf, seed):
+        def fake_register(scene, recognition, template, seed):
             seeds.append(seed)
             if template.name == "bad":
                 raise CoarseFailureError("no hypothesis", stage="coarse")
@@ -243,13 +245,13 @@ class TestStages:
         recognition = recognize(scene, list(bank.values()), "handle")
         calls = []
 
-        def spy(scene, recognition, template, leaf, seed):
-            calls.append((template.leaf, leaf))
-            return register(scene, recognition, template, leaf=leaf, seed=seed)
+        def spy(o_part, m_part, leaf, seed):
+            calls.append(leaf)
+            return register_local(o_part, m_part, leaf, seed=seed)
 
-        monkeypatch.setattr("tog.pipeline.register", spy)
+        monkeypatch.setattr("tog.registration.register_local", spy)
         registrations, errors = register_all(scene, recognition, bank, 0)
-        assert calls == [(0.005, 0.005), (0.006, 0.006)]
+        assert calls == [0.005, 0.006]
         assert list(registrations) == ["fine", "coarse"] and errors == {}
 
 

@@ -21,7 +21,6 @@ from tog.templates import (
     Template,
     ancestor_paths,
     build_template,
-    default_gripper,
     load_db,
     load_template,
     part_paths_from_labels,
@@ -123,7 +122,7 @@ def mug_template():
 
 class TestGripperConfig:
     def test_defaults_valid(self):
-        g = default_gripper()
+        g = GripperConfig()
         assert g.max_opening > 0 and g.stick_radius < g.max_opening / 2
 
     @pytest.mark.parametrize(
@@ -207,7 +206,7 @@ class TestSampling:
         assert len(mug_template.grasps["body"]) >= 50
 
     def test_grasps_satisfy_first_principles(self, mug_template):
-        gripper = default_gripper()
+        gripper = GripperConfig()
         for path in ("handle", "body.outside"):
             part = mug_template.parts[path]
             for g in mug_template.grasps[path][:15]:
@@ -223,7 +222,7 @@ class TestSampling:
                 ), f"grasp on {path} fails the antipodal check"
 
     def test_widths_within_opening(self, mug_template):
-        gripper = default_gripper()
+        gripper = GripperConfig()
         for grasps in mug_template.grasps.values():
             for g in grasps:
                 assert 0 < g.width <= gripper.max_opening * (1 + 1e-12)
