@@ -215,7 +215,9 @@ def run_pipeline(
     `include_timings` the report's `timings` holds the wall seconds of each
     stage (`setup_seconds`, `resolve_seconds`, `recognize_seconds`,
     `register_seconds`, `plan_seconds`) and of the whole run
-    (`total_seconds`).
+    (`total_seconds`). Repeated calls in one process reuse the database's
+    templates while their files are unchanged (`load_template`), and with
+    them the descriptors and distance fields registration built on them.
     """
     t_start = time.perf_counter()
     timings: dict[str, float] = {}

@@ -498,7 +498,10 @@ def _distance_field(cloud: PointCloud) -> _DistanceField:
     empty = np.ones(((hi - lo) / spacing).astype(np.intp) + 1, dtype=bool)
     empty[tuple(((pts - lo) / spacing).astype(np.intp).T)] = False
     edt = ndimage.distance_transform_edt(empty, sampling=spacing)
-    return _DistanceField(edt - 0.5 * np.sqrt(3.0) * spacing, spacing, lo, hi)
+    field = _DistanceField(edt - 0.5 * np.sqrt(3.0) * spacing, spacing, lo, hi)
+    for values in (field.values, lo, hi):
+        values.setflags(write=False)  # cached on the cloud, shared by later calls
+    return field
 
 
 def _field_bounds(mats, pts, pivot, field: _DistanceField, out=None) -> np.ndarray:

@@ -8,19 +8,30 @@ a model point. Part names are dot paths ("body.outside"); an ancestor path
 names the union of its descendants. A template file stores the labeled
 model once, and its parts are derived from its labels on load; a small
 index lists the files. Templates round-trip bit exactly.
+
+A process loads each template file once: `load_template` returns the
+`Template` it built before while the file's path and full text match (at
+most `TEMPLATE_CACHE_SIZE` kept, least recently used out), and raises on
+every call for a file it cannot read or parse, as errors are not cached.
+Shared templates are read-only (`parts`, `grasps` and every array), so the
+descriptors, kd-trees and distance fields registration caches on their
+clouds, values of the points alone, serve every later scene.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from numbers import Real
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .cloud_io import cloud_from_dict, cloud_to_dict, read_json
+from .cloud_io import cloud_from_dict, cloud_to_dict, parse_json, read_json, read_text
 from .errors import (
     CloudParseError,
     DegeneratePartError,
@@ -43,6 +54,7 @@ GRASP_TARGET = 50
 FRICTION_HALF_ANGLE_DEG = 10.0
 DEDUP_CENTER_DIST = 0.005
 DEDUP_AXIS_ANGLE_DEG = 10.0
+TEMPLATE_CACHE_SIZE = 32
 
 
 def _is_positive(value) -> bool:
@@ -132,15 +144,16 @@ class Template:
     `parts` maps every label path and ancestor path of `full_cloud` to its
     label subset (`select_part`), in sorted path order. A model without
     labels raises SchemaError; a part below MIN_PART_POINTS points raises
-    DegeneratePartError.
+    DegeneratePartError. `parts` and `grasps` are stored as read-only
+    mappings, since a loaded template is shared (see `load_template`).
     """
 
     id: str
     object_class: str
     full_cloud: PointCloud
-    grasps: dict
+    grasps: Mapping
     leaf: float = DEFAULT_LEAF
-    parts: dict = field(init=False, repr=False, compare=False)
+    parts: Mapping = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.id or not self.object_class:
@@ -162,7 +175,8 @@ class Template:
             parts[path] = part
         if not parts:
             raise SchemaError(f"template '{self.id}' has no parts")
-        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "parts", MappingProxyType(parts))
+        object.__setattr__(self, "grasps", MappingProxyType(dict(self.grasps)))
         stray = set(self.grasps) - set(self.parts)
         if stray:
             raise SchemaError(
@@ -391,7 +405,18 @@ def save_template(template: Template, path) -> None:
 
 
 def load_template(path) -> Template:
-    return template_from_dict(read_json(path, CloudParseError))
+    """The template in the file at `path`, shared while the file's text is unchanged.
+
+    The key is the path as given plus the file's full text, so any change
+    to the file yields a fresh template; an unreadable or malformed file
+    raises its error on every call.
+    """
+    return _template_from_text(path, read_text(path, CloudParseError))
+
+
+@lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _template_from_text(path, text: str) -> Template:
+    return template_from_dict(parse_json(text, CloudParseError, path))
 
 
 def save_db(templates, directory) -> Path:
@@ -417,7 +442,13 @@ def save_db(templates, directory) -> Path:
 
 
 def load_db(directory) -> dict:
-    """Load a template database as an id-keyed dict, in index order."""
+    """Load a template database as an id-keyed dict, in index order.
+
+    The index is read and every entry checked on each call: ids must be
+    unique, and each entry's id and object_class must match its file's.
+    The templates themselves come from `load_template`, so a process that
+    loads an unchanged database again gets the same `Template` objects.
+    """
     directory = Path(directory)
     index_path = directory / "db.json"
     if not index_path.exists():
@@ -434,18 +465,20 @@ def load_db(directory) -> dict:
     for i, entry in enumerate(entries):
         if not (
             isinstance(entry, dict)
-            and isinstance(entry.get("id"), str)
-            and isinstance(entry.get("file"), str)
+            and all(isinstance(entry.get(key), str) for key in ("id", "object_class", "file"))
         ):
             raise SchemaError(
-                f"{index_path}: template entry {i} needs string 'id' and 'file'"
+                f"{index_path}: template entry {i} needs string 'id', 'object_class' and 'file'"
             )
+        if entry["id"] in out:
+            raise SchemaError(f"{index_path}: template id '{entry['id']}' is listed twice")
         template = load_template(directory / entry["file"])
-        if template.id != entry["id"]:
-            raise SchemaError(
-                f"{entry['file']}: id '{template.id}' does not match index "
-                f"entry '{entry['id']}'"
-            )
+        for key in ("id", "object_class"):
+            if getattr(template, key) != entry[key]:
+                raise SchemaError(
+                    f"{entry['file']}: {key} '{getattr(template, key)}' does not match "
+                    f"index entry '{entry[key]}'"
+                )
         out[template.id] = template
     if not out:
         raise SchemaError(f"{directory}: template database is empty")

@@ -32,7 +32,13 @@ from tog.pipeline import (
 )
 from tog.recognition import recognize
 from tog.registration import register_local
-from tog.templates import GripperConfig, build_template, load_db, save_db
+from tog.templates import (
+    GripperConfig,
+    _template_from_text,
+    build_template,
+    load_db,
+    save_db,
+)
 
 POUR = "Pour the water out of the mug."
 SHAKE = "Shake the bottle before I drink it."
@@ -302,3 +308,65 @@ class TestExport:
         )
         written = export_artifacts(bare, tmp_path / "bare")
         assert [p.name for p in written] == ["scene.ply", "cluster.ply"]
+
+
+@pytest.fixture(scope="module")
+def bottle_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bottle")
+    templates = build_class_templates("bottle", count=2, rng_seed=0, n_points=4000)
+    save_db(templates.values(), root / "db")
+    scene = apply_transform(
+        generate_object("bottle", 2000, np.random.default_rng(6)),
+        desk_pose(np.random.default_rng(7)),
+    )
+    save_json(scene, root / "scene.json")
+    return {"db": str(root / "db"), "scene": str(root / "scene.json")}
+
+
+def _report_text(db, instruction, scene, client) -> str:
+    result = run_pipeline(
+        PipelineConfig(db_path=db), instruction, scene, client, include_timings=False
+    )
+    return json.dumps(result.report, sort_keys=True)
+
+
+class TestTemplateReuse:
+    @pytest.mark.parametrize("object_class", ["mug", "bottle"])
+    def test_cold_and_warm_reports_are_byte_identical(
+        self, workspace, bottle_workspace, object_class
+    ):
+        ws = workspace if object_class == "mug" else bottle_workspace
+        instruction = POUR if object_class == "mug" else SHAKE
+        _template_from_text.cache_clear()
+        cold = _report_text(ws["db"], instruction, ws["scene"], workspace["client"])
+        assert _template_from_text.cache_info().hits == 0
+        warm = _report_text(ws["db"], instruction, ws["scene"], workspace["client"])
+        assert _template_from_text.cache_info().hits == 2
+        assert warm == cold
+
+    def test_cached_templates_hold_only_template_data(self, workspace, tmp_path):
+        scenes = []
+        for seed in range(3):
+            scene = apply_transform(
+                generate_object("mug", 1200, np.random.default_rng(20 + seed)),
+                desk_pose(np.random.default_rng(30 + seed)),
+            )
+            scenes.append(tmp_path / f"scene-{seed}.json")
+            save_json(scene, scenes[-1])
+        _template_from_text.cache_clear()
+        seen = []
+        for path in [workspace["scene"], *scenes]:
+            run_pipeline(
+                PipelineConfig(db_path=workspace["db"]), POUR, path, workspace["client"],
+                include_timings=False, strict=False,
+            )
+            seen.append({
+                (tid, name): set(cloud._derived)
+                for tid, t in load_db(workspace["db"]).items()
+                for name, cloud in [("full", t.full_cloud), *t.parts.items()]
+            })
+        assert all(keys == seen[0] for keys in seen)
+        keys = set().union(*seen[0].values())
+        assert keys == {("fpfh", 0.025), "distance-field"}
+        assert seen[0][("mug-0", "full")] == {"distance-field"}
+        assert seen[0][("mug-0", "handle")] == {("fpfh", 0.025)}

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from tog.templates import (
     GraspPose,
     GripperConfig,
     Template,
+    _template_from_text,
     ancestor_paths,
     build_template,
     load_db,
@@ -518,3 +520,108 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             mug_template.part("wing")
         assert mug_template.part_grasps("handle") == mug_template.grasps["handle"]
+
+
+class TestReadOnlyTemplate:
+    def test_parts_and_grasps_refuse_item_assignment(self, mug_template):
+        with pytest.raises(TypeError):
+            mug_template.parts["handle"] = mug_template.parts["body"]
+        with pytest.raises(TypeError):
+            mug_template.grasps["handle"] = ()
+        with pytest.raises(TypeError):
+            del mug_template.grasps["body"]
+
+    def test_given_grasps_are_copied(self, mug_template):
+        grasps = dict(mug_template.grasps)
+        t = replace(mug_template, grasps=grasps)
+        grasps["handle"] = ()
+        assert t.grasps["handle"] == mug_template.grasps["handle"]
+
+    def test_replace_dict_and_equality_as_before(self, mug_template):
+        fewer = replace(mug_template, grasps={"handle": mug_template.grasps["handle"][:3]})
+        assert dict(fewer.grasps) == {"handle": mug_template.grasps["handle"][:3]}
+        with pytest.raises(TypeError):
+            fewer.grasps["body"] = ()
+        assert fewer != mug_template
+        assert replace(mug_template, grasps=dict(mug_template.grasps)) == mug_template
+        data = template_to_dict(fewer)
+        assert type(data["grasps"]) is dict
+        assert list(data["grasps"]) == ["handle"]
+        assert json.loads(json.dumps(data)) == data
+
+
+class TestTemplateReuse:
+    def test_unchanged_database_gives_the_same_templates(self, mug_template, tmp_path):
+        save_db([mug_template, replace(mug_template, id="mug-1")], tmp_path / "db")
+        first = load_db(tmp_path / "db")
+        again = load_db(tmp_path / "db")
+        assert list(again) == ["mug-0", "mug-1"]
+        assert all(again[tid] is first[tid] for tid in first)
+
+    def test_rewritten_file_of_the_same_length_gives_a_fresh_template(
+        self, mug_template, tmp_path
+    ):
+        db = save_db([mug_template, replace(mug_template, id="mug-1")], tmp_path / "db")
+        first = load_db(db)
+        path = db / "mug-0.template.json"
+        text = path.read_text()
+        stat = path.stat()
+        assert text.count('"leaf": 0.005') == 1
+        path.write_text(text.replace('"leaf": 0.005', '"leaf": 0.006'))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        again = load_db(db)
+        assert again["mug-0"] is not first["mug-0"]
+        assert again["mug-0"].leaf == 0.006 and first["mug-0"].leaf == 0.005
+        assert again["mug-1"] is first["mug-1"]
+
+    @pytest.mark.parametrize("corrupt", ["not_json", "missing"])
+    def test_errors_are_raised_on_every_call(self, mug_template, tmp_path, corrupt):
+        db = save_db([mug_template], tmp_path / "db")
+        path = db / "mug-0.template.json"
+        text = path.read_text()
+        good = load_template(path)
+        if corrupt == "not_json":
+            path.write_text("{broken")
+        else:
+            path.unlink()
+        for _ in range(3):
+            with pytest.raises(CloudParseError, match="mug-0.template.json"):
+                load_template(path)
+            with pytest.raises(CloudParseError, match="mug-0.template.json"):
+                load_db(db)
+        path.write_text(text)
+        assert load_template(path) is good
+
+    def test_schema_errors_are_raised_on_every_call(self, mug_template, tmp_path):
+        path = tmp_path / "mug-0.template.json"
+        data = template_to_dict(mug_template)
+        del data["full_cloud"]["labels"]
+        path.write_text(json.dumps(data))
+        misses = _template_from_text.cache_info().misses
+        for _ in range(3):
+            with pytest.raises(SchemaError, match="labeled model"):
+                load_template(path)
+        assert _template_from_text.cache_info().misses == misses + 3
+
+    def test_repeated_id_rejected(self, mug_template, tmp_path):
+        db = save_db([mug_template, replace(mug_template, id="mug-1")], tmp_path / "db")
+        index_path = db / "db.json"
+        index = json.loads(index_path.read_text())
+        index["templates"].append(dict(index["templates"][0]))
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(SchemaError, match="'mug-0' is listed twice"):
+            load_db(db)
+
+    @pytest.mark.parametrize("object_class", ["bottle", None, 3])
+    def test_index_class_must_match_the_file(self, mug_template, tmp_path, object_class):
+        db = save_db([mug_template], tmp_path / "db")
+        index_path = db / "db.json"
+        index = json.loads(index_path.read_text())
+        if object_class is None:
+            del index["templates"][0]["object_class"]
+        else:
+            index["templates"][0]["object_class"] = object_class
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(SchemaError, match="object_class"):
+            load_db(db)
