@@ -7,8 +7,10 @@ flipping, optionally degrades it (corner occlusion, Gaussian jitter,
 neighborhood smoothing), then runs recognition, registration, and planning
 and scores the outcome against the ground-truth labels. Per-trial random
 streams are derived from (master seed, condition index, trial index), so
-any single trial can be replayed in isolation. Trials call the pipeline's
-`select_templates` and `register_all`, so they measure the shipped stages.
+any single trial can be replayed in isolation. `make_scene` is the one
+recipe of a trial's scene. Trials run the pipeline's stages through
+`pipeline.stage`, `select_templates` and `register_all`, so they measure
+the shipped code and tag each failure with its stage.
 """
 
 from __future__ import annotations
@@ -24,10 +26,16 @@ from scipy.spatial.transform import Rotation
 
 from .errors import SceneSpecError, TogError
 from .geometry import PointCloud, RigidTransform, aabb, apply_transform, knn_indices_batch
-from .pipeline import check_integer_setting, check_unique, register_all, select_templates
+from .pipeline import (
+    check_integer_setting,
+    check_unique,
+    register_all,
+    select_templates,
+    stage,
+)
 from .planning import check_placement, check_stick, plan, points_in_closure
 from .recognition import recognize
-from .templates import GripperConfig, build_template
+from .templates import DEFAULT_LEAF, GripperConfig, build_template
 from .templates import part_mask as truth_mask
 
 HPR_RADIUS_FACTOR = 100.0
@@ -546,7 +554,7 @@ def class_template_ids(object_class: str, count: int) -> list[str]:
 def build_class_templates(
     object_class: str,
     count: int = 3,
-    leaf: float = 0.005,
+    leaf: float = DEFAULT_LEAF,
     gripper: GripperConfig = GripperConfig(),
     rng_seed: int = 0,
     n_points: int = 6000,
@@ -630,6 +638,30 @@ def camera_with_part_visible(
     return best
 
 
+def make_scene(condition: Condition, rng) -> PointCloud:
+    """The labeled scene of one trial of `condition`, drawn from `rng`.
+
+    Shape variant (with `dims_fraction`), object sample, desk pose, then
+    with `partial` a viewpoint keeping `min_part_visibility` of the part and
+    a thinning to `n_points`, then `perturb`. The draws come in that order,
+    so a seeded rng always yields the same scene.
+    """
+    dims = None
+    if condition.dims_fraction > 0:
+        dims = perturbed_dims(condition.object_class, rng, condition.dims_fraction)
+    sample_n = condition.n_points * (4 if condition.partial else 1)
+    full = generate_object(condition.object_class, sample_n, rng, condition.scale, dims=dims)
+    view = apply_transform(full, desk_pose(rng))
+    if condition.partial:
+        view, _camera, _retained = camera_with_part_visible(
+            view, condition.part_path, rng, min_visibility=condition.min_part_visibility
+        )
+        if len(view) > condition.n_points:
+            keep = rng.choice(len(view), condition.n_points, replace=False)
+            view = view.select(np.sort(keep))
+    return perturb(view, rng, condition.occlusion, condition.noise_sigma, condition.smooth_k)
+
+
 def run_trial(
     condition: Condition,
     templates: dict,
@@ -639,66 +671,40 @@ def run_trial(
 ) -> TrialReport:
     """One generate-degrade-recognize-register-plan-score round trip.
 
-    Pipeline failures are recorded on the report (with the stage's error
-    slug), never raised: a benchmark measures failure rates.
+    The scene is `make_scene`'s, and the stages run as in `run_pipeline`
+    (setup, recognize, register, plan). Pipeline failures are recorded on
+    the report as "code: [stage] message", never raised: a benchmark
+    measures failure rates.
     """
     report = TrialReport(condition=condition.name, trial_index=trial_index)
+    timings: dict[str, float] = {}
     t_start = time.perf_counter()
     try:
-        if condition.template_ids:
-            missing = [tid for tid in condition.template_ids if tid not in templates]
-            if missing:
-                raise SceneSpecError(f"template ids {missing} are not in the bank")
-            selected = {tid: templates[tid] for tid in condition.template_ids}
-        else:
-            selected = select_templates(
-                templates, condition.object_class, condition.part_path
-            )
-        dims = (
-            perturbed_dims(condition.object_class, rng, condition.dims_fraction)
-            if condition.dims_fraction > 0
-            else None
-        )
-        sample_n = condition.n_points * (4 if condition.partial else 1)
-        full = generate_object(
-            condition.object_class, sample_n, rng, condition.scale, dims=dims
-        )
-        scene_full = apply_transform(full, desk_pose(rng))
-        if condition.partial:
-            view, _camera, _retained = camera_with_part_visible(
-                scene_full,
-                condition.part_path,
-                rng,
-                min_visibility=condition.min_part_visibility,
-            )
-            if len(view) > condition.n_points:
-                keep = np.sort(
-                    rng.choice(len(view), condition.n_points, replace=False)
-                )
-                view = view.select(keep)
-        else:
-            view = scene_full
-        scene = perturb(
-            view,
-            rng,
-            occlusion=condition.occlusion,
-            noise_sigma=condition.noise_sigma,
-            smooth_k=condition.smooth_k,
-        )
+        with stage("setup"):
+            scene = make_scene(condition, rng)
 
-        t_rec = time.perf_counter()
-        recognition = recognize(scene, list(selected.values()), condition.part_path)
-        report.recognition_seconds = time.perf_counter() - t_rec
+        with stage("recognize", timings):
+            if condition.template_ids:
+                missing = [tid for tid in condition.template_ids if tid not in templates]
+                if missing:
+                    raise SceneSpecError(f"template ids {missing} are not in the bank")
+                selected = {tid: templates[tid] for tid in condition.template_ids}
+            else:
+                selected = select_templates(
+                    templates, condition.object_class, condition.part_path
+                )
+            recognition = recognize(scene, list(selected.values()), condition.part_path)
+        report.recognition_seconds = timings["recognize_seconds"]
         report.iou = iou_3d(recognition.members, scene.labels, condition.part_path)
         report.recognized = report.iou >= IOU_RECOGNIZED
         if not report.recognized:
             return report
 
-        registrations, errors = register_all(scene, recognition, selected, trial_index)
+        with stage("register"):
+            registrations, errors = register_all(scene, recognition, selected, trial_index)
         report.registration_errors = errors
-        candidates = plan(
-            scene, recognition, registrations, selected, gripper=gripper
-        )
+        with stage("plan"):
+            candidates = plan(scene, recognition, registrations, selected, gripper=gripper)
         report.planned = True
         report.n_candidates = len(candidates)
         report.selected_ok = grasp_success(

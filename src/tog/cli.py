@@ -33,10 +33,15 @@ A failure prints one JSON error (``code``, ``stage``, ``message``) on
 stderr and exits 2: an engine error with its own code, a file the command
 cannot read or write with code ``io``.
 
-``recognize`` and ``register`` call the pipeline's stage helpers
-(``select_templates``, ``register_all``, ``registration_payload``,
-``cluster_cloud``); ``db build`` and ``bench run`` share one ``--synthetic``
-build loop.
+The commands run the pipeline's stages, not copies of them: ``ontology
+resolve``, ``recognize`` and ``register`` run their steps under
+``pipeline.stage`` with ``run_pipeline``'s stage names (setup, resolve,
+recognize, register), so an engine error names its stage as it does in
+``plan``. ``recognize`` and ``register`` share one front half (load, select,
+recognize) and the pipeline's helpers (``select_templates``,
+``register_all``, ``cluster_cloud``) and serializers
+(``resolution_payload``, ``recognition_payload``, ``registration_payload``);
+``db build`` and ``bench run`` share one ``--synthetic`` build loop.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .bench import (
     run_suite,
 )
 from .cloud_io import load_cloud, read_json, read_text, save_ply
-from .errors import SceneSpecError, TogError
+from .errors import OptimizationIncompleteError, SceneSpecError, TogError
 from .ontology import (
     ENDPOINT_ENV,
     FIXTURES_ENV,
@@ -77,10 +82,13 @@ from .pipeline import (
     check_unique,
     cluster_cloud,
     export_artifacts,
+    recognition_payload,
     register_all,
     registration_payload,
+    resolution_payload,
     run_pipeline,
     select_templates,
+    stage,
 )
 from .recognition import recognize
 from .registration import best_registration
@@ -93,6 +101,12 @@ ONTOLOGY_ENV = "TOG_ONTOLOGY"
 
 def _emit(payload) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _write_json(path, payload) -> None:
+    """`payload` as `_emit` prints it, written to `path` if one is given."""
+    if path:
+        Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2))
 
 
 def _load_config_file(path) -> dict:
@@ -301,18 +315,16 @@ def cmd_db_inspect(args) -> int:
 
 def cmd_ontology_resolve(args) -> int:
     ctx = _Context(args)
-    resolved = resolve(
-        ctx.settings.graph(),
-        Instruction(args.text, target_class_hint=args.hint),
-        ctx.chat_client(),
-        novel_extension=args.novel,
-    )
-    payload = {
-        "schema_version": 1,
-        "object_class": resolved.object_class,
-        "part_path": resolved.part_path,
-        "mapped_from": resolved.mapped_from,
-    }
+    with stage("setup"):
+        graph, client = ctx.settings.graph(), ctx.chat_client()
+    with stage("resolve"):
+        resolved = resolve(
+            graph,
+            Instruction(args.text, target_class_hint=args.hint),
+            client,
+            novel_extension=args.novel,
+        )
+    payload = {"schema_version": 1, **resolution_payload(resolved)}
     if args.show_reasoning:
         payload["raw_reasoning"] = resolved.raw_reasoning
     _emit(payload)
@@ -335,44 +347,51 @@ def cmd_ontology_optimize(args) -> int:
         else make_terminal_evaluator()
     )
     transcript: list = []
-    final = optimize_prompt(
-        seed_prompt,
-        ctx.chat_client(),
-        evaluator,
-        max_rounds=args.max_rounds,
-        transcript=transcript,
-    )
-    if args.transcript_out:
-        Path(args.transcript_out).write_text(
-            json.dumps(
-                {"schema_version": 1, "rounds": transcript}, sort_keys=True, indent=2
-            )
+    try:
+        final = optimize_prompt(
+            seed_prompt, ctx.chat_client(), evaluator, args.max_rounds, transcript
         )
+    except OptimizationIncompleteError as exc:  # a failed run's rounds are worth reading
+        _write_json(args.transcript_out, {"schema_version": 1, "rounds": exc.transcript})
+        raise
+    _write_json(args.transcript_out, {"schema_version": 1, "rounds": transcript})
     print(final)
     return 0
 
 
+def _recognize_scene(args, ctx: _Context, template: str | None = None):
+    """The scene, the matched templates and the recognition of `--part`.
+
+    The front half of `recognize` and `register`, run as the pipeline's
+    setup and recognize stages. A `template` id (`register --template`)
+    narrows the match set to that one template before recognition.
+    """
+    with stage("setup"):
+        scene = load_cloud(args.scene)
+        db = load_db(ctx.require_db())
+    with stage("recognize"):
+        templates = select_templates(
+            db, args.object_class, args.part, ctx.settings.template_cap
+        )
+        if template:
+            if template not in templates:
+                raise SceneSpecError(f"template '{template}' not in the match set")
+            templates = {template: templates[template]}
+        recognition = recognize(scene, list(templates.values()), args.part)
+    return scene, templates, recognition
+
+
 def cmd_recognize(args) -> int:
-    ctx = _Context(args)
-    scene = load_cloud(args.scene)
-    db = load_db(ctx.require_db())
-    cap = ctx.settings.template_cap
-    templates = select_templates(db, args.object_class, args.part, cap)
-    result = recognize(scene, list(templates.values()), args.part)
+    scene, _templates, result = _recognize_scene(args, _Context(args))
     if args.save_cluster:
         save_ply(cluster_cloud(scene, result), args.save_cluster)
     _emit(
         {
+            **recognition_payload(result),
             "schema_version": 1,
             "part_path": result.part_path,
-            "seed_index": int(result.seed_index),
             "seed": result.seed.tolist(),
             "members": [int(i) for i in result.members],
-            "mean_score": float(result.mean_score),
-            "per_template_scores": {
-                tid: float(s) for tid, s in result.per_template_scores.items()
-            },
-            "winning_template_for_cluster": result.winning_template_for_cluster,
         }
     )
     return 0
@@ -380,18 +399,11 @@ def cmd_recognize(args) -> int:
 
 def cmd_register(args) -> int:
     ctx = _Context(args)
-    scene = load_cloud(args.scene)
-    db = load_db(ctx.require_db())
-    cap = ctx.settings.template_cap
-    templates = select_templates(db, args.object_class, args.part, cap)
-    if args.template:
-        if args.template not in templates:
-            raise SceneSpecError(f"template '{args.template}' not in the match set")
-        templates = {args.template: templates[args.template]}
-    recognition = recognize(scene, list(templates.values()), args.part)
-    registrations, failures = register_all(
-        scene, recognition, templates, ctx.settings.rng_seed
-    )
+    scene, templates, recognition = _recognize_scene(args, ctx, args.template)
+    with stage("register"):
+        registrations, failures = register_all(
+            scene, recognition, templates, ctx.settings.rng_seed
+        )
     _emit(
         {
             "schema_version": 1,
@@ -504,8 +516,7 @@ def cmd_bench_run(args) -> int:
         gripper=ctx.settings.gripper,
     )
     payload = report.to_dict()
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2))
+    _write_json(args.out, payload)
     _emit(payload)
     return 0
 
@@ -600,7 +611,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="scripted evaluator feedback, one per round (else interactive)",
     )
     p_opt.add_argument("--max-rounds", type=int, default=8)
-    p_opt.add_argument("--transcript-out", help="write the round transcript JSON")
+    p_opt.add_argument(
+        "--transcript-out", help="write the round transcript JSON, accepted or not"
+    )
     p_opt.set_defaults(func=cmd_ontology_optimize)
 
     p_rec = sub.add_parser("recognize", help="locate a part in a scene cloud")

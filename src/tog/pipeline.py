@@ -5,9 +5,12 @@ provenance report (what was resolved, which template won, every transform,
 score, and stage timing). `export_artifacts` writes the intermediate and
 final geometry as PLY snapshots any external viewer can open.
 
-The CLI and the benchmark call the same stage helpers: `select_templates`,
-`register_all` (seeds and failure capture), `registration_payload` and
-`cluster_cloud`.
+The CLI and the benchmark run the same stage code. `stage` names and times
+each stage (setup, resolve, recognize, register, plan) and tags the engine
+errors escaping it, so every failure reaches the caller with its stage.
+`select_templates`, `register_all` (seeds and failure capture),
+`resolution_payload`, `recognition_payload`, `registration_payload` and
+`cluster_cloud` are the one implementation of their step.
 """
 
 from __future__ import annotations
@@ -105,11 +108,12 @@ class PipelineResult:
 
 
 @contextmanager
-def _stage(name: str, timings: dict[str, float]):
-    """Time the enclosed stage and tag the engine errors escaping it.
+def stage(name: str, timings: dict[str, float] | None = None):
+    """Run the enclosed code as the stage `name`: tag its errors, time it.
 
-    The stage's wall time goes to `timings[name + "_seconds"]`; a TogError
-    without a stage gets `name` as its stage.
+    A TogError without a stage escaping the block gets `name` as its stage.
+    When the block completes and `timings` is given, its wall time goes to
+    `timings[name + "_seconds"]`.
     """
     start = time.perf_counter()
     try:
@@ -118,7 +122,8 @@ def _stage(name: str, timings: dict[str, float]):
         if exc.stage is None:
             exc.stage = name
         raise
-    timings[f"{name}_seconds"] = time.perf_counter() - start
+    if timings is not None:
+        timings[f"{name}_seconds"] = time.perf_counter() - start
 
 
 def select_templates(
@@ -162,6 +167,27 @@ def register_all(
     if not registrations and strict:
         raise SceneSpecError(f"every template registration failed: {errors}")
     return registrations, errors
+
+
+def resolution_payload(resolved: ResolvedPart) -> dict:
+    """JSON form of what the instruction resolved to."""
+    return {
+        "object_class": resolved.object_class,
+        "part_path": resolved.part_path,
+        "mapped_from": resolved.mapped_from,
+    }
+
+
+def recognition_payload(recognition: RecognitionResult) -> dict:
+    """JSON form of a recognition's winner and scores."""
+    return {
+        "seed_index": int(recognition.seed_index),
+        "mean_score": float(recognition.mean_score),
+        "winning_template_for_cluster": recognition.winning_template_for_cluster,
+        "per_template_scores": {
+            tid: float(s) for tid, s in recognition.per_template_scores.items()
+        },
+    }
 
 
 def registration_payload(reg: RegistrationResult) -> dict:
@@ -222,14 +248,14 @@ def run_pipeline(
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
 
-    with _stage("setup", timings):
+    with stage("setup", timings):
         if not config.db_path:
             raise SceneSpecError("no template database given (db_path is unset)")
         graph = config.graph()
         db = load_db(config.db_path)
         scene = load_cloud(scene_cloud_path)
 
-    with _stage("resolve", timings):
+    with stage("resolve", timings):
         resolved = resolve(
             graph,
             Instruction(instruction_text, target_class_hint=target_class_hint),
@@ -237,19 +263,19 @@ def run_pipeline(
             novel_extension=novel_extension,
         )
 
-    with _stage("recognize", timings):
+    with stage("recognize", timings):
         selected = select_templates(
             db, resolved.object_class, resolved.part_path, config.template_cap
         )
         recognition = recognize(scene, list(selected.values()), resolved.part_path)
 
-    with _stage("register", timings):
+    with stage("register", timings):
         registrations, errors = register_all(
             scene, recognition, selected, config.rng_seed, strict=strict
         )
         winning = best_registration(registrations) if registrations else None
 
-    with _stage("plan", timings):
+    with stage("plan", timings):
         candidates: list[GraspCandidate] = []
         if registrations:
             try:
@@ -265,19 +291,10 @@ def run_pipeline(
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "instruction": instruction_text,
-        "resolved": {
-            "object_class": resolved.object_class,
-            "part_path": resolved.part_path,
-            "mapped_from": resolved.mapped_from,
-        },
+        "resolved": resolution_payload(resolved),
         "recognition": {
-            "seed_index": int(recognition.seed_index),
+            **recognition_payload(recognition),
             "cluster_points": int(len(recognition.members)),
-            "mean_score": float(recognition.mean_score),
-            "winning_template_for_cluster": recognition.winning_template_for_cluster,
-            "per_template_scores": {
-                tid: float(s) for tid, s in recognition.per_template_scores.items()
-            },
         },
         "registrations": {
             tid: registration_payload(reg) for tid, reg in registrations.items()

@@ -305,7 +305,7 @@ def _inlier_counter(src_pts, tgt_pts, inlier_dist):
 def coarse_align(
     source: PointCloud,
     target: PointCloud,
-    leaf: float = 0.005,
+    leaf: float,
     rng=0,
 ) -> RigidTransform:
     """Descriptor-driven RANSAC alignment of source onto target.
@@ -406,7 +406,7 @@ def coarse_align(
 
 
 def register_local(
-    o_part: PointCloud, m_part: PointCloud, leaf: float = 0.005, seed: int = 0
+    o_part: PointCloud, m_part: PointCloud, leaf: float, seed: int = 0
 ) -> IcpResult:
     """Part-to-part alignment, retried until over half the points correspond.
 

@@ -370,7 +370,8 @@ def template_to_dict(template: Template) -> dict:
 def template_from_dict(data: dict) -> Template:
     if not isinstance(data, dict):
         raise SchemaError("template JSON must be an object")
-    missing = {"id", "object_class", "full_cloud", "grasps"} - set(data)
+    required = {"schema_version", "id", "object_class", "leaf", "full_cloud", "grasps"}
+    missing = required - set(data)
     if missing:
         raise SchemaError(f"template JSON missing keys {sorted(missing)}")
     for key in ("id", "object_class"):
@@ -378,7 +379,7 @@ def template_from_dict(data: dict) -> Template:
             raise SchemaError(f"template JSON '{key}' must be a non-empty string")
     if not isinstance(data["grasps"], dict):
         raise SchemaError("template JSON 'grasps' must be an object")
-    version = data.get("schema_version", SCHEMA_VERSION)
+    version = data["schema_version"]
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported template schema_version {version}")
     try:
@@ -396,7 +397,7 @@ def template_from_dict(data: dict) -> Template:
         object_class=data["object_class"],
         full_cloud=cloud_from_dict(data["full_cloud"]),
         grasps=grasps,
-        leaf=data.get("leaf", DEFAULT_LEAF),
+        leaf=data["leaf"],
     )
 
 

@@ -25,6 +25,7 @@ from tog.bench import (
     generate_object,
     grasp_success,
     iou_3d,
+    make_scene,
     perturbed_dims,
     random_pose,
     recognition_runtime_trend,
@@ -340,19 +341,13 @@ def test_criterion_05_shape_variants_recognized_in_partial_views(
     wins = total = 0
     for c_idx, (cls, part, bank) in enumerate(conditions):
         tlist = list(bank.values())
+        # 1500 of 6000 sampled points, half the part visible, +-20% shape variants
+        condition = Condition(
+            name=f"{cls}-{part}", object_class=cls, part_path=part,
+            dims_fraction=0.2, min_part_visibility=0.5,
+        )
         for s in range(20):
-            rng = default_rng(SeedSequence((407, c_idx, s)))
-            dims = perturbed_dims(cls, rng, 0.2)
-            full = generate_object(cls, 6000, rng, dims=dims)
-            posed = apply_transform(full, desk_pose(rng))
-            partial, _, _ = camera_with_part_visible(
-                posed, part, rng, min_visibility=0.5
-            )
-            if len(partial) > 1500:
-                keep = np.sort(rng.choice(len(partial), 1500, replace=False))
-                partial = PointCloud(
-                    partial.points[keep], labels=np.asarray(partial.labels)[keep]
-                )
+            partial = make_scene(condition, default_rng(SeedSequence((407, c_idx, s))))
             rec = recognize(partial, tlist, part)
             wins += int(iou_3d(rec.members, partial.labels, part) >= 0.5)
             total += 1

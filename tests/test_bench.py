@@ -1,5 +1,9 @@
 """Benchmark-harness tests: generators, view synthesis, scoring, trials."""
 
+import hashlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +24,7 @@ from tog.bench import (
     iou_3d,
     make_bottle,
     make_mug,
+    make_scene,
     make_scissor,
     make_slab,
     partial_view,
@@ -36,6 +41,13 @@ from tog.geometry import PointCloud, apply_transform
 from tog.planning import GraspCandidate
 from tog.templates import GripperConfig, build_template
 from tog.geometry import RigidTransform
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.workloads import WORKLOADS  # noqa: E402
+from perfbench.workloads import make_scene as perfbench_scene  # noqa: E402
 
 
 GRIPPER = GripperConfig(
@@ -430,6 +442,62 @@ class TestCameraSearch:
             camera_with_part_visible(scene, "spout", np.random.default_rng(0))
 
 
+def scene_digest(cloud) -> str:
+    """SHA-256 of a scene's points (as `save_ply` writes them) and labels."""
+    rows = (
+        f"{x:.9g} {y:.9g} {z:.9g} {label}"
+        for (x, y, z), label in zip(cloud.points.tolist(), cloud.labels.tolist())
+    )
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+class TestSceneRecipe:
+    """`make_scene` draws every trial scene; its rng order must not drift."""
+
+    CASES = {
+        "partial-variant": (
+            Condition(name="partial-variant", object_class="scissor", part_path="handle",
+                      n_points=600, dims_fraction=0.2, min_part_visibility=0.5),
+            (41, 0),
+            "6eb6476b2e4d21e10a082cb40da3c09628b91d3890e89fc3c69e04f5a17f696c",
+        ),
+        "partial-scaled": (
+            Condition(name="partial-scaled", object_class="bottle", part_path="cap",
+                      n_points=900, dims_fraction=0.1, scale=1.1),
+            (41, 1),
+            "344b02f7071262484744f8d23cf5112e625178ea61ad1dccc283dae9d587e6f1",
+        ),
+        "degraded-full": (
+            Condition(name="degraded-full", object_class="mug", part_path="handle",
+                      n_points=800, partial=False, occlusion=0.2, noise_sigma=0.0005,
+                      smooth_k=5),
+            (41, 2),
+            "3444837168ec193122009469a9696d992a3fdf9825bf5e7d6188610e258a3a09",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_scene_bytes_are_pinned(self, case):
+        condition, seed, digest = self.CASES[case]
+        scene = make_scene(condition, np.random.default_rng(np.random.SeedSequence(seed)))
+        assert len(scene) <= condition.n_points
+        assert scene_digest(scene) == digest
+
+    def test_perfbench_scenes_match(self):
+        # perfbench still keeps its own copy of the recipe; it must draw alike
+        for workload in WORKLOADS:
+            condition = Condition(
+                name=workload.name, object_class=workload.object_class,
+                part_path=workload.part_path, n_points=workload.n_points,
+                partial=workload.partial, dims_fraction=workload.dims_fraction,
+            )
+            rng = np.random.default_rng(np.random.SeedSequence((1, workload.index, 0)))
+            ours = make_scene(condition, rng)
+            theirs = perfbench_scene(workload, 1, 0)
+            assert np.array_equal(ours.points, theirs.points), workload.name
+            assert np.array_equal(ours.labels, theirs.labels), workload.name
+
+
 class TestTrials:
     @pytest.mark.parametrize(
         "field, value",
@@ -494,7 +562,7 @@ class TestTrials:
             template_ids=("nope", *mug_templates),
         )
         report = run_trial(condition, mug_templates, np.random.default_rng(0))
-        assert report.error == "spec: template ids ['nope'] are not in the bank"
+        assert report.error == "spec: [recognize] template ids ['nope'] are not in the bank"
         assert not report.recognized and not report.planned
 
     @pytest.mark.parametrize("explicit", [False, True], ids=["by-class", "by-id"])
@@ -528,7 +596,7 @@ class TestTrials:
         )
         report = run_trial(condition, mug_templates, np.random.default_rng(5))
         assert report.recognized and not report.planned
-        assert report.error.startswith("spec: every template registration failed")
+        assert report.error.startswith("spec: [register] every template registration failed")
         for tid in mug_templates:
             assert f"'{tid}': 'coarse-failure: [coarse] no hypothesis'" in report.error
 

@@ -66,6 +66,23 @@ def ws(tmp_path_factory):
     }
 
 
+def improver_prompt(current: str, answer: str, feedback: str) -> str:
+    """The prompt `optimize_prompt` sends to ask for a revised prompt."""
+    return "\n".join(
+        [
+            "You are improving a prompt for a robot-grasping assistant.",
+            "Current prompt:",
+            current,
+            "The answer it produced:",
+            answer,
+            "Feedback on that answer:",
+            feedback,
+            "Rewrite the prompt to fix the issue. Reply with the full new "
+            'prompt after a line reading "Revised Prompt:".',
+        ]
+    )
+
+
 def run_json(capsys, argv, expect=0):
     code = main(argv)
     captured = capsys.readouterr()
@@ -268,6 +285,7 @@ class TestOntologyCli:
              "Hand me the wrench."],
         )
         assert err["code"] == "unresolved-part"
+        assert err["stage"] == "resolve"
 
     @pytest.mark.parametrize(
         "failure, code",
@@ -317,19 +335,7 @@ class TestOntologyCli:
         answer = "The handle, always."
         client.record(seed, answer)
         client.record("Name the part to grasp. Be terse.", "Handle.")
-        improver = "\n".join(
-            [
-                "You are improving a prompt for a robot-grasping assistant.",
-                "Current prompt:",
-                seed,
-                "The answer it produced:",
-                answer,
-                "Feedback on that answer:",
-                "Too chatty; demand a terse answer.",
-                "Rewrite the prompt to fix the issue. Reply with the full new "
-                'prompt after a line reading "Revised Prompt:".',
-            ]
-        )
+        improver = improver_prompt(seed, answer, "Too chatty; demand a terse answer.")
         client.record(improver, "Revised Prompt:\nName the part to grasp. Be terse.")
         transcript = tmp_path / "transcript.json"
         code = main(
@@ -342,6 +348,31 @@ class TestOntologyCli:
         assert out.strip() == "Name the part to grasp. Be terse."
         rounds = json.loads(transcript.read_text())["rounds"]
         assert [r["round"] for r in rounds] == [1, 2]
+
+    def test_optimize_without_acceptance_still_writes_the_transcript(self, capsys, tmp_path):
+        chat = tmp_path / "chat"
+        client = FixtureChatClient(chat)
+        prompts = ["Name the part.", "Name the part precisely.", "Name the exact part."]
+        for round_no, (prompt, revised) in enumerate(zip(prompts, prompts[1:]), 1):
+            client.record(prompt, f"Answer {round_no}.")
+            client.record(
+                improver_prompt(prompt, f"Answer {round_no}.", "too vague"),
+                f"Revised Prompt:\n{revised}",
+            )
+        transcript = tmp_path / "transcript.json"
+        err = run_error(
+            capsys,
+            ["ontology", "optimize", "--fixtures", str(chat), "--prompt", prompts[0],
+             "--feedback", "too vague", "--feedback", "too vague", "--max-rounds", "2",
+             "--transcript-out", str(transcript)],
+        )
+        assert err["code"] == "optimization-incomplete"
+        written = json.loads(transcript.read_text())
+        assert written["schema_version"] == 1
+        assert [(r["round"], r["prompt"], r["feedback"]) for r in written["rounds"]] == [
+            (1, prompts[0], "too vague"),
+            (2, prompts[1], "too vague"),
+        ]
 
     def test_optimize_needs_prompt(self, ws, capsys):
         err = run_error(capsys, ["ontology", "optimize", "--fixtures", ws["chat"]])
@@ -420,6 +451,27 @@ class TestRecognizeRegister:
         )
         assert err["code"] == "parse"
         assert "finite" in err["message"]
+
+    @pytest.mark.parametrize("command", ["recognize", "register"])
+    def test_two_point_scene_fails_at_recognize(self, ws, capsys, tmp_path, command):
+        scene = tmp_path / "two.json"
+        scene.write_text(json.dumps({"points": [[0, 0, 0], [0.01, 0, 0]]}))
+        err = run_error(
+            capsys,
+            [command, "--db", ws["db"], "--scene", str(scene), "--part", "handle"],
+        )
+        assert err["stage"] == "recognize"
+        assert err["message"].startswith("[recognize] ")
+
+    @pytest.mark.parametrize("command", ["recognize", "register"])
+    def test_unreadable_scene_fails_at_setup(self, ws, capsys, tmp_path, command):
+        scene = tmp_path / "scene.ply"
+        scene.write_text("not a ply file\n")
+        err = run_error(
+            capsys,
+            [command, "--db", ws["db"], "--scene", str(scene), "--part", "handle"],
+        )
+        assert (err["code"], err["stage"]) == ("parse", "setup")
 
     def test_recognize_no_part_carrier(self, ws, capsys):
         err = run_error(
@@ -513,11 +565,15 @@ class TestCallersAgree:
         assert registered["registrations"] == planned["registrations"]
 
         cluster_path = tmp_path / "cluster.ply"
-        run_json(
+        recognized = run_json(
             capsys,
             ["recognize", *scene, "--part", "handle", "--class", "mug",
              "--save-cluster", str(cluster_path)],
         )
+        # the winner and scores in plan's report are recognize's, field for field
+        recognition = dict(planned["recognition"])
+        assert len(recognized["members"]) == recognition.pop("cluster_points")
+        assert {key: recognized[key] for key in recognition} == recognition
         run_json(capsys, ["export", *pipeline, "--out", str(tmp_path / "snaps")])
         exported = (tmp_path / "snaps" / "cluster.ply").read_bytes()
         assert cluster_path.read_bytes() == exported
@@ -563,7 +619,7 @@ class TestBenchCli:
              "--trials", "1"],
         )
         (trial,) = payload["trials"]
-        assert trial["error"] == "spec: template ids ['mug-9'] are not in the bank"
+        assert trial["error"] == "spec: [recognize] template ids ['mug-9'] are not in the bank"
 
     def test_negative_master_seed(self, ws, capsys):
         err = run_error(

@@ -483,6 +483,15 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             template_from_dict({"id": "x"})
 
+    @pytest.mark.parametrize("key", ["leaf", "schema_version"])
+    def test_rejects_missing_leaf_and_schema_version(self, mug_template, key):
+        # a template built at another leaf must not load at the default one
+        data = template_to_dict(replace(mug_template, leaf=0.007))
+        assert template_from_dict(data).leaf == 0.007
+        del data[key]
+        with pytest.raises(SchemaError, match=rf"template JSON missing keys \['{key}'\]"):
+            template_from_dict(data)
+
     @pytest.mark.parametrize(
         "mutation",
         [
