@@ -350,7 +350,7 @@ def partial_view(cloud: PointCloud, camera):
         hull = ConvexHull(np.vstack([flipped, np.zeros(3)]))
     except QhullError as exc:
         raise SceneSpecError(f"hidden point removal failed: {exc}") from exc
-    visible = np.array(sorted(v for v in hull.vertices if v < len(cloud)))
+    visible = np.sort(hull.vertices[hull.vertices < len(cloud)])
     if visible.size == 0:
         raise SceneSpecError("no points visible from the camera")
     return cloud.select(visible), visible

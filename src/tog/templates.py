@@ -20,6 +20,7 @@ clouds, values of the points alone, serve every later scene.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Mapping
@@ -248,8 +249,51 @@ def _grasp_from_pair(p_a, p_b, width, centroid) -> GraspPose:
     u = _canonical_sign((p_b - p_a) / width)
     center = 0.5 * (p_a + p_b)
     approach = _orthonormal_complement(u, centroid - center)
-    rotation = np.column_stack([u, np.cross(approach, u), approach])
+    ax, ay, az = approach
+    # np.cross(approach, u) bit for bit, without its overhead on one pair of 3-vectors
+    side = np.array([ay * u[2] - az * u[1], az * u[0] - ax * u[2], ax * u[1] - ay * u[0]])
+    rotation = np.column_stack([u, side, approach])
     return GraspPose(RigidTransform(rotation, center), float(width))
+
+
+def _antipodal_pairs(part: PointCloud, order, max_opening: float):
+    """Each pair within the opening and both friction cones, as (a, b, width, center, axis).
+
+    Points `a` are visited in `order`, each with its partners `b` in ascending index order;
+    the axis is (b - a) / width, the grasp's closing axis up to sign. The partners are the
+    points the kd-tree's ball query returns. They are read off the offsets to every point,
+    whose lengths are the widths bit for bit, unless some length lies within 1e-9 (relative)
+    of the opening, where only the kd-tree's own rounding decides and it is asked instead.
+    """
+    points = part.points
+    normals = estimate_normals(part)
+    cos_limit = math.cos(math.radians(FRICTION_HALF_ANGLE_DEG))
+    inner, outer = max_opening * (1 - 1e-9), max_opening * (1 + 1e-9)
+    for a in order:
+        offsets = points - points[a]
+        lengths = np.linalg.norm(offsets, axis=1)
+        if np.any((lengths > inner) & (lengths <= outer)):
+            partners = np.array(
+                part.tree.query_ball_point(points[a], max_opening, return_sorted=True), np.int64
+            )
+        else:
+            partners = np.flatnonzero(lengths <= inner)
+        partners = partners[partners != a]
+        if partners.size == 0:
+            continue
+        delta, widths = offsets[partners], lengths[partners]
+        valid = widths > 1e-9
+        if not np.any(valid):
+            continue
+        u = np.zeros_like(delta)
+        u[valid] = delta[valid] / widths[valid, None]
+        cos_a = np.abs(u @ normals[a])
+        cos_b = np.abs(np.einsum("ij,ij->i", u, normals[partners]))
+        valid &= (cos_a >= cos_limit) & (cos_b >= cos_limit)
+        if not np.any(valid):
+            continue
+        centers = 0.5 * (points[a] + points[partners[valid]])
+        yield from zip(itertools.repeat(a), partners[valid], widths[valid], centers, u[valid])
 
 
 def sample_antipodal_grasps(
@@ -265,52 +309,38 @@ def sample_antipodal_grasps(
     at both contacts, measured sign-agnostically so estimated-normal
     orientation cannot flip the verdict. Near-duplicate grasps (centers
     closer than 5 mm with closing axes within 10 degrees) are dropped.
+
+    Points are visited in one `rng` permutation, each with its partners in
+    ascending index order, and each qualifying pair is kept unless it nears
+    a grasp kept before it. That test reads only the pair's center and its
+    closing axis up to sign (|cos| of the angle between axes is the same bit
+    for bit either way), so a grasp pose is built only for the pairs kept.
     """
-    generator = np.random.default_rng(rng)
     points = part.points
-    n = len(points)
-    normals = estimate_normals(part)
     centroid = points.mean(axis=0)
-    cos_limit = math.cos(math.radians(FRICTION_HALF_ANGLE_DEG))
     cos_dup = math.cos(math.radians(DEDUP_AXIS_ANGLE_DEG))
+    order = np.random.default_rng(rng).permutation(len(points))
 
-    kept: list[GraspPose] = []
-    kept_centers = np.empty((0, 3))
-    kept_axes = np.empty((0, 3))
-
-    for a in generator.permutation(n):
-        partners = part.tree.query_ball_point(points[a], gripper.max_opening)
-        partners = np.array(sorted(p for p in partners if p != a), dtype=np.int64)
-        if partners.size == 0:
-            continue
-        delta = points[partners] - points[a]
-        widths = np.linalg.norm(delta, axis=1)
-        valid = widths > 1e-9
-        if not np.any(valid):
-            continue
-        u = np.zeros_like(delta)
-        u[valid] = delta[valid] / widths[valid, None]
-        cos_a = np.abs(u @ normals[a])
-        cos_b = np.abs(np.einsum("ij,ij->i", u, normals[partners]))
-        valid &= (cos_a >= cos_limit) & (cos_b >= cos_limit)
-        for b, width in zip(partners[valid], widths[valid]):
-            grasp = _grasp_from_pair(points[a], points[b], width, centroid)
-            if kept:
-                near = np.linalg.norm(kept_centers - grasp.center, axis=1)
-                align = np.abs(kept_axes @ grasp.closing_axis)
-                if np.any((near < DEDUP_CENTER_DIST) & (align > cos_dup)):
-                    continue
-            kept.append(grasp)
-            kept_centers = np.vstack([kept_centers, grasp.center])
-            kept_axes = np.vstack([kept_axes, grasp.closing_axis])
-            if len(kept) >= target_count:
-                return tuple(kept)
+    kept = []  # (a, b, width) of each kept pair, in visiting order
+    kept_centers = np.empty((max(target_count, 1), 3))
+    kept_axes = np.empty_like(kept_centers)
+    for a, b, width, center, axis in _antipodal_pairs(part, order, gripper.max_opening):
+        k = len(kept)
+        if k:
+            near = np.linalg.norm(kept_centers[:k] - center, axis=1)
+            align = np.abs(kept_axes[:k] @ axis)
+            if np.any((near < DEDUP_CENTER_DIST) & (align > cos_dup)):
+                continue
+        kept.append((a, b, width))
+        kept_centers[k], kept_axes[k] = center, axis
+        if len(kept) >= target_count:
+            break
     if not kept:
         raise NoGraspError(
             f"no antipodal grasp within a {gripper.max_opening * 1e3:.0f} mm "
-            f"opening on a {n}-point part"
+            f"opening on a {len(points)}-point part"
         )
-    return tuple(kept)
+    return tuple(_grasp_from_pair(points[a], points[b], w, centroid) for a, b, w in kept)
 
 
 def build_template(

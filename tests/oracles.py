@@ -3,10 +3,11 @@
 Everything here is deliberately written the slow, obvious way (linear scans,
 per-item loops, dict bucketing) and shares no code with the package under
 test, so agreement is meaningful. The registration references
-(`icp_requery`, `pair_features`, `fpfh_add_at`, `coarse_align_dense`) are
-the package's earlier code, which the faster one must reproduce bit for bit;
-they take the normals, the rigid fit and the result types, which did not
-change, from the package. `cluster_stats_qr` is the package's earlier
+(`icp_requery`, `pair_features`, `fpfh_add_at`, `coarse_align_dense`) and
+the grasp sampler `antipodal_grasps_reference` are the package's earlier
+code, which the faster one must reproduce bit for bit; they take the
+normals, the rigid fit, the grasp pose builder and the result types, which
+did not change, from the package. `cluster_stats_qr` is the package's earlier
 recognition statistics, which the running-sum route must match to rounding.
 """
 
@@ -262,6 +263,67 @@ def antipodal_ok(
     return True
 
 
+def antipodal_grasps_reference(part, target_count: int = 50, rng=0) -> tuple:
+    """The package's earlier antipodal sampler, with the default gripper.
+
+    Each point of one rng permutation takes its kd-tree partners, filtered
+    and sorted in Python; every pair that passes the width and friction-cone
+    test gets a full grasp pose, which is then dropped if it nears a grasp
+    kept before it. The normals, the pose builder and the result types come
+    from the package.
+    """
+    from tog.errors import NoGraspError
+    from tog.geometry import estimate_normals
+    from tog.templates import GripperConfig, _grasp_from_pair
+
+    gripper = GripperConfig()
+    generator = np.random.default_rng(rng)
+    points = part.points
+    n = len(points)
+    normals = estimate_normals(part)
+    centroid = points.mean(axis=0)
+    cos_limit = math.cos(math.radians(10.0))
+    cos_dup = math.cos(math.radians(10.0))
+
+    kept = []
+    kept_centers = np.empty((0, 3))
+    kept_axes = np.empty((0, 3))
+
+    for a in generator.permutation(n):
+        partners = part.tree.query_ball_point(points[a], gripper.max_opening)
+        partners = np.array(sorted(p for p in partners if p != a), dtype=np.int64)
+        if partners.size == 0:
+            continue
+        delta = points[partners] - points[a]
+        widths = np.linalg.norm(delta, axis=1)
+        valid = widths > 1e-9
+        if not np.any(valid):
+            continue
+        u = np.zeros_like(delta)
+        u[valid] = delta[valid] / widths[valid, None]
+        cos_a = np.abs(u @ normals[a])
+        cos_b = np.abs(np.einsum("ij,ij->i", u, normals[partners]))
+        valid &= (cos_a >= cos_limit) & (cos_b >= cos_limit)
+        for b, width in zip(partners[valid], widths[valid]):
+            grasp = _grasp_from_pair(points[a], points[b], width, centroid)
+            if kept:
+                near = np.linalg.norm(kept_centers - grasp.center, axis=1)
+                align = np.abs(kept_axes @ grasp.closing_axis)
+                if np.any((near < 0.005) & (align > cos_dup)):
+                    continue
+            kept.append(grasp)
+            kept_centers = np.vstack([kept_centers, grasp.center])
+            kept_axes = np.vstack([kept_axes, grasp.closing_axis])
+            if len(kept) >= target_count:
+                return tuple(kept)
+    if not kept:
+        raise NoGraspError(
+            f"no antipodal grasp within a {gripper.max_opening * 1e3:.0f} mm "
+            f"opening on a {n}-point part"
+        )
+    return tuple(kept)
+
+
 def rotation_grid_search(o_points: np.ndarray, seed, m_points: np.ndarray, t_loc):
     """Full 512-entry rotation grid search about the locally aligned seed.
 
@@ -397,6 +459,22 @@ def dense_inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist) -> np.ndarray
     moved = np.einsum("mij,nj->mni", rot, src_pts) + trans[:, None, :]
     dists = np.linalg.norm(moved - tgt_pts[None, :, :], axis=2)
     return (dists <= inlier_dist).sum(axis=1)
+
+
+def gate_triangle_brute(src_pts, tgt_pts) -> bool:
+    """Whether some 3 distinct pairs pass RANSAC's edge gate together, trying every triple."""
+    for triple in itertools.combinations(range(len(src_pts)), 3):
+        s3, t3 = src_pts[list(triple)], tgt_pts[list(triple)]
+        s_edges = np.linalg.norm(s3 - np.roll(s3, 1, axis=0), axis=1)
+        t_edges = np.linalg.norm(t3 - np.roll(t3, 1, axis=0), axis=1)
+        if (
+            (s_edges > 1e-9).all()
+            and (t_edges > 1e-9).all()
+            and (t_edges >= 0.9 * s_edges).all()
+            and (s_edges >= 0.9 * t_edges).all()
+        ):
+            return True
+    return False
 
 
 def coarse_align_dense(source, target, leaf: float = 0.005, rng=0, trace=None):

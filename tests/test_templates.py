@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tog.bench import build_class_templates
 from tog.cloud_io import cloud_to_dict
 from tog.errors import (
     CloudParseError,
@@ -33,7 +35,7 @@ from tog.templates import (
     template_to_dict,
 )
 
-from oracles import antipodal_ok
+from oracles import antipodal_grasps_reference, antipodal_ok
 
 
 def grid_cylinder(radius, height, spacing, center=(0.0, 0.0, 0.0)):
@@ -272,6 +274,53 @@ class TestSampling:
             assert ga.width == gb.width
 
 
+class TestSamplerReference:
+    """The sampler returns `oracles.antipodal_grasps_reference`'s grasps, in order."""
+
+    @staticmethod
+    def assert_same(part, **kwargs):
+        try:
+            expected = antipodal_grasps_reference(part, **kwargs)
+        except NoGraspError as exc:
+            with pytest.raises(NoGraspError) as info:
+                sample_antipodal_grasps(part, **kwargs)
+            assert str(info.value) == str(exc)
+            return ()
+        got = sample_antipodal_grasps(part, **kwargs)
+        assert got == expected
+        return got
+
+    @pytest.mark.parametrize("object_class", ["bottle", "mug", "scissor", "slab"])
+    def test_every_part_of_the_class_templates(self, object_class):
+        for t, template in enumerate(build_class_templates(object_class).values()):
+            # build_class_templates seeds template t with (0, t), and build_template part p
+            # with ((0, t), p)
+            for p, (path, part) in enumerate(template.parts.items()):
+                try:
+                    expected = antipodal_grasps_reference(part, rng=((0, t), p))
+                except NoGraspError:
+                    expected = ()
+                assert template.grasps[path] == expected, (template.id, path)
+
+    @pytest.mark.parametrize("target_count, rng", [(1, 0), (20, 3), (200, 5)])
+    def test_parallel_patches(self, target_count, rng):
+        grasps = self.assert_same(parallel_patches(), target_count=target_count, rng=rng)
+        assert 0 < len(grasps) <= target_count
+
+    def test_pairs_at_the_full_opening(self):
+        # each point's opposite partner lies exactly max_opening away, on the ball's rim
+        grasps = self.assert_same(parallel_patches(gap=0.08), target_count=20)
+        assert grasps and all(g.width == 0.08 for g in grasps)
+
+    def test_repeated_points(self):
+        # every point twice: each point's copy is a zero-width partner
+        part = PointCloud(np.repeat(parallel_patches().points, 2, axis=0))
+        assert self.assert_same(part, target_count=30, rng=1)
+
+    def test_oversized_sphere(self):
+        assert self.assert_same(sphere_cloud(radius=0.06), target_count=5) == ()
+
+
 class TestBuildTemplate:
     def test_part_inventory(self, mug_template):
         assert sorted(mug_template.parts) == [
@@ -351,6 +400,20 @@ class TestBuildTemplate:
             assert len(a.grasps[path]) == len(b.grasps[path])
             for ga, gb in zip(a.grasps[path], b.grasps[path]):
                 assert np.array_equal(ga.pose.matrix, gb.pose.matrix)
+
+
+class TestTemplateBuildBytes:
+    """The saved template database of one mug is pinned, so template-build work cannot drift."""
+
+    DIGEST = "da03e654ed00083fa9e8efc4d6279e336e0f8fb08a7280a5280e39568019ca8f"
+
+    def test_saved_mug_database_bytes_are_pinned(self, tmp_path):
+        save_db(build_class_templates("mug", count=1), tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestSerialization:
