@@ -28,10 +28,8 @@ summation order it errs by under 17 u 6 scale^2 (u = 2^-53), far inside
 the margin 1e-9 scale^2, and so does the dense norm test. So pairs within
 thr^2 - margin are inliers and pairs past thr^2 + margin are not, a
 hypothesis with no pair between the two has its count exactly, and pairs
-are counted one by one only for the hypotheses whose bounds differ. A call
-that no hypothesis can pass, as no three pairs pass the edge gate together,
-fails after its first group of draws instead of its last. None of this
-moves a bit of any result. kd-tree queries here run on the calling
+are counted one by one only for the hypotheses whose bounds differ. None
+of this moves a bit of any result. kd-tree queries here run on the calling
 thread: the queries are small, and starting worker threads per call cost
 more than they saved.
 """
@@ -45,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 from scipy.sparse import csr_matrix
-from scipy.sparse import vstack as sparse_vstack
 from scipy.spatial import cKDTree
 from scipy.spatial.transform import Rotation
 
@@ -69,7 +66,6 @@ _PAIR_BLOCK = 2**16  # point pairs whose angle features are held at once
 _BATCH = 1024  # RANSAC hypotheses per draw
 _GROUP_BATCHES = 8  # RANSAC batches gated, fitted and counted at once
 _HYPOTHESIS_PAIRS = 2**16  # hypothesis-pair distances held at once
-_GATE_EDGES = 2**16  # pair-to-pair edges gated at once when testing for a gate triangle
 
 
 @dataclass(frozen=True)
@@ -306,43 +302,6 @@ def _inlier_counter(src_pts, tgt_pts, inlier_dist):
     return counts
 
 
-def _edge_gate(d: np.ndarray) -> np.ndarray:
-    """Which edges pass the gate, from their (6, ...) source and target coordinate offsets.
-
-    Offsets are squared in place. Lengths sum x², y², z² in order, np.linalg.norm's value
-    bit for bit, and either direction of an edge gives the same squares. A repeated index
-    gives a zero edge, which the 1e-9 gates reject.
-    """
-    d **= 2
-    s_edge, t_edge = np.sqrt((d[0] + d[1]) + d[2]), np.sqrt((d[3] + d[4]) + d[5])
-    return (
-        (s_edge > 1e-9)
-        & (t_edge > 1e-9)
-        & (t_edge >= EDGE_RATIO * s_edge)
-        & (s_edge >= EDGE_RATIO * t_edge)
-    )
-
-
-def _has_gate_triangle(ends_at: np.ndarray) -> bool:
-    """Whether any 3-pair hypothesis can pass the edge gate, given each pair's (6, n) ends.
-
-    Two pairs are compatible when the edge joining them passes `_edge_gate`; a hypothesis
-    passes exactly when its three pairs are pairwise compatible, a triangle of that graph.
-    The graph is built and tested a block of rows at a time, as (C_rows @ C) ∘ C_rows.
-    """
-    n = ends_at.shape[1]
-    rows = max(1, _GATE_EDGES // n)
-    starts = range(0, n, rows)
-    graph = sparse_vstack(
-        [
-            csr_matrix(_edge_gate(ends_at[:, i : i + rows, None] - ends_at[:, None]), dtype=np.int32)
-            for i in starts
-        ],
-        format="csr",
-    )
-    return any((graph[i : i + rows] @ graph).multiply(graph[i : i + rows]).nnz for i in starts)
-
-
 def coarse_align(
     source: PointCloud,
     target: PointCloud,
@@ -365,11 +324,6 @@ def coarse_align(
     RANSAC confidence needs. Batches are scored in groups of
     `_GROUP_BATCHES`, never past the hypotheses still needed, and the rule
     is replayed batch by batch, so draws past its stop are discarded.
-
-    When a group has no hypothesis through the gate and none has been kept,
-    the call checks once (cached like the descriptor pairs) whether any three
-    pairs can pass the gate together; if none can, it fails at once, as it
-    would after the last draw.
     """
     if len(source) < 10 or len(target) < 10:
         raise InsufficientPointsError("coarse alignment needs >= 10 points per cloud")
@@ -401,12 +355,17 @@ def coarse_align(
         keep = np.arange(len(sel))
         for i in range(3):  # edge i joins vertex i to vertex i - 1, gated where the others held
             d = np.take(ends_at, sel[keep, i], axis=1) - np.take(ends_at, sel[keep, i - 1], axis=1)
-            keep = keep[_edge_gate(d)]
+            d **= 2
+            # lengths summed x², y², z² in order: np.linalg.norm(..., axis=2) bit for bit
+            s_edge, t_edge = np.sqrt((d[0] + d[1]) + d[2]), np.sqrt((d[3] + d[4]) + d[5])
+            # a repeated index gives a zero edge, which the 1e-9 gates reject
+            keep = keep[
+                (s_edge > 1e-9)
+                & (t_edge > 1e-9)
+                & (t_edge >= EDGE_RATIO * s_edge)
+                & (s_edge >= EDGE_RATIO * t_edge)
+            ]
         sel, batch = sel[keep], batch[keep]
-        if not len(sel) and best is None and not source.derived(
-            ("gate-triangle", radius, target), lambda: _has_gate_triangle(ends_at)
-        ):
-            break  # no hypothesis can ever pass the gate
         if len(sel):
             s3, t3 = src_pts[sel], tgt_pts[sel]  # (m, 3, 3)
             # batched Kabsch over all surviving 3-point hypotheses

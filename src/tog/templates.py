@@ -20,7 +20,6 @@ clouds, values of the points alone, serve every later scene.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from collections.abc import Mapping
@@ -249,39 +248,28 @@ def _grasp_from_pair(p_a, p_b, width, centroid) -> GraspPose:
     u = _canonical_sign((p_b - p_a) / width)
     center = 0.5 * (p_a + p_b)
     approach = _orthonormal_complement(u, centroid - center)
-    ax, ay, az = approach
-    # np.cross(approach, u) bit for bit, without its overhead on one pair of 3-vectors
-    side = np.array([ay * u[2] - az * u[1], az * u[0] - ax * u[2], ax * u[1] - ay * u[0]])
-    rotation = np.column_stack([u, side, approach])
+    rotation = np.column_stack([u, np.cross(approach, u), approach])
     return GraspPose(RigidTransform(rotation, center), float(width))
 
 
 def _antipodal_pairs(part: PointCloud, order, max_opening: float):
     """Each pair within the opening and both friction cones, as (a, b, width, center, axis).
 
-    Points `a` are visited in `order`, each with its partners `b` in ascending index order;
-    the axis is (b - a) / width, the grasp's closing axis up to sign. The partners are the
-    points the kd-tree's ball query returns. They are read off the offsets to every point,
-    whose lengths are the widths bit for bit, unless some length lies within 1e-9 (relative)
-    of the opening, where only the kd-tree's own rounding decides and it is asked instead.
+    Points `a` are visited in `order`, each with its kd-tree partners `b` in ascending index
+    order; the axis is (b - a) / width, the grasp's closing axis up to sign.
     """
     points = part.points
     normals = estimate_normals(part)
     cos_limit = math.cos(math.radians(FRICTION_HALF_ANGLE_DEG))
-    inner, outer = max_opening * (1 - 1e-9), max_opening * (1 + 1e-9)
     for a in order:
-        offsets = points - points[a]
-        lengths = np.linalg.norm(offsets, axis=1)
-        if np.any((lengths > inner) & (lengths <= outer)):
-            partners = np.array(
-                part.tree.query_ball_point(points[a], max_opening, return_sorted=True), np.int64
-            )
-        else:
-            partners = np.flatnonzero(lengths <= inner)
+        partners = np.array(
+            part.tree.query_ball_point(points[a], max_opening, return_sorted=True), np.int64
+        )
         partners = partners[partners != a]
         if partners.size == 0:
             continue
-        delta, widths = offsets[partners], lengths[partners]
+        delta = points[partners] - points[a]
+        widths = np.linalg.norm(delta, axis=1)
         valid = widths > 1e-9
         if not np.any(valid):
             continue
@@ -293,7 +281,8 @@ def _antipodal_pairs(part: PointCloud, order, max_opening: float):
         if not np.any(valid):
             continue
         centers = 0.5 * (points[a] + points[partners[valid]])
-        yield from zip(itertools.repeat(a), partners[valid], widths[valid], centers, u[valid])
+        for b, width, center, axis in zip(partners[valid], widths[valid], centers, u[valid]):
+            yield a, b, width, center, axis
 
 
 def sample_antipodal_grasps(

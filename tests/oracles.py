@@ -461,22 +461,6 @@ def dense_inlier_counts(rot, trans, src_pts, tgt_pts, inlier_dist) -> np.ndarray
     return (dists <= inlier_dist).sum(axis=1)
 
 
-def gate_triangle_brute(src_pts, tgt_pts) -> bool:
-    """Whether some 3 distinct pairs pass RANSAC's edge gate together, trying every triple."""
-    for triple in itertools.combinations(range(len(src_pts)), 3):
-        s3, t3 = src_pts[list(triple)], tgt_pts[list(triple)]
-        s_edges = np.linalg.norm(s3 - np.roll(s3, 1, axis=0), axis=1)
-        t_edges = np.linalg.norm(t3 - np.roll(t3, 1, axis=0), axis=1)
-        if (
-            (s_edges > 1e-9).all()
-            and (t_edges > 1e-9).all()
-            and (t_edges >= 0.9 * s_edges).all()
-            and (s_edges >= 0.9 * t_edges).all()
-        ):
-            return True
-    return False
-
-
 def coarse_align_dense(source, target, leaf: float = 0.005, rng=0, trace=None):
     """Descriptor RANSAC counting every hypothesis's inliers densely.
 

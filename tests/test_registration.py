@@ -419,24 +419,6 @@ class TestCoarseAlign:
         assert features == [source, target] * 3 + [source, other, source, target]
 
 
-class TestGateTriangle:
-    @pytest.mark.parametrize("rows", [1, 4, 2**16])
-    def test_agrees_with_every_triple(self, monkeypatch, rows):
-        monkeypatch.setattr(registration, "_GATE_EDGES", rows)
-        outcomes = []
-        for seed in range(40):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(3, 13))
-            src, tgt = rng.uniform(-0.05, 0.05, (2, n, 3))
-            for pts in (src, tgt):  # repeated points, in the source, the target or both
-                copies = rng.integers(0, n, size=(int(rng.integers(0, 3)), 2))
-                pts[copies[:, 0]] = pts[copies[:, 1]]
-            found = registration._has_gate_triangle(np.vstack([src.T, tgt.T]))
-            assert found == oracles.gate_triangle_brute(src, tgt), seed
-            outcomes.append(found)
-        assert set(outcomes) == {True, False}
-
-
 def _noisy_torus_pair():
     pts = torus_arc(np.random.default_rng(6), n=350)
     pose = RigidTransform(Rotation.from_rotvec([0.3, -0.2, 0.5]).as_matrix(), [0.01, 0.02, -0.01])
@@ -489,10 +471,7 @@ class TestCoarseAlignGroups:
                 results.append(align())
             except CoarseFailureError as exc:
                 results.append(str(exc))
-        # the package draws the oracle's batches in order, as far as both go; it stops
-        # first only on a call that fails for want of a gate triangle
-        shared = min(len(trace), len(draws))
-        assert [batch[0] for batch in trace[:shared]] == draws[:shared]
+        assert [batch[0] for batch in trace] == draws[: len(trace)]
         return results, trace, list(draws)
 
     def assert_same(self, results):
@@ -530,12 +509,10 @@ class TestCoarseAlignGroups:
         assert {survivors > 0 for _, survivors in trace} == {True, False}
 
     def test_no_survivors_in_any_batch(self, monkeypatch):
-        results, trace, draws = self.run(*_mostly_coincident_pair(), 0, monkeypatch)
+        results, trace, _ = self.run(*_mostly_coincident_pair(), 0, monkeypatch)
         self.assert_same(results)
         assert "no 3-point hypothesis reached 3 inliers" in results[0]
         assert len(trace) == 98 and not any(survivors for _, survivors in trace)
-        # no three pairs pass the gate together, so the package stops after one group
-        assert draws == [1024] * registration._GROUP_BATCHES
 
     def test_pairs_at_the_inlier_distance(self, monkeypatch):
         # a lattice at 1.5 leaf spacing matched to itself, with every third
