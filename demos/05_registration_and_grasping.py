@@ -3,10 +3,11 @@
 Registration runs local to global: a RANSAC + ICP alignment of the
 recognized part pair (t_loc), a rotation sweep about the part's reference
 point that settles the rest of the object (t_opt), and a final whole-cloud
-ICP polish (t_icp). Grasps annotated on the template then map into the
-scene through the inverse of the total transform, get checked for finger
-collisions and closing-line contact, and are re-centered once when the
-closing line misses the part.
+ICP polish (t_icp). Templates register in order until one fits every
+scene point, since no later one could beat that fit. Grasps annotated on
+the template then map into the scene through the inverse of the total
+transform, get checked for finger collisions and closing-line contact, and
+are re-centered once when the closing line misses the part.
 
 The scene is a bottle whose true pose is known, so every stage can be
 graded against ground truth.
@@ -17,9 +18,10 @@ from numpy.random import SeedSequence, default_rng
 
 from tog.bench import build_class_templates, desk_pose, generate_object, grasp_success
 from tog.geometry import apply_transform
+from tog.pipeline import register_all, skipped_templates
 from tog.planning import plan
 from tog.recognition import recognize
-from tog.registration import register
+from tog.registration import best_registration
 from tog.templates import GripperConfig
 
 
@@ -36,17 +38,17 @@ def main():
     rec = recognize(scene, templates, "cap")
     print(f"recognized cap cluster: {len(rec.members)} points")
 
-    registrations = {
-        t.id: register(scene, rec, t, seed=j)
-        for j, t in enumerate(templates)
-    }
+    registrations, errors = register_all(scene, rec, bank, seed_base=0)
     for tid, reg in registrations.items():
         print(
             f"{tid}: fitness {reg.fitness:.2f}, rmse {reg.rmse * 1000:.1f} mm, "
             f"{reg.correspondence_count} correspondences"
         )
+    for tid, error in errors.items():
+        print(f"{tid}: failed ({error})")
+    print(f"not tried: {skipped_templates(bank, registrations, errors) or 'none'}")
 
-    best_id = max(registrations, key=lambda tid: registrations[tid].fitness)
+    best_id = best_registration(registrations)
     best = registrations[best_id]
     stages = {
         "t_loc": best.t_loc,

@@ -39,7 +39,7 @@ resolve``, ``recognize`` and ``register`` run their steps under
 recognize, register), so an engine error names its stage as it does in
 ``plan``. ``recognize`` and ``register`` share one front half (load, select,
 recognize) and the pipeline's helpers (``select_templates``,
-``register_all``, ``cluster_cloud``) and serializers
+``register_all``, ``skipped_templates``, ``cluster_cloud``) and serializers
 (``resolution_payload``, ``recognition_payload``, ``registration_payload``);
 ``db build`` and ``bench run`` share one ``--synthetic`` build loop.
 """
@@ -88,6 +88,7 @@ from .pipeline import (
     resolution_payload,
     run_pipeline,
     select_templates,
+    skipped_templates,
     stage,
 )
 from .recognition import recognize
@@ -413,6 +414,7 @@ def cmd_register(args) -> int:
             "registrations": {
                 tid: registration_payload(reg) for tid, reg in registrations.items()
             },
+            "registrations_skipped": skipped_templates(templates, registrations, failures),
         }
     )
     return 0
@@ -624,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--save-cluster", help="write the cluster-labeled PLY here")
     p_rec.set_defaults(func=cmd_recognize)
 
-    p_reg = sub.add_parser("register", help="align templates to a scene part")
+    p_reg = sub.add_parser("register", help="align templates until one fits every point")
     _add_common(p_reg, "db", "template_cap", "rng_seed")
     p_reg.add_argument("--scene", required=True)
     p_reg.add_argument("--part", required=True)

@@ -8,9 +8,16 @@ final geometry as PLY snapshots any external viewer can open.
 The CLI and the benchmark run the same stage code. `stage` names and times
 each stage (setup, resolve, recognize, register, plan) and tags the engine
 errors escaping it, so every failure reaches the caller with its stage.
-`select_templates`, `register_all` (seeds and failure capture),
-`resolution_payload`, `recognition_payload`, `registration_payload` and
-`cluster_cloud` are the one implementation of their step.
+`select_templates`, `register_all` (seeds, failure capture and the stop),
+`skipped_templates`, `resolution_payload`, `recognition_payload`,
+`registration_payload` and `cluster_cloud` are the one implementation of
+their step.
+
+Registration stops at the first template that fits every observed point
+(fitness 1.0): fitness never exceeds 1 and `best_registration` keeps the
+first of equal fitnesses, so no later template could win. The winner, its
+transforms and the grasps are those of registering every template; the
+report lists the templates never tried under `registrations_skipped`.
 """
 
 from __future__ import annotations
@@ -66,10 +73,11 @@ class PipelineConfig:
     """The validated settings of a run, shared by the API and every CLI command.
 
     `run_pipeline` needs `db_path`; `ontology_path` of None selects the
-    built-in graph. `template_cap` bounds how many templates of the resolved
-    class are matched and registered (database index order). There is no
-    leaf: each template registers at its own `Template.leaf`. A bad type or
-    range raises SceneSpecError.
+    built-in graph. `template_cap` bounds the candidates: how many templates
+    of the resolved class are matched (database index order). They register
+    in that order until one fits every observed point (`register_all`).
+    There is no leaf: each template registers at its own `Template.leaf`. A
+    bad type or range raises SceneSpecError.
     """
 
     db_path: str | None = None
@@ -150,12 +158,14 @@ def select_templates(
 def register_all(
     scene, recognition, templates: dict, seed_base: int, strict=True
 ) -> tuple[dict[str, RegistrationResult], dict[str, str]]:
-    """Register every template to the recognized part.
+    """Register the templates to the recognized part until one fits every point.
 
-    Each template registers at its own `leaf`, and the i-th uses seed
-    `seed_base * 1000 + i`. Returns the registrations and, per failed
-    template, its "code: message". With `strict`, raises SceneSpecError
-    naming each failure when none succeeds.
+    Templates register in order, each at its own `leaf`, the i-th with seed
+    `seed_base * 1000 + i`. The loop stops after the first registration of
+    fitness 1.0: no later template can beat it under `best_registration`,
+    so the rest are not tried (`skipped_templates` names them). Returns the
+    registrations and, per failed template, its "code: message". With
+    `strict`, raises SceneSpecError naming each failure when none succeeds.
     """
     registrations: dict[str, RegistrationResult] = {}
     errors: dict[str, str] = {}
@@ -164,9 +174,17 @@ def register_all(
             registrations[tid] = register(scene, recognition, template, seed_base * 1000 + i)
         except TogError as exc:
             errors[tid] = f"{exc.code}: {exc}"
+            continue
+        if registrations[tid].fitness == 1.0:
+            break
     if not registrations and strict:
         raise SceneSpecError(f"every template registration failed: {errors}")
     return registrations, errors
+
+
+def skipped_templates(templates: dict, registrations: dict, errors: dict) -> list[str]:
+    """Ids of `templates`, in order, that `register_all` did not try."""
+    return [tid for tid in templates if tid not in registrations and tid not in errors]
 
 
 def resolution_payload(resolved: ResolvedPart) -> dict:
@@ -232,6 +250,11 @@ def run_pipeline(
     strict: bool = True,
 ) -> PipelineResult:
     """Resolve the instruction, find the part, align templates, plan grasps.
+
+    The matched templates register in database order until one fits every
+    observed point (`register_all`); the report's `registrations` and
+    `registration_errors` hold the templates tried, `registrations_skipped`
+    the rest, and the winner and grasps are those of trying them all.
 
     Any stage failure propagates as the stage's own error with its `stage`
     attribute set, so callers can report where the chain broke. With
@@ -300,6 +323,7 @@ def run_pipeline(
             tid: registration_payload(reg) for tid, reg in registrations.items()
         },
         "registration_errors": errors,
+        "registrations_skipped": skipped_templates(selected, registrations, errors),
         "winning_template": winning,
         "grasps": [_grasp_payload(c) for c in candidates],
     }

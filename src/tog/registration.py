@@ -695,7 +695,11 @@ def register(o_all: PointCloud, recognition, template, seed: int = 0) -> Registr
 
 
 def best_registration(registrations: dict) -> str:
-    """Template id with the highest final fitness (first wins ties)."""
+    """Template id with the highest final fitness (first wins ties).
+
+    `pipeline.register_all` stops at the first fitness of 1.0 and relies on
+    this: fitness never exceeds 1, and a later tie would not win.
+    """
     if not registrations:
         raise RegistrationFailureError("no successful registrations")
     best_id, best_fit = None, -1.0

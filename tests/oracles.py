@@ -9,6 +9,9 @@ code, which the faster one must reproduce bit for bit; they take the
 normals, the rigid fit, the grasp pose builder and the result types, which
 did not change, from the package. `cluster_stats_qr` is the package's earlier
 recognition statistics, which the running-sum route must match to rounding.
+`register_every_template` is the earlier registration loop, which tried
+every template; the one that stops at a perfect fit must pick the same
+winner with the same result.
 """
 
 from __future__ import annotations
@@ -530,3 +533,23 @@ def coarse_align_dense(source, target, leaf: float = 0.005, rng=0, trace=None):
     if best is None:
         raise CoarseFailureError("no 3-point hypothesis reached 3 inliers", stage="coarse")
     return best[1], best[2]
+
+
+def register_every_template(scene, recognition, templates: dict, seed_base: int):
+    """The package's earlier registration loop: every template, every error.
+
+    The i-th template registers with seed `seed_base * 1000 + i`, whatever
+    the fitness of the ones before it; a failure is kept as "code:
+    message". Returns (registrations, errors). The registration itself
+    comes from the package.
+    """
+    from tog.errors import TogError
+    from tog.registration import register
+
+    registrations, errors = {}, {}
+    for i, (tid, template) in enumerate(templates.items()):
+        try:
+            registrations[tid] = register(scene, recognition, template, seed_base * 1000 + i)
+        except TogError as exc:
+            errors[tid] = f"{exc.code}: {exc}"
+    return registrations, errors

@@ -751,7 +751,7 @@ def test_criterion_11_matching_time_grows_with_template_count(mug_bank_ten):
     ordered = list(mug_bank_ten.values())
     counts = (1, 3, 5, 10)
     best = {c: float("inf") for c in counts}
-    for _ in range(3):
+    for _ in range(7):
         for count, seconds in recognition_runtime_trend(scene, ordered, "handle", counts):
             best[count] = min(best[count], seconds)
     increasing = all(best[a] < best[b] for a, b in zip(counts, counts[1:]))

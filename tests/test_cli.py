@@ -14,8 +14,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
-from tog.bench import desk_pose, generate_object
+from tog.bench import Condition, desk_pose, generate_object, make_scene
 from tog.cli import main
 from tog.cloud_io import load_ply, save_json
 from tog.errors import SceneSpecError
@@ -24,6 +25,7 @@ from tog.ontology import FixtureChatClient, Instruction, default_graph, render_p
 from tog.templates import build_template, load_db, save_db
 
 POUR = "Pour the water out of the mug."
+GRASP_BODY = "Grasp the bottle by its body."
 
 
 def canned(part_title: str) -> str:
@@ -554,6 +556,36 @@ class TestExportCli:
 
 
 class TestCallersAgree:
+    def test_register_and_plan_skip_the_same_templates(self, capsys, tmp_path):
+        # bottle-0 fits every point of this full bottle (perfbench's seed-1
+        # bottle-body scene 0), so neither command tries the other two
+        db = str(tmp_path / "db")
+        run_json(capsys, ["db", "build", "--out", db, "--synthetic", "bottle=3"])
+        condition = Condition(
+            name="bottle-body", object_class="bottle", part_path="body",
+            n_points=2000, partial=False,
+        )
+        scene = tmp_path / "bottle.json"
+        save_json(make_scene(condition, default_rng(SeedSequence((1, 2, 0)))), scene)
+        chat = tmp_path / "chat"
+        FixtureChatClient(chat).record(
+            render_prompt(default_graph(), Instruction(GRASP_BODY), False),
+            canned("Body of the Bottle"),
+        )
+        common = ["--db", db, "--scene", str(scene)]
+        registered = run_json(capsys, ["register", *common, "--part", "body"])
+        planned = run_json(
+            capsys,
+            ["plan", *common, "--fixtures", str(chat), "--instruction", GRASP_BODY,
+             "--no-timings"],
+        )
+        assert registered["registrations_skipped"] == ["bottle-1", "bottle-2"]
+        assert planned["registrations_skipped"] == ["bottle-1", "bottle-2"]
+        assert list(registered["registrations"]) == ["bottle-0"]
+        assert registered["registrations"] == planned["registrations"]
+        assert registered["registrations"]["bottle-0"]["fitness"] == 1.0
+        assert registered["winning_template"] == planned["winning_template"] == "bottle-0"
+
     def test_register_and_recognize_match_plan_and_export(self, ws, capsys, tmp_path):
         seed = ["--rng-seed", "2"]
         scene = ["--db", ws["db"], "--scene", ws["scene"]]
@@ -563,6 +595,7 @@ class TestCallersAgree:
         )
         planned = run_json(capsys, ["plan", *pipeline, "--no-timings"])
         assert registered["registrations"] == planned["registrations"]
+        assert registered["registrations_skipped"] == planned["registrations_skipped"]
 
         cluster_path = tmp_path / "cluster.ply"
         recognized = run_json(

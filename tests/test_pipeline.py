@@ -5,8 +5,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
-from tog.bench import build_class_templates, desk_pose, generate_object
+import oracles
+from tog.bench import (
+    Condition,
+    build_class_templates,
+    desk_pose,
+    generate_object,
+    make_scene,
+)
 from tog.cloud_io import load_ply, save_json
 from tog.errors import (
     CloudParseError,
@@ -27,11 +35,14 @@ from tog.pipeline import (
     PipelineResult,
     export_artifacts,
     register_all,
+    registration_payload,
     run_pipeline,
     select_templates,
+    skipped_templates,
 )
+from tog.planning import plan
 from tog.recognition import recognize
-from tog.registration import register_local
+from tog.registration import best_registration, register_local
 from tog.templates import (
     GripperConfig,
     _template_from_text,
@@ -227,16 +238,28 @@ class TestStages:
             seeds.append(seed)
             if template.name == "bad":
                 raise CoarseFailureError("no hypothesis", stage="coarse")
-            return template.name
+            return SimpleNamespace(name=template.name, fitness=template.fitness)
 
         monkeypatch.setattr("tog.pipeline.register", fake_register)
-        ok = SimpleNamespace(name="ok", leaf=0.005)
+        ok = SimpleNamespace(name="ok", leaf=0.005, fitness=0.9)
+        perfect = SimpleNamespace(name="perfect", leaf=0.005, fitness=1.0)
         bad = SimpleNamespace(name="bad", leaf=0.005)
         templates = {"a": ok, "b": bad, "c": ok}
         registrations, errors = register_all(None, None, templates, 7)
         assert seeds == [7000, 7001, 7002]
-        assert registrations == {"a": "ok", "c": "ok"}
+        assert {tid: r.name for tid, r in registrations.items()} == {"a": "ok", "c": "ok"}
         assert errors == {"b": "coarse-failure: [coarse] no hypothesis"}
+        assert skipped_templates(templates, registrations, errors) == []
+
+        # a perfect fit in the middle ends the loop; the error before it stays
+        seeds.clear()
+        templates = {"a": bad, "b": ok, "c": perfect, "d": ok, "e": bad}
+        registrations, errors = register_all(None, None, templates, 3)
+        assert seeds == [3000, 3001, 3002]
+        assert list(registrations) == ["b", "c"]
+        assert errors == {"a": "coarse-failure: [coarse] no hypothesis"}
+        assert skipped_templates(templates, registrations, errors) == ["d", "e"]
+
         with pytest.raises(SceneSpecError, match="every template registration failed"):
             register_all(None, None, {"b": bad}, 0)
         assert register_all(None, None, {"b": bad}, 0, strict=False)[0] == {}
@@ -246,7 +269,8 @@ class TestStages:
     ):
         fine = load_db(workspace["db"])["mug-0"]
         coarse = build_class_templates("mug", count=1, leaf=0.006, n_points=4000)
-        bank = {"fine": fine, "coarse": coarse["mug-0"]}
+        # coarse first: it falls short of a perfect fit here, so fine registers too
+        bank = {"coarse": coarse["mug-0"], "fine": fine}
         scene = workspace["scene_cloud"]
         recognition = recognize(scene, list(bank.values()), "handle")
         calls = []
@@ -257,8 +281,106 @@ class TestStages:
 
         monkeypatch.setattr("tog.registration.register_local", spy)
         registrations, errors = register_all(scene, recognition, bank, 0)
-        assert calls == [0.005, 0.006]
-        assert list(registrations) == ["fine", "coarse"] and errors == {}
+        assert registrations["coarse"].fitness < 1.0
+        assert calls == [0.006, 0.005]
+        assert list(registrations) == ["coarse", "fine"] and errors == {}
+
+
+def payload_text(reg) -> str:
+    """A registration's JSON form as text: equal text means equal bits."""
+    return json.dumps(registration_payload(reg))
+
+
+def grasp_bytes(candidate) -> tuple:
+    """Every field of a grasp, arrays as raw bytes, for a bitwise comparison."""
+    return (
+        candidate.pose.matrix.tobytes(),
+        candidate.width,
+        candidate.template_id,
+        candidate.part_path,
+        candidate.source_index,
+        candidate.adjustment.tobytes(),
+        candidate.stick_ok_initially,
+    )
+
+
+# (object class, part, points, partial view, scene index, the templates
+# register_all never tries); the scenes are the perfbench seed-1 recipe's
+STOP_CASES = {
+    # bottle-0 fits every point of a full bottle: the other two are skipped
+    "bottle-first-fits": ("bottle", "body", 2000, False, 0, ["bottle-1", "bottle-2"]),
+    # fitness [0.894, 1.0, 0.882]: the perfect middle template ends the loop
+    "mug-middle-fits": ("mug", "handle", 1500, True, 0, ["mug-2"]),
+    # fitness [0.868, 0.849, 0.928]: every template registers
+    "mug-none-fits": ("mug", "handle", 1500, True, 4, []),
+    # mug-1 fails and no template fits every point: the error is kept
+    "mug-error-none-fits": ("mug", "handle", 1500, True, 10, []),
+}
+WORKLOAD_INDEX = {"mug": 0, "bottle": 2}
+INSTRUCTIONS = {"mug": POUR, "bottle": SHAKE}
+
+
+@pytest.fixture(scope="module")
+def stop_workspace(tmp_path_factory):
+    """A three-template database per class and a chat fixture for each."""
+    root = tmp_path_factory.mktemp("stop")
+    dbs = {}
+    for object_class in ("mug", "bottle"):
+        dbs[object_class] = str(root / f"db-{object_class}")
+        save_db(build_class_templates(object_class, count=3).values(), dbs[object_class])
+    graph = default_graph()
+    client = FixtureChatClient(root / "chat")
+    client.record(render_prompt(graph, Instruction(POUR), False), canned("Handle of the Mug"))
+    client.record(render_prompt(graph, Instruction(SHAKE), False), canned("Body of the Bottle"))
+    return {"root": root, "dbs": dbs, "client": client}
+
+
+class TestRegistrationStop:
+    @pytest.mark.parametrize("case", list(STOP_CASES))
+    def test_pipeline_matches_registering_every_template(self, stop_workspace, case):
+        object_class, part, n_points, partial, index, skipped = STOP_CASES[case]
+        condition = Condition(
+            name=case, object_class=object_class, part_path=part,
+            n_points=n_points, partial=partial,
+        )
+        rng = default_rng(SeedSequence((1, WORKLOAD_INDEX[object_class], index)))
+        scene_path = stop_workspace["root"] / f"{case}.json"
+        save_json(make_scene(condition, rng), scene_path)
+        config = PipelineConfig(db_path=stop_workspace["dbs"][object_class])
+        result = run_pipeline(
+            config, INSTRUCTIONS[object_class], scene_path, stop_workspace["client"]
+        )
+        report = result.report
+
+        registrations, errors = oracles.register_every_template(
+            result.scene, result.recognition, result.templates, config.rng_seed
+        )
+        winner = best_registration(registrations)
+        expected = plan(
+            result.scene, result.recognition, registrations, result.templates,
+            gripper=config.gripper,
+        )
+        assert result.winning_template == report["winning_template"] == winner
+        assert json.dumps(report["registrations"][winner]) == payload_text(
+            registrations[winner]
+        )
+        assert [grasp_bytes(c) for c in result.candidates] == [
+            grasp_bytes(c) for c in expected
+        ]
+
+        # the templates before the stop ran as in the oracle; the rest did not
+        tried = [tid for tid in result.templates if tid not in skipped]
+        assert report["registrations_skipped"] == skipped
+        assert list(result.registrations) == [tid for tid in tried if tid in registrations]
+        for tid, reg in result.registrations.items():
+            assert payload_text(reg) == payload_text(registrations[tid])
+        assert report["registration_errors"] == {
+            tid: errors[tid] for tid in tried if tid in errors
+        }
+        perfect = [
+            tid for tid in tried if tid in registrations and registrations[tid].fitness == 1.0
+        ]
+        assert perfect == (tried[-1:] if skipped else [])
 
 
 class TestExport:
