@@ -4,10 +4,11 @@ Registration runs local to global: a RANSAC + ICP alignment of the
 recognized part pair (t_loc), a rotation sweep about the part's reference
 point that settles the rest of the object (t_opt), and a final whole-cloud
 ICP polish (t_icp). Templates register in order until one fits every
-scene point, since no later one could beat that fit. Grasps annotated on
-the template then map into the scene through the inverse of the total
-transform, get checked for finger collisions and closing-line contact, and
-are re-centered once when the closing line misses the part.
+scene point, since no later one could beat that fit, and the first of the
+highest fitness wins (`register_all` names it). Grasps annotated on the
+winning template then map into the scene through the inverse of its total
+transform (`plan`), get checked for finger collisions and closing-line
+contact, and are re-centered once when the closing line misses the part.
 
 The scene is a bottle whose true pose is known, so every stage can be
 graded against ground truth.
@@ -21,7 +22,6 @@ from tog.geometry import apply_transform
 from tog.pipeline import register_all, skipped_templates
 from tog.planning import plan
 from tog.recognition import recognize
-from tog.registration import best_registration
 from tog.templates import GripperConfig
 
 
@@ -38,7 +38,7 @@ def main():
     rec = recognize(scene, templates, "cap")
     print(f"recognized cap cluster: {len(rec.members)} points")
 
-    registrations, errors = register_all(scene, rec, bank, seed_base=0)
+    registrations, errors, best_id = register_all(scene, rec, bank, seed_base=0)
     for tid, reg in registrations.items():
         print(
             f"{tid}: fitness {reg.fitness:.2f}, rmse {reg.rmse * 1000:.1f} mm, "
@@ -48,7 +48,6 @@ def main():
         print(f"{tid}: failed ({error})")
     print(f"not tried: {skipped_templates(bank, registrations, errors) or 'none'}")
 
-    best_id = best_registration(registrations)
     best = registrations[best_id]
     stages = {
         "t_loc": best.t_loc,
@@ -69,7 +68,7 @@ def main():
     residual = np.median(tpl.full_cloud.tree.query(moved)[0])
     print(f"median scene-to-template residual: {residual * 1000:.2f} mm")
 
-    candidates = plan(scene, rec, registrations, bank, gripper=gripper)
+    candidates = plan(scene, rec, tpl, best.t_total, gripper=gripper)
     print(f"\nplanned {len(candidates)} vetted grasps, best first")
     for cand in candidates[:5]:
         moved_note = (

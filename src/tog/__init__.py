@@ -11,7 +11,7 @@ from .ontology import Instruction, OntologyGraph, ResolvedPart, default_graph, r
 from .pipeline import PipelineConfig, PipelineResult, export_artifacts, run_pipeline
 from .planning import GraspCandidate, plan
 from .recognition import RecognitionResult, recognize
-from .registration import RegistrationResult, best_registration, register
+from .registration import RegistrationResult, register
 from .templates import (
     GraspPose,
     GripperConfig,
@@ -40,7 +40,6 @@ __all__ = [
     "Template",
     "TogError",
     "__version__",
-    "best_registration",
     "build_template",
     "default_graph",
     "export_artifacts",

@@ -701,10 +701,11 @@ def run_trial(
             return report
 
         with stage("register"):
-            registrations, errors = register_all(scene, recognition, selected, trial_index)
+            registrations, errors, winner = register_all(scene, recognition, selected, trial_index)
         report.registration_errors = errors
         with stage("plan"):
-            candidates = plan(scene, recognition, registrations, selected, gripper=gripper)
+            t_total = registrations[winner].t_total
+            candidates = plan(scene, recognition, selected[winner], t_total, gripper=gripper)
         report.planned = True
         report.n_candidates = len(candidates)
         report.selected_ok = grasp_success(

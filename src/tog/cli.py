@@ -92,7 +92,6 @@ from .pipeline import (
     stage,
 )
 from .recognition import recognize
-from .registration import best_registration
 from .templates import DEFAULT_LEAF, GripperConfig, build_template, check_leaf
 from .templates import load_db, save_db
 
@@ -402,14 +401,14 @@ def cmd_register(args) -> int:
     ctx = _Context(args)
     scene, templates, recognition = _recognize_scene(args, ctx, args.template)
     with stage("register"):
-        registrations, failures = register_all(
+        registrations, failures, winner = register_all(
             scene, recognition, templates, ctx.settings.rng_seed
         )
     _emit(
         {
             "schema_version": 1,
             "part_path": args.part,
-            "winning_template": best_registration(registrations),
+            "winning_template": winner,
             "failures": failures,
             "registrations": {
                 tid: registration_payload(reg) for tid, reg in registrations.items()

@@ -95,10 +95,6 @@ class CoarseFailureError(TogError):
 class LocalRegistrationFailureError(TogError):
     code = "local-registration-failure"
 
-    def __init__(self, message: str, best_attempt=None, stage=None):
-        super().__init__(message, stage=stage)
-        self.best_attempt = best_attempt
-
 
 class RecognitionFailureError(TogError):
     code = "recognition-failure"

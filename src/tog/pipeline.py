@@ -8,14 +8,15 @@ final geometry as PLY snapshots any external viewer can open.
 The CLI and the benchmark run the same stage code. `stage` names and times
 each stage (setup, resolve, recognize, register, plan) and tags the engine
 errors escaping it, so every failure reaches the caller with its stage.
-`select_templates`, `register_all` (seeds, failure capture and the stop),
-`skipped_templates`, `resolution_payload`, `recognition_payload`,
+`select_templates`, `register_all` (seeds, failure capture, the winner and
+the stop), `skipped_templates`, `resolution_payload`, `recognition_payload`,
 `registration_payload` and `cluster_cloud` are the one implementation of
 their step.
 
-Registration stops at the first template that fits every observed point
-(fitness 1.0): fitness never exceeds 1 and `best_registration` keeps the
-first of equal fitnesses, so no later template could win. The winner, its
+The winner, the template whose grasps `plan` imitates, is the first of the
+highest registration fitness. `register_all` picks it as it registers and
+stops at the first template that fits every observed point (fitness 1.0):
+fitness never exceeds 1, so no later template could win. So the winner, its
 transforms and the grasps are those of registering every template; the
 report lists the templates never tried under `registrations_skipped`.
 """
@@ -45,7 +46,7 @@ from .ontology import (
 )
 from .planning import GraspCandidate, plan
 from .recognition import RecognitionResult, recognize
-from .registration import RegistrationResult, best_registration, register
+from .registration import RegistrationResult, register
 from .templates import GripperConfig, Template, load_db
 
 REPORT_SCHEMA_VERSION = 1
@@ -75,7 +76,8 @@ class PipelineConfig:
     `run_pipeline` needs `db_path`; `ontology_path` of None selects the
     built-in graph. `template_cap` bounds the candidates: how many templates
     of the resolved class are matched (database index order). They register
-    in that order until one fits every observed point (`register_all`).
+    in that order until one fits every observed point, and the first of the
+    highest fitness wins (`register_all`).
     There is no leaf: each template registers at its own `Template.leaf`. A
     bad type or range raises SceneSpecError.
     """
@@ -157,29 +159,34 @@ def select_templates(
 
 def register_all(
     scene, recognition, templates: dict, seed_base: int, strict=True
-) -> tuple[dict[str, RegistrationResult], dict[str, str]]:
-    """Register the templates to the recognized part until one fits every point.
+) -> tuple[dict[str, RegistrationResult], dict[str, str], str | None]:
+    """Register the templates to the recognized part and pick the winner.
 
     Templates register in order, each at its own `leaf`, the i-th with seed
-    `seed_base * 1000 + i`. The loop stops after the first registration of
-    fitness 1.0: no later template can beat it under `best_registration`,
-    so the rest are not tried (`skipped_templates` names them). Returns the
-    registrations and, per failed template, its "code: message". With
-    `strict`, raises SceneSpecError naming each failure when none succeeds.
+    `seed_base * 1000 + i`. The winner is the first template of the highest
+    final fitness. The loop stops after the first registration of fitness
+    1.0, so the rest are not tried (`skipped_templates` names them). Returns
+    the registrations, per failed template its "code: message", and the
+    winner's id, None when nothing registered. With `strict`, raises
+    SceneSpecError naming each failure when none succeeds.
     """
     registrations: dict[str, RegistrationResult] = {}
     errors: dict[str, str] = {}
+    winner = None
     for i, (tid, template) in enumerate(templates.items()):
         try:
-            registrations[tid] = register(scene, recognition, template, seed_base * 1000 + i)
+            reg = register(scene, recognition, template, seed_base * 1000 + i)
         except TogError as exc:
             errors[tid] = f"{exc.code}: {exc}"
             continue
-        if registrations[tid].fitness == 1.0:
+        registrations[tid] = reg
+        if winner is None or reg.fitness > registrations[winner].fitness:
+            winner = tid
+        if reg.fitness == 1.0:  # fitness never exceeds 1: no later template wins
             break
-    if not registrations and strict:
+    if winner is None and strict:
         raise SceneSpecError(f"every template registration failed: {errors}")
-    return registrations, errors
+    return registrations, errors, winner
 
 
 def skipped_templates(templates: dict, registrations: dict, errors: dict) -> list[str]:
@@ -252,7 +259,8 @@ def run_pipeline(
     """Resolve the instruction, find the part, align templates, plan grasps.
 
     The matched templates register in database order until one fits every
-    observed point (`register_all`); the report's `registrations` and
+    observed point, and `register_all` names the winner, whose template and
+    transform `plan` imitates. The report's `registrations` and
     `registration_errors` hold the templates tried, `registrations_skipped`
     the rest, and the winner and grasps are those of trying them all.
 
@@ -293,18 +301,17 @@ def run_pipeline(
         recognition = recognize(scene, list(selected.values()), resolved.part_path)
 
     with stage("register", timings):
-        registrations, errors = register_all(
+        registrations, errors, winning = register_all(
             scene, recognition, selected, config.rng_seed, strict=strict
         )
-        winning = best_registration(registrations) if registrations else None
 
     with stage("plan", timings):
         candidates: list[GraspCandidate] = []
-        if registrations:
+        if winning is not None:
             try:
                 candidates = plan(
-                    scene, recognition, registrations, selected,
-                    gripper=config.gripper,
+                    scene, recognition, selected[winning],
+                    registrations[winning].t_total, gripper=config.gripper,
                 )
             except (NoGraspError, NoFeasibleGraspError):
                 if strict:
@@ -381,7 +388,7 @@ def export_artifacts(result: PipelineResult, out_dir) -> list[Path]:
 
     write("scene.ply", result.scene)
     write("cluster.ply", cluster_cloud(result.scene, result.recognition))
-    if result.winning_template in result.registrations:
+    if result.winning_template is not None:
         reg = result.registrations[result.winning_template]
         template_cloud = result.templates[result.winning_template].full_cloud
         aligned = apply_transform(template_cloud, reg.t_total.inverse())

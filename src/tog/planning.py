@@ -2,12 +2,14 @@
 
 Template grasps live in the template model frame. Registration gives the
 transform taking scene points into that frame, so its inverse places each
-stored grasp over the matched part in the scene. A transferred candidate is
-a `GraspPose`, with its frame convention and checks, that also records where
-it came from. Candidates are then vetted geometrically: the finger sweep
-volumes must be clear of non-part scene points, and the jaw closing line
-must actually capture part material; candidates that miss are re-centered
-on the part's local bounding box before the final verdict.
+stored grasp over the matched part in the scene. `plan` takes the one
+template and transform to imitate; choosing that template among the
+registered ones is `pipeline.register_all`'s step. A transferred candidate
+is a `GraspPose`, with its frame convention and checks, that also records
+where it came from. Candidates are then vetted geometrically: the finger
+sweep volumes must be clear of non-part scene points, and the jaw closing
+line must actually capture part material; candidates that miss are
+re-centered on the part's local bounding box before the final verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
     NoGraspError,
 )
 from .geometry import PointCloud, RigidTransform, knn
-from .registration import best_registration
 from .templates import GraspPose, GripperConfig
 
 
@@ -162,23 +163,20 @@ def adjust_grasp(candidate: GraspCandidate, part: PointCloud) -> GraspCandidate:
 def plan(
     o_all: PointCloud,
     recognition,
-    registrations: dict,
-    templates: dict,
+    template,
+    t_total: RigidTransform,
     gripper: GripperConfig = GripperConfig(),
 ) -> list[GraspCandidate]:
     """Produce executable grasps for the recognized part, best first.
 
-    The template with the best registration fitness supplies the grasps.
+    `template`'s grasps for the part are carried into the scene through the
+    inverse of `t_total`, its registration's scene-to-template transform.
     Transferred candidates are dropped if their fingers would strike
     non-part scene points; candidates whose closing line misses the part
     are re-centered once and dropped if they still miss or newly collide.
     Survivors are ordered by (needed adjustment?, adjustment distance,
     stored order), in the scene frame.
     """
-    template_id = best_registration(registrations)
-    template = templates[template_id]
-    t_total = registrations[template_id].t_total
-
     members = np.asarray(recognition.members, dtype=np.int64)
     non_part = np.delete(np.arange(len(o_all)), members)
     obstacle_points = o_all.points[non_part]
@@ -204,7 +202,7 @@ def plan(
     )
     if not kept:
         raise NoFeasibleGraspError(
-            f"no grasp from template '{template_id}' survives placement and "
+            f"no grasp from template '{template.id}' survives placement and "
             f"closure checks on part '{recognition.part_path}'"
         )
     return kept

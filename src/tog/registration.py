@@ -411,10 +411,8 @@ def register_local(
     """Part-to-part alignment, retried until over half the points correspond.
 
     Each attempt runs coarse RANSAC with a fresh derived RNG stream followed
-    by ICP at 1.5x leaf. Raises after 20 attempts, carrying the best attempt
-    seen for diagnostics.
+    by ICP at 1.5x leaf. Raises LocalRegistrationFailureError after 20 attempts.
     """
-    best: IcpResult | None = None
     failure = None
     for attempt in range(LOCAL_ATTEMPTS):
         try:
@@ -425,12 +423,9 @@ def register_local(
             continue
         if result.correspondences > len(o_part) / 2:
             return result
-        if best is None or result.correspondences > best.correspondences:
-            best = result
     raise LocalRegistrationFailureError(
         f"no attempt exceeded {len(o_part) // 2} correspondences "
         f"in {LOCAL_ATTEMPTS} tries" + (f" (last error: {failure})" if failure else ""),
-        best_attempt=best,
         stage="local",
     )
 
@@ -692,18 +687,3 @@ def register(o_all: PointCloud, recognition, template, seed: int = 0) -> Registr
         correspondence_count=final.correspondences,
         template_id=template.id,
     )
-
-
-def best_registration(registrations: dict) -> str:
-    """Template id with the highest final fitness (first wins ties).
-
-    `pipeline.register_all` stops at the first fitness of 1.0 and relies on
-    this: fitness never exceeds 1, and a later tie would not win.
-    """
-    if not registrations:
-        raise RegistrationFailureError("no successful registrations")
-    best_id, best_fit = None, -1.0
-    for tid, reg in registrations.items():
-        if reg.fitness > best_fit:
-            best_id, best_fit = tid, reg.fitness
-    return best_id

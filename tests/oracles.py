@@ -10,8 +10,9 @@ normals, the rigid fit, the grasp pose builder and the result types, which
 did not change, from the package. `cluster_stats_qr` is the package's earlier
 recognition statistics, which the running-sum route must match to rounding.
 `register_every_template` is the earlier registration loop, which tried
-every template; the one that stops at a perfect fit must pick the same
-winner with the same result.
+every template, and `best_registration` the earlier winner rule over its
+registrations; the loop that picks the winner as it goes and stops at a
+perfect fit must pick the same winner with the same result.
 """
 
 from __future__ import annotations
@@ -553,3 +554,12 @@ def register_every_template(scene, recognition, templates: dict, seed_base: int)
         except TogError as exc:
             errors[tid] = f"{exc.code}: {exc}"
     return registrations, errors
+
+
+def best_registration(registrations: dict):
+    """Id of the highest final fitness, the first of equal ones; None if empty."""
+    best_id, best_fit = None, -1.0
+    for tid, reg in registrations.items():
+        if reg.fitness > best_fit:
+            best_id, best_fit = tid, reg.fitness
+    return best_id

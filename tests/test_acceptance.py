@@ -58,7 +58,6 @@ from tog.recognition import (
     recognize,
 )
 from tog.registration import (
-    RegistrationResult,
     coarse_align,
     icp,
     register,
@@ -448,7 +447,8 @@ def test_criterion_07_pipeline_beats_direct_registration(scissor_bank):
                 t.id: register(scene, rec, t, seed=i * 100 + j)
                 for j, t in enumerate(tlist)
             }
-            plans = plan(scene, rec, regs, scissor_bank)
+            winner = oracles.best_registration(regs)
+            plans = plan(scene, rec, scissor_bank[winner], regs[winner].t_total)
         except TogError:
             plans = []
         if plans:
@@ -555,12 +555,7 @@ def test_criterion_08_transfer_exactness_and_recentering(
             members=members,
             part_path=part_path,
         )
-        regs = {
-            tpl.id: RegistrationResult(
-                ident, ident, ident, ident, 1.0, 0.0, len(scene), tpl.id
-            )
-        }
-        plans = plan(scene, stub, regs, {tpl.id: tpl})
+        plans = plan(scene, stub, tpl, ident)
         assert plans
         obstacles = np.delete(scene.points, members, axis=0)
         for c in plans:

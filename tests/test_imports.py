@@ -1,4 +1,5 @@
-"""Every module of the package, the tests and the demos uses what it imports.
+"""Every module of the package, the tests, the demos and perfbench uses what
+it imports, and the package's stage modules build on its foundations only.
 
 A stdlib `ast` scan: a name bound by an import counts as used when the
 module reads it anywhere, lists it in ``__all__``, or names it inside a
@@ -13,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path
-    for folder in ("src/tog", "tests", "demos")
+    for folder in ("src/tog", "tests", "demos", "perfbench")
     for path in (ROOT / folder).glob("*.py")
 )
 
@@ -29,6 +30,16 @@ def _imported(tree: ast.Module) -> dict[str, int]:
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
     return bound
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Sibling modules a package module imports (``from .x`` or ``from . import x``)."""
+    return {
+        (node.module or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
 
 
 def _annotation_names(annotation) -> set[str]:
@@ -73,7 +84,23 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_scan_covers_every_tree():
     folders = {path.parent.name for path in MODULES}
-    assert folders == {"tog", "tests", "demos"}
+    assert folders == {"tog", "tests", "demos", "perfbench"}
+
+
+STAGES = {"ontology", "recognition", "registration", "planning"}
+FOUNDATIONS = {"errors", "geometry", "cloud_io", "templates"}
+
+
+def test_only_the_composers_chain_stages():
+    imports = {
+        path.stem: _package_imports(ast.parse(path.read_text(), filename=str(path)))
+        for path in (ROOT / "src/tog").glob("*.py")
+    }
+    assert {stage: imports[stage] - FOUNDATIONS for stage in STAGES} == {
+        stage: set() for stage in STAGES
+    }
+    composers = {module for module, names in imports.items() if names & STAGES}
+    assert composers == {"__init__", "pipeline", "bench", "cli"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")

@@ -42,7 +42,7 @@ from tog.pipeline import (
 )
 from tog.planning import plan
 from tog.recognition import recognize
-from tog.registration import best_registration, register_local
+from tog.registration import register_local
 from tog.templates import (
     GripperConfig,
     _template_from_text,
@@ -241,28 +241,38 @@ class TestStages:
             return SimpleNamespace(name=template.name, fitness=template.fitness)
 
         monkeypatch.setattr("tog.pipeline.register", fake_register)
+        low = SimpleNamespace(name="low", leaf=0.005, fitness=0.7)
         ok = SimpleNamespace(name="ok", leaf=0.005, fitness=0.9)
         perfect = SimpleNamespace(name="perfect", leaf=0.005, fitness=1.0)
         bad = SimpleNamespace(name="bad", leaf=0.005)
         templates = {"a": ok, "b": bad, "c": ok}
-        registrations, errors = register_all(None, None, templates, 7)
+        registrations, errors, winner = register_all(None, None, templates, 7)
         assert seeds == [7000, 7001, 7002]
         assert {tid: r.name for tid, r in registrations.items()} == {"a": "ok", "c": "ok"}
         assert errors == {"b": "coarse-failure: [coarse] no hypothesis"}
         assert skipped_templates(templates, registrations, errors) == []
+        assert winner == "a"  # an equal fitness keeps the first template
 
-        # a perfect fit in the middle ends the loop; the error before it stays
+        # a later, strictly higher fitness replaces the winner; a tie after it does not
+        registrations, errors, winner = register_all(
+            None, None, {"a": low, "b": ok, "c": ok}, 0
+        )
+        assert list(registrations) == ["a", "b", "c"] and winner == "b"
+
+        # a perfect fit in the middle wins and ends the loop; the error before it stays
         seeds.clear()
         templates = {"a": bad, "b": ok, "c": perfect, "d": ok, "e": bad}
-        registrations, errors = register_all(None, None, templates, 3)
+        registrations, errors, winner = register_all(None, None, templates, 3)
         assert seeds == [3000, 3001, 3002]
-        assert list(registrations) == ["b", "c"]
+        assert list(registrations) == ["b", "c"] and winner == "c"
         assert errors == {"a": "coarse-failure: [coarse] no hypothesis"}
         assert skipped_templates(templates, registrations, errors) == ["d", "e"]
 
         with pytest.raises(SceneSpecError, match="every template registration failed"):
             register_all(None, None, {"b": bad}, 0)
-        assert register_all(None, None, {"b": bad}, 0, strict=False)[0] == {}
+        assert register_all(None, None, {"b": bad}, 0, strict=False) == (
+            {}, {"b": "coarse-failure: [coarse] no hypothesis"}, None
+        )
 
     def test_register_all_registers_each_template_at_its_own_leaf(
         self, workspace, monkeypatch
@@ -280,7 +290,7 @@ class TestStages:
             return register_local(o_part, m_part, leaf, seed=seed)
 
         monkeypatch.setattr("tog.registration.register_local", spy)
-        registrations, errors = register_all(scene, recognition, bank, 0)
+        registrations, errors, _winner = register_all(scene, recognition, bank, 0)
         assert registrations["coarse"].fitness < 1.0
         assert calls == [0.006, 0.005]
         assert list(registrations) == ["coarse", "fine"] and errors == {}
@@ -355,10 +365,10 @@ class TestRegistrationStop:
         registrations, errors = oracles.register_every_template(
             result.scene, result.recognition, result.templates, config.rng_seed
         )
-        winner = best_registration(registrations)
+        winner = oracles.best_registration(registrations)
         expected = plan(
-            result.scene, result.recognition, registrations, result.templates,
-            gripper=config.gripper,
+            result.scene, result.recognition, result.templates[winner],
+            registrations[winner].t_total, gripper=config.gripper,
         )
         assert result.winning_template == report["winning_template"] == winner
         assert json.dumps(report["registrations"][winner]) == payload_text(

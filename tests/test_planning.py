@@ -69,10 +69,6 @@ def recognition_stub(scene, members, part_path="face"):
     )
 
 
-def registration_stub(t_total, fitness=1.0):
-    return SimpleNamespace(t_total=t_total, fitness=fitness)
-
-
 class TestTransfer:
     def test_identity_registration_keeps_poses(self):
         template = bar_template([[0.0, 0.0, 0.0], [0.0, 0.01, 0.0]])
@@ -280,10 +276,7 @@ class TestPlan:
             ]
         )
         recognition = recognition_stub(scene, members)
-        registrations = {"bar-0": registration_stub(RigidTransform.identity())}
-        out = plan(
-            scene, recognition, registrations, {"bar-0": template}, gripper=GRIPPER
-        )
+        out = plan(scene, recognition, template, RigidTransform.identity(), gripper=GRIPPER)
         assert [c.source_index for c in out] == [0, 2, 1]
         assert [c.stick_ok_initially for c in out] == [True, True, False]
         assert out[2].adjustment_norm > 0
@@ -301,9 +294,8 @@ class TestPlan:
         # wall sits at x = 0.035; width 0.05 puts fingers at [0.025, 0.035]
         template = bar_template([[0.0, 0.0, 0.0]], widths=[0.05])
         recognition = recognition_stub(scene, members)
-        registrations = {"bar-0": registration_stub(RigidTransform.identity())}
         with pytest.raises(NoFeasibleGraspError):
-            plan(scene, recognition, registrations, {"bar-0": template}, gripper=GRIPPER)
+            plan(scene, recognition, template, RigidTransform.identity(), gripper=GRIPPER)
 
     def test_unadjustable_grasp_dropped(self):
         # part is a thin ring: the translation-only adjustment centers the
@@ -322,32 +314,8 @@ class TestPlan:
             grasps={"face": grasps},
         )
         recognition = recognition_stub(scene, members)
-        registrations = {"ring-0": registration_stub(RigidTransform.identity())}
         with pytest.raises(NoFeasibleGraspError):
-            plan(scene, recognition, registrations, {"ring-0": template}, gripper=GRIPPER)
-
-    def test_best_fitness_template_wins(self):
-        scene, members = make_plan_scene()
-        good = bar_template([[0.0, 0.0, 0.0]])
-        shifted = Template(
-            id="bar-1",
-            object_class="slab",
-            full_cloud=good.full_cloud,
-            grasps=dict(good.grasps),
-        )
-        recognition = recognition_stub(scene, members)
-        registrations = {
-            "bar-0": registration_stub(RigidTransform.identity(), fitness=0.4),
-            "bar-1": registration_stub(RigidTransform.identity(), fitness=0.9),
-        }
-        out = plan(
-            scene,
-            recognition,
-            registrations,
-            {"bar-0": good, "bar-1": shifted},
-            gripper=GRIPPER,
-        )
-        assert all(c.template_id == "bar-1" for c in out)
+            plan(scene, recognition, template, RigidTransform.identity(), gripper=GRIPPER)
 
     def test_deterministic(self):
         scene, members = make_plan_scene()
@@ -355,9 +323,8 @@ class TestPlan:
             [[0.0, 0.0, 0.0], [0.0, 0.01, 0.02], [0.0, 0.02, 0.0]]
         )
         recognition = recognition_stub(scene, members)
-        registrations = {"bar-0": registration_stub(RigidTransform.identity())}
-        a = plan(scene, recognition, registrations, {"bar-0": template}, gripper=GRIPPER)
-        b = plan(scene, recognition, registrations, {"bar-0": template}, gripper=GRIPPER)
+        a = plan(scene, recognition, template, RigidTransform.identity(), gripper=GRIPPER)
+        b = plan(scene, recognition, template, RigidTransform.identity(), gripper=GRIPPER)
         assert [c.source_index for c in a] == [c.source_index for c in b]
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.pose.matrix, cb.pose.matrix)

@@ -5,7 +5,6 @@ import itertools
 import sys
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +23,6 @@ from tog.errors import (
 from tog.geometry import PointCloud, RigidTransform, apply_transform, fit_rigid
 from tog.recognition import RecognitionResult, recognize
 from tog.registration import (
-    best_registration,
     coarse_align,
     fpfh,
     icp,
@@ -609,14 +607,15 @@ class TestRegisterLocal:
         )
         assert res.correspondences > len(half) / 2
 
-    def test_mismatched_part_fails_and_carries_best_attempt(self):
+    def test_mismatched_part_fails_after_every_attempt(self):
         rng = np.random.default_rng(13)
         body = cylinder(rng, n=160, radius=0.05, height=0.12)
         handle = torus_arc(rng, n=100, major=0.015, minor=0.004)
-        with pytest.raises(LocalRegistrationFailureError) as err:
+        with pytest.raises(
+            LocalRegistrationFailureError,
+            match="no attempt exceeded 80 correspondences in 20 tries",
+        ):
             register_local(PointCloud(body), PointCloud(handle), leaf=0.005, seed=0)
-        # diagnostics may be None only if every attempt errored outright
-        assert hasattr(err.value, "best_attempt")
 
 
 class TestOptimizeRotation:
@@ -1011,12 +1010,3 @@ class TestRegisterOnBenchmarkScenes:
             lambda *args, **kwargs: RigidTransform(*oracles.coarse_align_dense(*args, **kwargs)),
         )
         assert register_each() == fast
-
-
-class TestBestRegistration:
-    def test_argmax_fitness_first_on_ties(self):
-        mk = lambda f: SimpleNamespace(fitness=f)
-        regs = {"a": mk(0.7), "b": mk(0.9), "c": mk(0.9)}
-        assert best_registration(regs) == "b"
-        with pytest.raises(RegistrationFailureError):
-            best_registration({})
