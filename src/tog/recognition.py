@@ -47,16 +47,50 @@ smallest value within rounding of zero; equidistant and coincident
 clusters fail it too, and keep the two-pass NaN decisions.
 
 Blocks of seeds are scored on a thread pool, shared by every template:
-per block, one exact (block, n) squared-distance matrix (summed one axis at
-a time, as `_gather` sums it) and one `np.argpartition` (kth 0, 1, every
+per block, one exact (block, n) squared-distance matrix d2 (summed one axis
+at a time, as `_gather` sums it, so its square roots are `_gather`'s
+distances bit for bit) and one `np.argpartition` (kth 0, 1, every
 template's k - 1 and k) put each template's k nearest points, unordered, in
 the prefix ``[:, :k]`` of each row, with column 0 at distance 0 (the seed,
-or an exact copy of it), so the dispersion term reads ``[:, 1:k]``. One
-`_gather` of the largest prefix and one pass of running sums over it give
-the statistics at every template's k. A row whose kth and (k+1)th distances
-(columns k-1 and k) tie takes its members from `knn` instead (sorted, so
-its columns are in the same places), is gathered the same way and scored
-by the same `_cluster_stats`, so every member set equals `knn`'s.
+or an exact copy of it), so the dispersion term reads ``[:, 1:k]``. The
+statistics are then read from the smaller side of that partition, a choice
+that depends only on the templates' ks and n:
+
+* near route (`_near_block`), where k_max < n - k_min: one `_gather` of
+  the largest prefix and one pass of `_cluster_stats` over it give the
+  statistics at every template's k;
+* far route (`_far_block`), otherwise: a cluster is the whole cloud minus
+  its far side ``[:, k:]``. Sums over disjoint sets combine exactly in
+  arithmetic, so each k's member sums are whole-cloud totals minus the
+  sums of the far columns, gathered once for k_min and walked from the far
+  end. The coordinates are centred once per scene on their mean (the
+  scatter does not depend on the origin, and the centred sum of squares G
+  is the smallest of any origin); the distance totals are the row sums of
+  sqrt(d2) and d2. A member's box minimum along an axis is the first point,
+  in the cloud's order along that axis, that is no far point, and it lies
+  among the first n - k + 1 entries (there are n - k far points); the
+  maximum is the same on the reversed order. Columns 1 and k - 1 are read
+  from d2.
+
+Far-route rounding: each whole or far sum of coordinate products errs by at
+most n u G, so a member sum by (2 n + 1) u G, and a member coordinate sum
+by 2 n u sqrt(n G); with |member coordinate sum| <= sqrt(k G), every entry of
+the member scatter is within (6 n + 4) sqrt(n / k) u G, and each eigenvalue
+within delta = (20 n + 100) sqrt(n / k) u G (three times the entry bound,
+plus the same 64 u G granted to `eigvalsh`). With A1 and A2 the whole plus
+far sums of the distances and of the squared distances (each term within
+4 u and 5 u of itself), the spread's mean is within e = (n + 5) u A1 /
+(k - 1), its variance within (n + 9) u A2 / (k - 1) + (2 mean + 3 e) e, and
+its largest deviation within e + 4 u times column k - 1's distance, plus
+its own rounding. Rows these bounds cannot hold to `_STATS_TOL` (flat,
+equidistant or coincident clusters, and small k where the subtraction
+cancels) take the near route for that k: `_cluster_stats` of their gathered
+members ``[:, :k]``, with its own bound and fallbacks.
+
+On either route, a row whose kth and (k+1)th distances (columns k-1 and k)
+tie takes its members from `knn` instead (sorted, so its columns are in the
+same places), is gathered the same way and scored by the same
+`_cluster_stats`, so every member set equals `knn`'s.
 """
 
 from __future__ import annotations
@@ -64,6 +98,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -244,18 +279,28 @@ def _unit(sigma: np.ndarray) -> np.ndarray:
     return sigma / np.where(norm > 0, norm, np.nan)[:, None]
 
 
+def _certified_sigma(k: int, s1: np.ndarray, s2: np.ndarray, delta: np.ndarray):
+    """(m, 3) singular values of the first k members from their sums, and the rows in doubt.
+
+    ``delta`` bounds each eigenvalue's error (the module docstring's bound of
+    the route that took the sums); a row is in doubt where it cannot hold
+    the unit spectrum to `_STATS_TOL`.
+    """
+    scatter = s2 - s1[_PAIRS[0]] * (s1[_PAIRS[1]] / k)
+    lam = np.linalg.eigvalsh(scatter[_SYMMETRIC].transpose(2, 0, 1))[:, ::-1]
+    sigma = np.sqrt(np.maximum(lam, 0.0))
+    err = np.divide(delta[:, None], sigma, out=np.full_like(sigma, np.inf), where=lam > 0)
+    err += _U * sigma
+    doubt = ~(2 * np.linalg.norm(err, axis=1) <= _STATS_TOL * np.linalg.norm(sigma, axis=1))
+    return sigma, doubt
+
+
 def _spectra(rel: np.ndarray, k: int, s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
     """(m, 3) unit PCA spectra of the first k seed-relative members, from their sums."""
     if k < 3:  # at most a line: the QR route, which also gives the (m, k) shape
         return _unit(singular_values_batch(rel[:, :, :k]))
-    scatter = s2 - s1[_PAIRS[0]] * (s1[_PAIRS[1]] / k)
-    lam = np.linalg.eigvalsh(scatter[_SYMMETRIC].transpose(2, 0, 1))[:, ::-1]
-    sigma = np.sqrt(np.maximum(lam, 0.0))
-    # the module docstring's bound on each singular value
     delta = (10 * k + 100) * _U * (s2[0] + s2[3] + s2[5])
-    err = np.divide(delta[:, None], sigma, out=np.full_like(sigma, np.inf), where=lam > 0)
-    err += _U * sigma
-    doubt = ~(2 * np.linalg.norm(err, axis=1) <= _STATS_TOL * np.linalg.norm(sigma, axis=1))
+    sigma, doubt = _certified_sigma(k, s1, s2, delta)
     if doubt.any():
         sigma[doubt] = singular_values_batch(rel[:, doubt, :k])
     return _unit(sigma)
@@ -270,20 +315,38 @@ def _two_pass_spread(dist: np.ndarray) -> np.ndarray:
     return std / np.where(max_dev > 0, max_dev, np.nan)
 
 
+def _certified_spread(mean, var, nearest, farthest, var_err, dev_err):
+    """(m,) spreads from the mean and variance of the distances, and the rows in doubt.
+
+    ``nearest`` and ``farthest`` are the distances of columns 1 and k - 1;
+    ``var_err`` bounds the variance's error and ``dev_err`` that of the
+    largest deviation before its own rounding (the module docstring's
+    bounds of the route that took the sums).
+    """
+    std = np.sqrt(np.maximum(var, 0.0))
+    max_dev = np.maximum(farthest - mean, mean - nearest)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = std / max_dev
+        std_err = var_err / std + _U * std
+        dev_err = dev_err + 2 * _U * max_dev
+        doubt = ~(std_err / std + dev_err / max_dev <= _STATS_TOL / 2)
+    return spread, doubt
+
+
 def _spread(dist: np.ndarray, k: int, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
     """(m,) distance spreads of the first k members, from the sums of their distances."""
     if k < 3:  # fewer than two others: a NaN spread
         return _two_pass_spread(dist[:, :k])
     m = k - 1
     mean = d1 / m
-    std = np.sqrt(np.maximum(d2 / m - mean**2, 0.0))
-    max_dev = np.maximum(dist[:, k - 1] - mean, mean - dist[:, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spread = std / max_dev
-        # the module docstring's bounds on std and on the largest deviation
-        std_err = (4 * k + 16) * _U * (d2 / m) / std + _U * std
-        dev_err = (k + 4) * _U * mean + 2 * _U * max_dev
-        doubt = ~(std_err / std + dev_err / max_dev <= _STATS_TOL / 2)
+    spread, doubt = _certified_spread(
+        mean,
+        d2 / m - mean**2,
+        dist[:, 1],
+        dist[:, k - 1],
+        (4 * k + 16) * _U * (d2 / m),
+        (k + 4) * _U * mean,
+    )
     if doubt.any():
         spread[doubt] = _two_pass_spread(dist[doubt, :k])
     return spread
@@ -319,11 +382,16 @@ def _cluster_stats(coords: np.ndarray, dist: np.ndarray, ks, whole_box) -> list:
         np.minimum(low, coords[:, :, seg].min(axis=2), out=low)
         np.maximum(high, coords[:, :, seg].max(axis=2), out=high)
         done = k
-        centers = 0.5 * (low + high).T
-        offsets = np.linalg.norm(centers - whole_box.center, axis=1)
-        ratios = offsets / (whole_box.half_diagonal or np.nan)  # NaN: whole of no extent
+        ratios = _box_ratios(low, high, whole_box)
         out.append((_spectra(rel, k, s1, s2), _spread(dist, k, d1, d2), ratios))
     return out
+
+
+def _box_ratios(low: np.ndarray, high: np.ndarray, whole_box) -> np.ndarray:
+    """(m,) offsets of the (3, m) boxes' centers from the whole's, over its half diagonal."""
+    centers = 0.5 * (low + high).T
+    offsets = np.linalg.norm(centers - whole_box.center, axis=1)
+    return offsets / (whole_box.half_diagonal or np.nan)  # NaN: whole of no extent
 
 
 def _stats_about(part: PointCloud, ref: int, whole: PointCloud) -> list:
@@ -344,22 +412,134 @@ def _score(cluster: tuple, stats: _TemplateStats) -> np.ndarray:
     )
 
 
-def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarray:
-    """(n, templates) combined score of every seed, NaN = degenerate.
+def _restate(stats: tuple, points, seeds, rows, members, whole_box) -> None:
+    """Overwrite ``rows`` of one k's statistics with `_cluster_stats` of their ``members``."""
+    fixed = _cluster_stats(*_gather(points, seeds[rows], members), [members.shape[1]], whole_box)
+    for stat, fix in zip(stats, fixed[0]):
+        stat[rows] = fix
 
-    One distance block and partition per block of seeds, on one thread per
-    CPU, serve every template: the statistics of every template's k are read
-    off one pass of running sums over the block's gathered prefix, and the
-    rows tied at a template's kth neighbor are re-gathered from `knn`'s members.
+
+def _near_block(points, seeds, d2, idx, ks, whole_box) -> list:
+    """`_cluster_stats` at every k of a block's seeds, from its gathered largest prefix."""
+    return _cluster_stats(*_gather(points, seeds, idx[:, : ks[-1]]), ks, whole_box)
+
+
+def _whole_sums(points: np.ndarray):
+    """The far route's per-scene sums: see `_far_block`."""
+    centered = np.ascontiguousarray((points - points.mean(axis=0)).T)
+    s2 = np.array([centered[a] @ centered[b] for a, b in zip(*_PAIRS)])
+    orders = np.argsort(points, axis=0, kind="stable").T
+    return centered, centered.sum(axis=1), s2, orders, np.take_along_axis(points.T, orders, 1)
+
+
+def _far_block(points, seeds, d2, idx, ks, whole_box, whole) -> list:
+    """`_cluster_stats` at every k of a block's seeds, as the whole cloud minus the far side.
+
+    ``whole`` is `_whole_sums(points)`: the points centred once on their
+    mean as (3, n) planes, their sums S1 and the six product sums S2, and
+    each axis's point order with its sorted coordinates. The far columns
+    ``idx[:, k:]`` of the smallest k are gathered once and summed from the
+    far end, so each k's member sums are the totals minus its far sums.
+    Rows the module docstring's bound cannot certify take `_cluster_stats`
+    on their gathered members ``idx[:, :k]``.
+    """
+    n = len(points)
+    centered, s1_all, s2_all, orders, sorted_coords = whole
+    dist = np.sqrt(d2)  # `_gather`'s distances, bit for bit
+    d1_all, d2_all = dist.sum(axis=1), d2.sum(axis=1)
+    far = idx[:, ks[0] :]
+    coords = np.take(centered, far, axis=1)
+    far_d2 = np.take_along_axis(d2, far, axis=1)
+    far_dist = np.sqrt(far_d2)
+    scale = s2_all[0] + s2_all[3] + s2_all[5]  # G: squared centred lengths
+    # a member's box extremes lie among the first n - k + 1 points of each
+    # axis order, from either end; a point is a member iff its d2 is at most
+    # the kth (a row tied at the boundary is repaired by the caller)
+    span = n - ks[0] + 1
+    cand = [d2[:, orders[:, :span]], d2[:, orders[:, ::-1][:, :span]]]
+    s1, s2 = np.zeros((3, len(seeds))), np.zeros((6, len(seeds)))
+    f1, f2 = np.zeros(len(seeds)), np.zeros(len(seeds))
+    out, done = [], far.shape[1]
+    for k in reversed(ks):
+        seg = slice(k - ks[0], done)
+        part = coords[:, :, seg]
+        s1 += part.sum(axis=2)
+        for row, a, b in zip(s2, *_PAIRS):
+            row += np.einsum("ij,ij->i", part[a], part[b])
+        f1 += far_dist[:, seg].sum(axis=1)
+        f2 += far_d2[:, seg].sum(axis=1)
+        done = k - ks[0]
+        delta = (20 * n + 100) * np.sqrt(n / k) * _U * scale
+        sigma, doubt = _certified_sigma(
+            k, s1_all[:, None] - s1, s2_all[:, None] - s2, np.full(len(seeds), delta)
+        )
+        m = k - 1
+        mean = (d1_all - f1) / m
+        mean_err = (n + 5) * _U * (d1_all + f1) / m
+        nearest, farthest = np.take_along_axis(dist, idx[:, [1, k - 1]], axis=1).T
+        spread, doubt_spread = _certified_spread(
+            mean,
+            (d2_all - f2) / m - mean**2,
+            nearest,
+            farthest,
+            (n + 9) * _U * (d2_all + f2) / m + (2 * mean + 3 * mean_err) * mean_err,
+            mean_err + 4 * _U * farthest,
+        )
+        kth_d2 = np.take_along_axis(d2, idx[:, k - 1 : k], axis=1)[:, :, None]
+        first = [np.argmax(c[:, :, : n - k + 1] <= kth_d2, axis=2) for c in cand]
+        low = sorted_coords[np.arange(3), first[0]].T
+        high = sorted_coords[np.arange(3), n - 1 - first[1]].T
+        stats = (_unit(sigma), spread, _box_ratios(low, high, whole_box))
+        redo = np.flatnonzero(doubt | doubt_spread)
+        if len(redo):
+            _restate(stats, points, seeds, redo, idx[redo, :k], whole_box)
+        out.append(stats)
+    return out[::-1]
+
+
+def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], seeds, route) -> np.ndarray:
+    """(m, templates) combined scores of a block of seeds, by `_near_block` or `_far_block`.
+
+    One exact (m, n) squared-distance matrix (summed one axis at a time, as
+    `_gather` sums it) and one `np.argpartition` (kth 0, 1, every k - 1 and
+    k) serve every template; rows tied at a k boundary are re-gathered from
+    `knn`'s members and scored by `_cluster_stats`.
     """
     points = o_all.points
     n = len(points)
     whole_box = aabb(o_all)
-    if whole_box.half_diagonal <= 0:
+    ks = sorted({s.k for s in stats})
+    kth = sorted({0, 1} | {k - 1 for k in ks} | {k for k in ks if k < n})
+    d2 = sum((plane - seed_coord[:, None]) ** 2 for plane, seed_coord in zip(points.T, seeds.T))
+    idx = np.argpartition(d2, kth, axis=1)
+    by_k = dict(zip(ks, route(points, seeds, d2, idx, ks, whole_box)))
+    for k in ks:
+        if k < n:
+            gap = np.sqrt(np.take_along_axis(d2, idx[:, k - 1 : k + 1], axis=1))
+            tied = np.flatnonzero(knn_boundary_ties(gap[:, 0], gap[:, 1]))
+            if len(tied):
+                exact = np.array([knn(o_all, seeds[row], k) for row in tied])
+                _restate(by_k[k], points, seeds, tied, exact, whole_box)
+    return np.column_stack([_score(by_k[s.k], s) for s in stats])
+
+
+def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarray:
+    """(n, templates) combined score of every seed, NaN = degenerate.
+
+    Blocks of seeds run on one thread per CPU, each through `_block_scores`.
+    Every block takes the route that gathers fewer columns, which depends
+    only on the templates' ks and n: `_near_block` (the k_max nearest
+    columns) when k_max < n - k_min, else `_far_block` (the n - k_min
+    farthest columns).
+    """
+    points = o_all.points
+    n = len(points)
+    if aabb(o_all).half_diagonal <= 0:
         raise DegenerateClusterError("observed cloud has zero bounding-box diagonal")
     ks = sorted({s.k for s in stats})
-    kq = min(ks[-1] + 1, n)  # the largest k, and one more for the tie check
-    kth = sorted({0, 1} | {k - 1 for k in ks} | {k for k in ks if k < n})
+    route = _near_block
+    if ks[-1] >= n - ks[0]:
+        route = partial(_far_block, whole=_whole_sums(points))
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # os.sched_getaffinity is Linux-only
@@ -370,20 +550,7 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
 
     def score_block(start):
         seeds = points[start : start + block]
-        d2 = sum((plane - seed_coord[:, None]) ** 2 for plane, seed_coord in zip(points.T, seeds.T))
-        idx = np.argpartition(d2, kth, axis=1)
-        coords, dist = _gather(points, seeds, idx[:, :kq])
-        by_k = dict(zip(ks, _cluster_stats(coords, dist, ks, whole_box)))
-        for j, s in enumerate(stats):
-            k = s.k
-            out = scores[start : start + len(seeds), j]
-            out[:] = _score(by_k[k], s)
-            if k < kq:
-                tied = np.nonzero(knn_boundary_ties(dist[:, k - 1], dist[:, k]))[0]
-                if len(tied):
-                    exact = np.array([knn(o_all, seeds[row], k) for row in tied])
-                    gathered = _gather(points, seeds[tied], exact)
-                    out[tied] = _score(_cluster_stats(*gathered, [k], whole_box)[0], s)
+        scores[start : start + len(seeds)] = _block_scores(o_all, stats, seeds, route)
 
     o_all.tree  # built here, so the tie repairs in the pool do not race to build it
     with ThreadPoolExecutor(min(cpus, len(starts))) as pool:

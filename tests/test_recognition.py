@@ -1,7 +1,9 @@
 """Cluster-metric and part-recognition tests against brute-force oracles."""
 
+import itertools
 import sys
 import threading
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,8 +21,8 @@ from tog.errors import (
     RecognitionFailureError,
     SchemaError,
 )
-from tog.bench import build_class_templates
-from tog.geometry import PointCloud, aabb, knn
+from tog.bench import Condition, build_class_templates, make_scene
+from tog.geometry import PointCloud, aabb, knn, knn_boundary_ties
 from tog.recognition import (
     cluster_size_from_counts,
     d_ccd,
@@ -671,3 +673,139 @@ class TestSharedNeighborQuery:
         o_all = PointCloud(rng.uniform(-1, 1, size=(700, 3)))
         recognize(o_all, [stub_template("t", whole, whole[:20])], "part")
         assert threading.active_count() == before
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Counts of the blocks each route scores."""
+    calls = {"near": 0, "far": 0}
+
+    def counted(name, route):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return route(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(recognition, "_near_block", counted("near", recognition._near_block))
+    monkeypatch.setattr(recognition, "_far_block", counted("far", recognition._far_block))
+    return calls
+
+
+class TestFarSide:
+    """Clusters of most of the cloud, read as the whole cloud minus the far side."""
+
+    @pytest.mark.parametrize("fraction", [0.6, 0.92, 1.0])
+    def test_part_fraction(self, routes, fraction):
+        rng = np.random.default_rng(20)
+        pts = rng.uniform(-1, 1, size=(150, 3)) * [2.0, 1.0, 0.5]
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        k = cluster_size_from_counts(150, round(100 * fraction), 100)
+        assert k == round(150 * fraction)  # 90, 138 and 150: an empty far side
+        assert_matches_oracle(pts, [(whole, whole[: round(100 * fraction)])])
+        assert routes == {"near": 0, "far": 1}
+
+    @pytest.mark.parametrize(
+        "fractions, route", [((0.3, 0.6), "near"), ((0.4, 0.7), "far")]
+    )
+    def test_ks_straddling_half(self, routes, fractions, route):
+        # ks 48, 96 (near: 96 < 160 - 48) and 64, 112 (far: 112 >= 160 - 64)
+        rng = np.random.default_rng(21)
+        pts = rng.uniform(-1, 1, size=(160, 3))
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        assert_matches_oracle(pts, [(whole, whole[: round(100 * f)]) for f in fractions])
+        assert routes[route] == 1 and sum(routes.values()) == 1
+
+    def test_integer_lattice_ties_at_the_far_boundary(self, routes):
+        grid = np.stack(
+            np.meshgrid(np.arange(6), np.arange(5), np.arange(3), indexing="ij"), -1
+        ).reshape(-1, 3).astype(float)
+        d = np.sort(np.linalg.norm(grid[:, None] - grid[None], axis=2), axis=1)
+        for k in (50, 70):
+            assert knn_boundary_ties(d[:, k - 1], d[:, k]).sum() > 10
+        whole = np.random.default_rng(22).uniform(-1, 1, size=(90, 3))
+        assert_matches_oracle(grid, [(whole, whole[:50]), (whole, whole[:70])])
+        assert routes == {"near": 0, "far": 1}
+
+    def test_repeated_points(self, routes):
+        rng = np.random.default_rng(23)
+        pts = np.repeat(rng.uniform(-1, 1, size=(40, 3)), 3, axis=0)  # each point thrice
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        assert_matches_oracle(pts, [(whole, whole[:75])])  # k = 90 of 120
+        assert routes == {"near": 0, "far": 1}
+
+    def test_cloud_far_from_the_origin(self, routes):
+        rng = np.random.default_rng(24)
+        pts = rng.uniform(-1, 1, size=(150, 3)) * [0.2, 0.1, 0.05] + [1000.0, -1000.0, 1000.0]
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        assert_matches_oracle(pts, [(whole, whole[:80]), (whole, whole[:90])])
+        assert routes == {"near": 0, "far": 1}
+
+    def test_planar_slab_takes_the_near_fallback(self, routes, monkeypatch):
+        # every cluster is flat, so no row's spectrum can be certified from
+        # the subtracted sums; each goes through `_cluster_stats`
+        rng = np.random.default_rng(25)
+        pts = rng.uniform(-1, 1, size=(150, 3)) * [3.0, 1.0, 0.0] @ random_rotation(rng).T
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        gathered_rows = []
+        cluster_stats = recognition._cluster_stats
+
+        def counted(coords, *rest):
+            gathered_rows.append(coords.shape[1])
+            return cluster_stats(coords, *rest)
+
+        monkeypatch.setattr(recognition, "_cluster_stats", counted)
+        assert_matches_oracle(pts, [(whole, whole[:80])])
+        assert routes == {"near": 0, "far": 1}
+        assert sum(gathered_rows) >= 150
+
+    def test_equidistant_cluster_keeps_its_nan(self, routes):
+        # the origin and the 30 integer points at distance 3 from it: the
+        # origin's 31 members are all at one distance, so its spread is NaN,
+        # which the subtracted distance sums alone would miss
+        shell = np.array(
+            [v for v in itertools.product(range(-3, 4), repeat=3) if np.dot(v, v) == 9], float
+        )
+        assert len(shell) == 30
+        rng = np.random.default_rng(27)
+        pts = np.vstack([np.zeros(3), shell, rng.uniform(5, 8, size=(14, 3))])
+        whole = rng.uniform(-1, 1, size=(45, 3))
+        got = assert_matches_oracle(pts, [(whole, whole[:31])])
+        assert np.isnan(got.seed_scores[0]) and routes == {"near": 0, "far": 1}
+
+    def test_one_seed_last_block(self, routes, monkeypatch):
+        monkeypatch.setattr(recognition.os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(recognition, "_BLOCK_ENTRIES", 10 * 121)  # 10 seeds a block
+        rng = np.random.default_rng(26)
+        pts = rng.uniform(-1, 1, size=(121, 3))
+        whole = rng.uniform(-1, 1, size=(100, 3))
+        assert_matches_oracle(pts, [(whole, whole[:80])])
+        assert routes == {"near": 0, "far": 13}
+
+    def test_routes_agree_on_a_bottle_body(self):
+        condition = Condition("body", "bottle", "body", n_points=2000, partial=False)
+        o_all = make_scene(condition, np.random.default_rng(np.random.SeedSequence((2, 0))))
+        o_all = PointCloud(o_all.points)
+        bank = build_class_templates("bottle", count=3, n_points=2000)
+        stats = [recognition._template_stats(o_all, t, "body") for t in bank.values()]
+        n, ks = len(o_all), sorted(s.k for s in stats)
+        assert ks[-1] >= n - ks[0]  # the rule picks the far route
+        far = partial(recognition._far_block, whole=recognition._whole_sums(o_all.points))
+        scores = {}
+        for name, route in (("near", recognition._near_block), ("far", far)):
+            scores[name] = np.vstack(
+                [
+                    recognition._block_scores(o_all, stats, o_all.points[i : i + 250], route)
+                    for i in range(0, n, 250)
+                ]
+            )
+        nan = np.isnan(scores["near"])
+        assert np.array_equal(np.isnan(scores["far"]), nan) and not nan.all()
+        assert np.max(np.abs(scores["far"] - scores["near"])[~nan]) <= 1e-12
+        winners = {}
+        for name, matrix in scores.items():
+            seed_scores = matrix.mean(axis=1)
+            winner = int(np.nanargmin(seed_scores))
+            k = stats[int(np.argmin(matrix[winner]))].k
+            winners[name] = (winner, knn(o_all, o_all.points[winner], k))
+        assert winners["far"] == winners["near"]
