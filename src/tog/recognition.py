@@ -49,17 +49,24 @@ clusters fail it too, and keep the two-pass NaN decisions.
 Blocks of seeds are scored on a thread pool, shared by every template:
 per block, one exact (block, n) squared-distance matrix d2 (summed one axis
 at a time, as `_gather` sums it, so its square roots are `_gather`'s
-distances bit for bit) and one `np.argpartition` (kth 0, 1, every
-template's k - 1 and k) put each template's k nearest points, unordered, in
-the prefix ``[:, :k]`` of each row, with column 0 at distance 0 (the seed,
-or an exact copy of it), so the dispersion term reads ``[:, 1:k]``. The
-statistics are then read from the smaller side of that partition, a choice
-that depends only on the templates' ks and n:
+distances bit for bit). In each row of a selection from it, each
+template's k nearest points are the prefix ``[:, :k]``, unordered, and
+columns k - 1 and k hold the kth and (k+1)th distances. The statistics are
+read from the smaller side of that partition, a choice that depends only on
+the templates' ks and n, and each route selects no more than it reads: one
+`np.argpartition` of the full rows at a single kth, then one of the columns
+on its side alone at the kth values it needs (numpy's selection is
+introselect: Musser 1997):
 
-* near route (`_near_block`), where k_max < n - k_min: one `_gather` of
-  the largest prefix and one pass of `_cluster_stats` over it give the
-  statistics at every template's k;
-* far route (`_far_block`), otherwise: a cluster is the whole cloud minus
+* near route (`_near_select`, `_near_block`), where k_max < n - k_min: kth
+  k_max puts the k_max + 1 nearest first, and those columns are partitioned
+  at kth 0, 1, every k - 1 and k, so column 0 is at distance 0 (the seed, or
+  an exact copy of it) and the dispersion term reads ``[:, 1:k]``. One
+  `_gather` of the largest prefix and one pass of `_cluster_stats` over it
+  give the statistics at every template's k;
+* far route (`_far_select`, `_far_block`), otherwise: kth k_min - 1 puts
+  the k_min - 1 nearest first, and the n - k_min + 1 columns after them are
+  partitioned at every k - 1 and k. A cluster is the whole cloud minus
   its far side ``[:, k:]``. Sums over disjoint sets combine exactly in
   arithmetic, so each k's member sums are whole-cloud totals minus the
   sums of the far columns, gathered once for k_min and walked from the far
@@ -69,8 +76,10 @@ that depends only on the templates' ks and n:
   sqrt(d2) and d2. A member's box minimum along an axis is the first point,
   in the cloud's order along that axis, that is no far point, and it lies
   among the first n - k + 1 entries (there are n - k far points); the
-  maximum is the same on the reversed order. Columns 1 and k - 1 are read
-  from d2.
+  maximum is the same on the reversed order. The nearest other member's
+  distance (column 1 on the near route) is the row minimum of d2 with the
+  seed's own column masked, which is the second order statistic; column
+  k - 1's is read from d2.
 
 Far-route rounding: each whole or far sum of coordinate products errs by at
 most n u G, so a member sum by (2 n + 1) u G, and a member coordinate sum
@@ -84,8 +93,9 @@ far sums of the distances and of the squared distances (each term within
 its largest deviation within e + 4 u times column k - 1's distance, plus
 its own rounding. Rows these bounds cannot hold to `_STATS_TOL` (flat,
 equidistant or coincident clusters, and small k where the subtraction
-cancels) take the near route for that k: `_cluster_stats` of their gathered
-members ``[:, :k]``, with its own bound and fallbacks.
+cancels) take the near route for that k: `_cluster_stats` of their members,
+the prefix ``[:, :k]`` of a full partition of their own rows (kth 0, 1,
+every k - 1 and k), with its own bound and fallbacks.
 
 On either route, a row whose kth and (k+1)th distances (columns k-1 and k)
 tie takes its members from `knn` instead (sorted, so its columns are in the
@@ -419,9 +429,51 @@ def _restate(stats: tuple, points, seeds, rows, members, whole_box) -> None:
         stat[rows] = fix
 
 
-def _near_block(points, seeds, d2, idx, ks, whole_box) -> list:
-    """`_cluster_stats` at every k of a block's seeds, from its gathered largest prefix."""
-    return _cluster_stats(*_gather(points, seeds, idx[:, : ks[-1]]), ks, whole_box)
+def _near_select(d2: np.ndarray, scene: tuple) -> np.ndarray:
+    """(m, k_max + 1) point indices of each row's k_max + 1 nearest, in the near route's order.
+
+    One single-kth `np.argpartition` of the full rows puts the k_max + 1
+    nearest first (all n when k_max = n); only those columns are then
+    partitioned by their d2 at ``scene``'s kth (0, 1, every k - 1 and k). So
+    column 0 is at distance 0 (the seed or a copy), column 1 at the nearest
+    other point, and columns k - 1 and k at the kth and (k+1)th distances,
+    with the k nearest before column k, for every k.
+    """
+    _, ks, kth = scene
+    head = np.argpartition(d2, min(ks[-1], d2.shape[1] - 1), axis=1)[:, : ks[-1] + 1]
+    order = np.argpartition(np.take_along_axis(d2, head, axis=1), kth, axis=1)
+    return np.take_along_axis(head, order, axis=1)
+
+
+def _near_block(points, seeds, own, d2, scene) -> tuple:
+    """`_near_select` of a block, and `_cluster_stats` at every k from its gathered largest prefix."""
+    whole_box, ks, _ = scene
+    idx = _near_select(d2, scene)
+    return idx, _cluster_stats(*_gather(points, seeds, idx[:, : ks[-1]]), ks, whole_box)
+
+
+def _far_select(d2: np.ndarray, own: np.ndarray, scene: tuple):
+    """(m, n) point indices in the far route's order, and each row's nearest other distance.
+
+    One single-kth `np.argpartition` of the full rows puts the k_min - 1
+    nearest first, unordered; only the n - k_min + 1 columns after them are
+    then partitioned by their d2 at ``scene``'s kth values from k_min - 1 on
+    (every k - 1 and k, as every k is at least 3). So columns k - 1 and k are
+    at the kth and (k+1)th distances, with the k nearest before column k and
+    the far side after, for every k. The nearest other point's d2 is the row
+    minimum with the seed's own column (``own``, exactly 0) masked: the
+    second order statistic, bit for bit; its square root is `_gather`'s.
+    """
+    _, ks, kth = scene
+    idx = np.argpartition(d2, ks[0] - 1, axis=1)
+    tail = idx[:, ks[0] - 1 :]
+    order = np.argpartition(np.take_along_axis(d2, tail, axis=1), kth[2:] - (ks[0] - 1), axis=1)
+    tail[:] = np.take_along_axis(tail, order, axis=1)
+    rows = np.arange(len(own))
+    d2[rows, own] = np.inf
+    nearest = np.sqrt(d2.min(axis=1))
+    d2[rows, own] = 0.0
+    return idx, nearest
 
 
 def _whole_sums(points: np.ndarray):
@@ -432,19 +484,23 @@ def _whole_sums(points: np.ndarray):
     return centered, centered.sum(axis=1), s2, orders, np.take_along_axis(points.T, orders, 1)
 
 
-def _far_block(points, seeds, d2, idx, ks, whole_box, whole) -> list:
-    """`_cluster_stats` at every k of a block's seeds, as the whole cloud minus the far side.
+def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
+    """`_far_select` of a block, and `_cluster_stats` at every k as the whole cloud minus the far side.
 
     ``whole`` is `_whole_sums(points)`: the points centred once on their
     mean as (3, n) planes, their sums S1 and the six product sums S2, and
     each axis's point order with its sorted coordinates. The far columns
-    ``idx[:, k:]`` of the smallest k are gathered once and summed from the
+    ``[:, k:]`` of the smallest k are gathered once and summed from the
     far end, so each k's member sums are the totals minus its far sums.
     Rows the module docstring's bound cannot certify take `_cluster_stats`
-    on their gathered members ``idx[:, :k]``.
+    on the members ``[:, :k]`` of a full partition of their own rows at
+    ``scene``'s kth, which puts the seed (or a copy) first and the nearest
+    other point second.
     """
     n = len(points)
+    whole_box, ks, kth = scene
     centered, s1_all, s2_all, orders, sorted_coords = whole
+    idx, nearest = _far_select(d2, own, scene)
     dist = np.sqrt(d2)  # `_gather`'s distances, bit for bit
     d1_all, d2_all = dist.sum(axis=1), d2.sum(axis=1)
     far = idx[:, ks[0] :]
@@ -476,7 +532,7 @@ def _far_block(points, seeds, d2, idx, ks, whole_box, whole) -> list:
         m = k - 1
         mean = (d1_all - f1) / m
         mean_err = (n + 5) * _U * (d1_all + f1) / m
-        nearest, farthest = np.take_along_axis(dist, idx[:, [1, k - 1]], axis=1).T
+        farthest = np.take_along_axis(dist, idx[:, k - 1 : k], axis=1)[:, 0]
         spread, doubt_spread = _certified_spread(
             mean,
             (d2_all - f2) / m - mean**2,
@@ -492,27 +548,39 @@ def _far_block(points, seeds, d2, idx, ks, whole_box, whole) -> list:
         stats = (_unit(sigma), spread, _box_ratios(low, high, whole_box))
         redo = np.flatnonzero(doubt | doubt_spread)
         if len(redo):
-            _restate(stats, points, seeds, redo, idx[redo, :k], whole_box)
+            members = np.argpartition(d2[redo], kth, axis=1)[:, :k]
+            _restate(stats, points, seeds, redo, members, whole_box)
         out.append(stats)
-    return out[::-1]
+    return idx, out[::-1]
 
 
-def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], seeds, route) -> np.ndarray:
-    """(m, templates) combined scores of a block of seeds, by `_near_block` or `_far_block`.
+def _scene(o_all: PointCloud, stats: list[_TemplateStats]) -> tuple:
+    """What every block of a scene shares: the whole cloud's box, the distinct
+    ks in ascending order and the kth values of a full selection (0, 1, every
+    k - 1 and every k < n)."""
+    ks = sorted({s.k for s in stats})
+    kth = sorted({0, 1} | {k - 1 for k in ks} | {k for k in ks if k < len(o_all)})
+    return aabb(o_all), ks, np.array(kth)
+
+
+def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], own, route, scene) -> np.ndarray:
+    """(m, templates) combined scores of the seeds at indices ``own``, by `_near_block` or `_far_block`.
 
     One exact (m, n) squared-distance matrix (summed one axis at a time, as
-    `_gather` sums it) and one `np.argpartition` (kth 0, 1, every k - 1 and
-    k) serve every template; rows tied at a k boundary are re-gathered from
-    `knn`'s members and scored by `_cluster_stats`.
+    `_gather` sums it) serves every template; the route selects each k's
+    members from it and returns that selection with the statistics. Rows
+    tied at a k boundary are re-gathered from `knn`'s members and scored by
+    `_cluster_stats`. ``scene`` is `_scene(o_all, stats)`.
     """
     points = o_all.points
     n = len(points)
-    whole_box = aabb(o_all)
-    ks = sorted({s.k for s in stats})
-    kth = sorted({0, 1} | {k - 1 for k in ks} | {k for k in ks if k < n})
-    d2 = sum((plane - seed_coord[:, None]) ** 2 for plane, seed_coord in zip(points.T, seeds.T))
-    idx = np.argpartition(d2, kth, axis=1)
-    by_k = dict(zip(ks, route(points, seeds, d2, idx, ks, whole_box)))
+    whole_box, ks, _ = scene
+    seeds = points[own]
+    d2 = (points[:, 0] - seeds[:, :1]) ** 2
+    for axis in (1, 2):
+        d2 += (points[:, axis] - seeds[:, axis, None]) ** 2
+    idx, by_k = route(points, seeds, own, d2, scene)
+    by_k = dict(zip(ks, by_k))
     for k in ks:
         if k < n:
             gap = np.sqrt(np.take_along_axis(d2, idx[:, k - 1 : k + 1], axis=1))
@@ -526,17 +594,17 @@ def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], seeds, route) 
 def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarray:
     """(n, templates) combined score of every seed, NaN = degenerate.
 
-    Blocks of seeds run on one thread per CPU, each through `_block_scores`.
-    Every block takes the route that gathers fewer columns, which depends
-    only on the templates' ks and n: `_near_block` (the k_max nearest
-    columns) when k_max < n - k_min, else `_far_block` (the n - k_min
-    farthest columns).
+    Blocks of seeds run on one thread per CPU, each through `_block_scores`
+    with the scene's constants (`_scene`), computed once here. Every block
+    takes the route that reads fewer columns, which depends only on the
+    templates' ks and n: `_near_block` (the k_max nearest columns) when
+    k_max < n - k_min, else `_far_block` (the n - k_min farthest columns).
     """
     points = o_all.points
     n = len(points)
-    if aabb(o_all).half_diagonal <= 0:
+    whole_box, ks, _ = scene = _scene(o_all, stats)
+    if whole_box.half_diagonal <= 0:
         raise DegenerateClusterError("observed cloud has zero bounding-box diagonal")
-    ks = sorted({s.k for s in stats})
     route = _near_block
     if ks[-1] >= n - ks[0]:
         route = partial(_far_block, whole=_whole_sums(points))
@@ -549,8 +617,8 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
     scores = np.empty((n, len(stats)))
 
     def score_block(start):
-        seeds = points[start : start + block]
-        scores[start : start + len(seeds)] = _block_scores(o_all, stats, seeds, route)
+        own = np.arange(start, min(start + block, n))
+        scores[own] = _block_scores(o_all, stats, own, route, scene)
 
     o_all.tree  # built here, so the tie repairs in the pool do not race to build it
     with ThreadPoolExecutor(min(cpus, len(starts))) as pool:

@@ -795,7 +795,10 @@ class TestFarSide:
         for name, route in (("near", recognition._near_block), ("far", far)):
             scores[name] = np.vstack(
                 [
-                    recognition._block_scores(o_all, stats, o_all.points[i : i + 250], route)
+                    recognition._block_scores(
+                        o_all, stats, np.arange(i, min(i + 250, n)), route,
+                        recognition._scene(o_all, stats),
+                    )
                     for i in range(0, n, 250)
                 ]
             )
@@ -809,3 +812,84 @@ class TestFarSide:
             k = stats[int(np.argmin(matrix[winner]))].k
             winners[name] = (winner, knn(o_all, o_all.points[winner], k))
         assert winners["far"] == winners["near"]
+
+
+def _bench_case(condition, seed, object_class, n_points=None):
+    scene = make_scene(condition, np.random.default_rng(np.random.SeedSequence(seed)))
+    o_all = PointCloud(scene.points)
+    sizes = {} if n_points is None else {"n_points": n_points}
+    bank = build_class_templates(object_class, count=3, **sizes)
+    ks = [recognition._template_stats(o_all, t, condition.part_path).k for t in bank.values()]
+    return o_all.points, ks
+
+
+def _lattice_case():
+    grid = np.stack(
+        np.meshgrid(np.arange(6), np.arange(5), np.arange(3), indexing="ij"), -1
+    ).reshape(-1, 3).astype(float)
+    d = np.sort(np.linalg.norm(grid[:, None] - grid[None], axis=2), axis=1)
+    for k in (10, 50, 70):
+        assert knn_boundary_ties(d[:, k - 1], d[:, k]).sum() > 10
+    return grid, [10, 50, 70]
+
+
+def _repeated_case():
+    rng = np.random.default_rng(28)
+    pts = rng.uniform(-1, 1, size=(60, 3))
+    return np.vstack([pts, np.repeat(pts[:1], 30, axis=0)]), [10, 20]  # 31 copies > k_max + 1
+
+
+class TestSelection:
+    """Both routes' selections leave each order statistic where the routes read it."""
+
+    CASES = {
+        "bottle-body": lambda: _bench_case(
+            Condition("body", "bottle", "body", n_points=2000, partial=False),
+            (2, 0),
+            "bottle",
+            2000,
+        ),
+        "mug-view": lambda: _bench_case(
+            Condition("mug-handle-partial", "mug", "handle", n_points=1500), (1, 0, 0), "mug"
+        ),
+        "lattice": _lattice_case,
+        "repeated-point": _repeated_case,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_order_statistics_in_place(self, case):
+        points, ks = self.CASES[case]()
+        n = len(points)
+        scene = recognition._scene(PointCloud(points), [SimpleNamespace(k=k) for k in ks])
+        if case == "bottle-body":
+            assert max(ks) >= n - min(ks)  # the far route's scenes
+        if case == "mug-view":
+            assert max(ks) < n - min(ks)  # the near route's
+        for start in range(0, n, 250):
+            own = np.arange(start, min(start + 250, n))
+            d2 = sum((plane - seed[:, None]) ** 2 for plane, seed in zip(points.T, points[own].T))
+            ordered = np.sort(d2, axis=1)
+            near = recognition._near_select(d2, scene)
+            far, nearest = recognition._far_select(d2.copy(), own, scene)
+            rows = np.arange(len(own))
+            assert np.array_equal(d2[rows, near[:, 0]], np.zeros(len(own)))
+            assert np.array_equal(d2[rows, near[:, 1]], ordered[:, 1])
+            assert np.array_equal(nearest, np.sqrt(ordered[:, 1]))
+            for idx in (near, far):
+                for k in sorted(set(ks)):
+                    at = [k - 1, k] if k < n else [k - 1]
+                    at_d2 = np.take_along_axis(d2, idx[:, at], axis=1)
+                    assert np.array_equal(at_d2, ordered[:, at])
+                    members = np.zeros(d2.shape, bool)
+                    np.put_along_axis(members, idx[:, :k], True, axis=1)
+                    untied = ordered[:, k - 1] < ordered[:, k] if k < n else np.ones(len(own), bool)
+                    nearest_k = d2 <= ordered[:, k - 1 : k]
+                    assert np.array_equal(members[untied], nearest_k[untied])
+
+    def test_far_selection_leaves_d2_as_it_was(self):
+        points, ks = _repeated_case()
+        scene = recognition._scene(PointCloud(points), [SimpleNamespace(k=k) for k in ks])
+        d2 = sum((plane - plane[:, None]) ** 2 for plane in points.T)
+        before = d2.copy()
+        recognition._far_select(d2, np.arange(len(points)), scene)
+        assert np.array_equal(d2, before)
