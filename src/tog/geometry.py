@@ -234,10 +234,12 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
 
 
 def knn(cloud: PointCloud, query, k: int) -> list[int]:
-    """Indices of the k nearest cloud points to ``query``.
+    """Indices of the k nearest cloud points to ``query``, nearest first.
 
-    Sorted ascending by distance; exact distance ties break toward the
-    smaller index so results are reproducible across platforms.
+    The rule is exact: the first k of the stable order of the squared
+    distances to every point, each summed x², y², z² in that order (the sum
+    recognition's distance blocks take), so exact ties break toward the
+    smaller index and results are reproducible across platforms.
     """
     n = len(cloud)
     if n == 0:
@@ -245,16 +247,10 @@ def knn(cloud: PointCloud, query, k: int) -> list[int]:
     if k < 1 or k > n:
         raise InsufficientPointsError(f"k={k} outside [1, {n}]")
     q = np.asarray(query, dtype=np.float64).reshape(3)
-    d, _ = cloud.tree.query(q, k=k)
-    kth = float(np.atleast_1d(d)[-1])
-    # re-rank every candidate within the kth radius in numpy so the
-    # (distance, index) order is exact, not subject to tree internals
-    cand = cloud.tree.query_ball_point(q, kth * (1 + 1e-12) + 1e-300)
-    cand = np.asarray(cand, dtype=np.intp)
-    diff = cloud.points[cand] - q
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((cand, d2))
-    return cand[order[:k]].tolist()
+    d2 = (cloud.points[:, 0] - q[0]) ** 2
+    for axis in (1, 2):
+        d2 += (cloud.points[:, axis] - q[axis]) ** 2
+    return np.argsort(d2, kind="stable")[:k].tolist()
 
 
 def knn_boundary_ties(d_kth: np.ndarray, d_next: np.ndarray) -> np.ndarray:
@@ -262,7 +258,7 @@ def knn_boundary_ties(d_kth: np.ndarray, d_next: np.ndarray) -> np.ndarray:
 
     A gap of at most 1e-9 relative (absolute below distance 1) counts as a
     tie: which of the tied points a kd-tree query or a partition keeps is not
-    defined, so those rows must be re-ranked through `knn` for its member set.
+    defined, so those rows must be re-ranked by `knn`'s rule for its member set.
     """
     return d_next - d_kth <= 1e-9 * np.maximum(d_next, 1.0)
 

@@ -47,39 +47,40 @@ smallest value within rounding of zero; equidistant and coincident
 clusters fail it too, and keep the two-pass NaN decisions.
 
 Blocks of seeds are scored on a thread pool, shared by every template:
-per block, one exact (block, n) squared-distance matrix d2 (summed one axis
-at a time, as `_gather` sums it, so its square roots are `_gather`'s
-distances bit for bit). In each row of a selection from it, each
-template's k nearest points are the prefix ``[:, :k]``, unordered, and
+per block, one exact (block, n) squared-distance matrix d2 (summed x², y²,
+z² in that order, as `_gather` and `knn` sum it, so its square roots are
+`_gather`'s distances bit for bit). In each row of a selection from it,
+each template's k nearest points are the prefix ``[:, :k]``, unordered, and
 columns k - 1 and k hold the kth and (k+1)th distances. The statistics are
 read from the smaller side of that partition, a choice that depends only on
-the templates' ks and n, and each route selects no more than it reads: one
-`np.argpartition` of the full rows at a single kth, then one of the columns
-on its side alone at the kth values it needs (numpy's selection is
-introselect: Musser 1997):
+the templates' ks and n, and each route selects no more than it reads:
+`_select` does one `np.argpartition` of the full rows at a single kth, then
+one of the columns on its side alone at the kth values it needs, and
+returns the side's indices and d2, from which the route reads every order
+statistic (numpy's selection is introselect: Musser 1997):
 
-* near route (`_near_select`, `_near_block`), where k_max < n - k_min: kth
-  k_max puts the k_max + 1 nearest first, and those columns are partitioned
-  at kth 0, 1, every k - 1 and k, so column 0 is at distance 0 (the seed, or
-  an exact copy of it) and the dispersion term reads ``[:, 1:k]``. One
-  `_gather` of the largest prefix and one pass of `_cluster_stats` over it
-  give the statistics at every template's k;
-* far route (`_far_select`, `_far_block`), otherwise: kth k_min - 1 puts
-  the k_min - 1 nearest first, and the n - k_min + 1 columns after them are
-  partitioned at every k - 1 and k. A cluster is the whole cloud minus
-  its far side ``[:, k:]``. Sums over disjoint sets combine exactly in
-  arithmetic, so each k's member sums are whole-cloud totals minus the
-  sums of the far columns, gathered once for k_min and walked from the far
-  end. The coordinates are centred once per scene on their mean (the
-  scatter does not depend on the origin, and the centred sum of squares G
-  is the smallest of any origin); the distance totals are the row sums of
-  sqrt(d2) and d2. A member's box minimum along an axis is the first point,
-  in the cloud's order along that axis, that is no far point, and it lies
-  among the first n - k + 1 entries (there are n - k far points); the
-  maximum is the same on the reversed order. The nearest other member's
-  distance (column 1 on the near route) is the row minimum of d2 with the
-  seed's own column masked, which is the second order statistic; column
-  k - 1's is read from d2.
+* near route (`_near_block`), where k_max < n - k_min: `_select` at kth
+  k_max keeps the k_max + 1 nearest and partitions them at kth 0, 1, every
+  k - 1 and k, so column 0 is at distance 0 (the seed, or an exact copy of
+  it) and the dispersion term reads ``[:, 1:k]``. The coordinates of the
+  largest prefix, the square roots of its d2 and one pass of
+  `_cluster_stats` over them give the statistics at every template's k;
+* far route (`_far_block`), otherwise: `_select` at kth k_min - 1 keeps the
+  n - k_min + 1 columns after the k_min - 1 nearest and partitions them at
+  every k - 1 and k. A cluster is the whole cloud minus its far side
+  ``[:, k:]``. Sums over disjoint sets combine exactly in arithmetic, so
+  each k's member sums are whole-cloud totals minus the sums of the far
+  columns, gathered once for k_min and walked from the far end. The
+  coordinates are centred once per scene on their mean (the scatter does
+  not depend on the origin, and the centred sum of squares G is the
+  smallest of any origin); the distance totals are the row sums of sqrt(d2)
+  and d2. A member's box minimum along an axis is the first point, in the
+  cloud's order along that axis, that is no far point, and it lies among
+  the first n - k + 1 entries (there are n - k far points); the maximum is
+  the same on the reversed order. The nearest other member's distance
+  (column 1 on the near route) is the row minimum of d2 with the seed's own
+  column masked, which is the second order statistic; column k - 1's, and
+  the far columns', are read from the selection.
 
 Far-route rounding: each whole or far sum of coordinate products errs by at
 most n u G, so a member sum by (2 n + 1) u G, and a member coordinate sum
@@ -97,10 +98,11 @@ cancels) take the near route for that k: `_cluster_stats` of their members,
 the prefix ``[:, :k]`` of a full partition of their own rows (kth 0, 1,
 every k - 1 and k), with its own bound and fallbacks.
 
-On either route, a row whose kth and (k+1)th distances (columns k-1 and k)
-tie takes its members from `knn` instead (sorted, so its columns are in the
-same places), is gathered the same way and scored by the same
-`_cluster_stats`, so every member set equals `knn`'s.
+On either route, a row whose kth and (k+1)th distances (columns k - 1 and
+k of the selection) tie takes as members the first k of a stable sort of
+its own d2, which is `knn`'s rule (sorted, so its columns are in the same
+places), is gathered the same way and scored by the same `_cluster_stats`,
+so every member set equals `knn`'s. No step queries a kd-tree.
 """
 
 from __future__ import annotations
@@ -429,51 +431,38 @@ def _restate(stats: tuple, points, seeds, rows, members, whole_box) -> None:
         stat[rows] = fix
 
 
-def _near_select(d2: np.ndarray, scene: tuple) -> np.ndarray:
-    """(m, k_max + 1) point indices of each row's k_max + 1 nearest, in the near route's order.
+def _select(d2: np.ndarray, split: int, side: slice, kth: np.ndarray):
+    """(m, side) point indices and their d2, in a route's order.
 
-    One single-kth `np.argpartition` of the full rows puts the k_max + 1
-    nearest first (all n when k_max = n); only those columns are then
-    partitioned by their d2 at ``scene``'s kth (0, 1, every k - 1 and k). So
-    column 0 is at distance 0 (the seed or a copy), column 1 at the nearest
-    other point, and columns k - 1 and k at the kth and (k+1)th distances,
-    with the k nearest before column k, for every k.
+    One single-kth `np.argpartition` of the full rows at ``split`` keeps
+    only the ``side`` columns, which are then partitioned by their d2 at
+    ``kth`` (full-row column numbers, shifted here to the side's start). So
+    every column in ``kth`` is at its order statistic, with the nearer ones
+    before it. The side is copied out at once, so the full rows' index
+    array is freed before anything else is allocated.
     """
-    _, ks, kth = scene
-    head = np.argpartition(d2, min(ks[-1], d2.shape[1] - 1), axis=1)[:, : ks[-1] + 1]
-    order = np.argpartition(np.take_along_axis(d2, head, axis=1), kth, axis=1)
-    return np.take_along_axis(head, order, axis=1)
+    idx = np.argpartition(d2, split, axis=1)[:, side].copy()
+    side_d2 = np.take_along_axis(d2, idx, axis=1)
+    order = np.argpartition(side_d2, kth - side.start, axis=1)
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(side_d2, order, axis=1)
 
 
 def _near_block(points, seeds, own, d2, scene) -> tuple:
-    """`_near_select` of a block, and `_cluster_stats` at every k from its gathered largest prefix."""
-    whole_box, ks, _ = scene
-    idx = _near_select(d2, scene)
-    return idx, _cluster_stats(*_gather(points, seeds, idx[:, : ks[-1]]), ks, whole_box)
+    """The near route of a block: its selection's distances and start, and `_cluster_stats` at every k.
 
-
-def _far_select(d2: np.ndarray, own: np.ndarray, scene: tuple):
-    """(m, n) point indices in the far route's order, and each row's nearest other distance.
-
-    One single-kth `np.argpartition` of the full rows puts the k_min - 1
-    nearest first, unordered; only the n - k_min + 1 columns after them are
-    then partitioned by their d2 at ``scene``'s kth values from k_min - 1 on
-    (every k - 1 and k, as every k is at least 3). So columns k - 1 and k are
-    at the kth and (k+1)th distances, with the k nearest before column k and
-    the far side after, for every k. The nearest other point's d2 is the row
-    minimum with the seed's own column (``own``, exactly 0) masked: the
-    second order statistic, bit for bit; its square root is `_gather`'s.
+    `_select` at kth k_max keeps the k_max + 1 nearest and partitions them
+    at ``scene``'s kth (0, 1, every k - 1 and k): column 0 is at distance 0
+    (the seed or a copy), column 1 at the nearest other point, and columns
+    k - 1 and k at the kth and (k+1)th distances, the k nearest before
+    column k. The selection's d2 become its distances in place (`_gather`'s,
+    bit for bit), and one pass of `_cluster_stats` over the largest prefix,
+    its coordinates gathered, gives the statistics at every k.
     """
-    _, ks, kth = scene
-    idx = np.argpartition(d2, ks[0] - 1, axis=1)
-    tail = idx[:, ks[0] - 1 :]
-    order = np.argpartition(np.take_along_axis(d2, tail, axis=1), kth[2:] - (ks[0] - 1), axis=1)
-    tail[:] = np.take_along_axis(tail, order, axis=1)
-    rows = np.arange(len(own))
-    d2[rows, own] = np.inf
-    nearest = np.sqrt(d2.min(axis=1))
-    d2[rows, own] = 0.0
-    return idx, nearest
+    whole_box, ks, kth = scene
+    idx, dist = _select(d2, min(ks[-1], d2.shape[1] - 1), slice(0, ks[-1] + 1), kth)
+    np.sqrt(dist, out=dist)
+    coords = np.take(points.T, idx[:, : ks[-1]], axis=1)
+    return dist, 0, _cluster_stats(coords, dist[:, : ks[-1]], ks, whole_box)
 
 
 def _whole_sums(points: np.ndarray):
@@ -485,28 +474,37 @@ def _whole_sums(points: np.ndarray):
 
 
 def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
-    """`_far_select` of a block, and `_cluster_stats` at every k as the whole cloud minus the far side.
+    """The far route of a block: its selection's distances and start, and `_cluster_stats` at every k.
 
-    ``whole`` is `_whole_sums(points)`: the points centred once on their
-    mean as (3, n) planes, their sums S1 and the six product sums S2, and
-    each axis's point order with its sorted coordinates. The far columns
-    ``[:, k:]`` of the smallest k are gathered once and summed from the
-    far end, so each k's member sums are the totals minus its far sums.
-    Rows the module docstring's bound cannot certify take `_cluster_stats`
-    on the members ``[:, :k]`` of a full partition of their own rows at
-    ``scene``'s kth, which puts the seed (or a copy) first and the nearest
-    other point second.
+    `_select` at kth k_min - 1 keeps the n - k_min + 1 columns after the
+    k_min - 1 nearest and partitions them at ``scene``'s kth from k_min - 1
+    on (every k - 1 and k, as every k is at least 3), so columns k - 1 and k
+    are at the kth and (k+1)th distances and the far side ``[:, k:]``
+    follows, for every k. ``whole`` is `_whole_sums(points)`: the points
+    centred once on their mean as (3, n) planes, their sums S1 and the six
+    product sums S2, and each axis's point order with its sorted
+    coordinates. The far columns of the smallest k are gathered once and
+    summed from the far end, so each k's member sums are the totals minus
+    its far sums; the far columns' d2 and distances and column k - 1's, the
+    kth, are read from the selection. The nearest other distance is the row minimum of d2 with the
+    seed's own column (``own``, exactly 0) masked, the second order
+    statistic bit for bit; d2 is left as it was. Rows the module
+    docstring's bound cannot certify take `_cluster_stats` on the members
+    ``[:, :k]`` of a full partition of their own rows at ``scene``'s kth,
+    which puts the seed (or a copy) first and the nearest other point second.
     """
     n = len(points)
     whole_box, ks, kth = scene
     centered, s1_all, s2_all, orders, sorted_coords = whole
-    idx, nearest = _far_select(d2, own, scene)
-    dist = np.sqrt(d2)  # `_gather`'s distances, bit for bit
-    d1_all, d2_all = dist.sum(axis=1), d2.sum(axis=1)
-    far = idx[:, ks[0] :]
-    coords = np.take(centered, far, axis=1)
-    far_d2 = np.take_along_axis(d2, far, axis=1)
-    far_dist = np.sqrt(far_d2)
+    idx, side_d2 = _select(d2, ks[0] - 1, slice(ks[0] - 1, None), kth[2:])
+    rows = np.arange(len(own))
+    d2[rows, own] = np.inf
+    nearest = np.sqrt(d2.min(axis=1))
+    d2[rows, own] = 0.0
+    d1_all, d2_all = np.sqrt(d2).sum(axis=1), d2.sum(axis=1)
+    coords = np.take(centered, idx[:, 1:], axis=1)
+    side_dist = np.sqrt(side_d2)
+    far_d2, far_dist = side_d2[:, 1:], side_dist[:, 1:]
     scale = s2_all[0] + s2_all[3] + s2_all[5]  # G: squared centred lengths
     # a member's box extremes lie among the first n - k + 1 points of each
     # axis order, from either end; a point is a member iff its d2 is at most
@@ -515,7 +513,7 @@ def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
     cand = [d2[:, orders[:, :span]], d2[:, orders[:, ::-1][:, :span]]]
     s1, s2 = np.zeros((3, len(seeds))), np.zeros((6, len(seeds)))
     f1, f2 = np.zeros(len(seeds)), np.zeros(len(seeds))
-    out, done = [], far.shape[1]
+    out, done = [], far_d2.shape[1]
     for k in reversed(ks):
         seg = slice(k - ks[0], done)
         part = coords[:, :, seg]
@@ -532,7 +530,7 @@ def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
         m = k - 1
         mean = (d1_all - f1) / m
         mean_err = (n + 5) * _U * (d1_all + f1) / m
-        farthest = np.take_along_axis(dist, idx[:, k - 1 : k], axis=1)[:, 0]
+        kth_d2, farthest = side_d2[:, k - ks[0]], side_dist[:, k - ks[0]]
         spread, doubt_spread = _certified_spread(
             mean,
             (d2_all - f2) / m - mean**2,
@@ -541,8 +539,7 @@ def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
             (n + 9) * _U * (d2_all + f2) / m + (2 * mean + 3 * mean_err) * mean_err,
             mean_err + 4 * _U * farthest,
         )
-        kth_d2 = np.take_along_axis(d2, idx[:, k - 1 : k], axis=1)[:, :, None]
-        first = [np.argmax(c[:, :, : n - k + 1] <= kth_d2, axis=2) for c in cand]
+        first = [np.argmax(c[:, :, : n - k + 1] <= kth_d2[:, None, None], axis=2) for c in cand]
         low = sorted_coords[np.arange(3), first[0]].T
         high = sorted_coords[np.arange(3), n - 1 - first[1]].T
         stats = (_unit(sigma), spread, _box_ratios(low, high, whole_box))
@@ -551,7 +548,7 @@ def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
             members = np.argpartition(d2[redo], kth, axis=1)[:, :k]
             _restate(stats, points, seeds, redo, members, whole_box)
         out.append(stats)
-    return idx, out[::-1]
+    return side_dist, ks[0] - 1, out[::-1]
 
 
 def _scene(o_all: PointCloud, stats: list[_TemplateStats]) -> tuple:
@@ -566,10 +563,12 @@ def _scene(o_all: PointCloud, stats: list[_TemplateStats]) -> tuple:
 def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], own, route, scene) -> np.ndarray:
     """(m, templates) combined scores of the seeds at indices ``own``, by `_near_block` or `_far_block`.
 
-    One exact (m, n) squared-distance matrix (summed one axis at a time, as
-    `_gather` sums it) serves every template; the route selects each k's
-    members from it and returns that selection with the statistics. Rows
-    tied at a k boundary are re-gathered from `knn`'s members and scored by
+    One exact (m, n) squared-distance matrix d2 (summed x², y², z² in that
+    order, as `_gather` and `knn` sum it) serves every template; the route
+    selects each k's members from it and returns its selection's distances
+    and start with the statistics. Rows whose kth and (k+1)th distances, read
+    from that selection, tie take as members the first k of a stable sort
+    of their own d2, which is `knn`'s rule, and are scored by
     `_cluster_stats`. ``scene`` is `_scene(o_all, stats)`.
     """
     points = o_all.points
@@ -579,14 +578,14 @@ def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], own, route, sc
     d2 = (points[:, 0] - seeds[:, :1]) ** 2
     for axis in (1, 2):
         d2 += (points[:, axis] - seeds[:, axis, None]) ** 2
-    idx, by_k = route(points, seeds, own, d2, scene)
+    side_dist, start, by_k = route(points, seeds, own, d2, scene)
     by_k = dict(zip(ks, by_k))
     for k in ks:
         if k < n:
-            gap = np.sqrt(np.take_along_axis(d2, idx[:, k - 1 : k + 1], axis=1))
+            gap = side_dist[:, k - 1 - start : k + 1 - start]
             tied = np.flatnonzero(knn_boundary_ties(gap[:, 0], gap[:, 1]))
             if len(tied):
-                exact = np.array([knn(o_all, seeds[row], k) for row in tied])
+                exact = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
                 _restate(by_k[k], points, seeds, tied, exact, whole_box)
     return np.column_stack([_score(by_k[s.k], s) for s in stats])
 
@@ -599,6 +598,8 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
     takes the route that reads fewer columns, which depends only on the
     templates' ks and n: `_near_block` (the k_max nearest columns) when
     k_max < n - k_min, else `_far_block` (the n - k_min farthest columns).
+    The blocks share no lazily built state: every neighbour, the tie repairs'
+    included, comes from a block's own d2, and no kd-tree is queried.
     """
     points = o_all.points
     n = len(points)
@@ -620,7 +621,6 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
         own = np.arange(start, min(start + block, n))
         scores[own] = _block_scores(o_all, stats, own, route, scene)
 
-    o_all.tree  # built here, so the tie repairs in the pool do not race to build it
     with ThreadPoolExecutor(min(cpus, len(starts))) as pool:
         list(pool.map(score_block, starts))
     return scores

@@ -4,9 +4,10 @@ A line counts when a token other than a comment starts or continues on it
 (so every line of a multi-line statement or string literal counts) and no
 module, class or function docstring covers it. Run from anywhere:
 
-    python tests/code_lines.py [folder ...]
+    python tests/code_lines.py [folder or file ...]
 
-prints the count under each folder (default: ``src/tog``) and the total.
+prints the count of each file, or under each folder (default: ``src/tog``),
+and the total.
 """
 
 import ast
@@ -49,9 +50,11 @@ def code_lines(source: str) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def count_tree(folder: Path) -> int:
-    """Code lines of every ``*.py`` file under ``folder``."""
-    return sum(code_lines(path.read_text()) for path in sorted(Path(folder).rglob("*.py")))
+def count_tree(path: Path) -> int:
+    """Code lines of the file ``path``, or of every ``*.py`` file under the folder ``path``."""
+    path = Path(path)
+    files = [path] if path.is_file() else sorted(path.rglob("*.py"))
+    return sum(code_lines(file.read_text()) for file in files)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import code_lines
+import pytest
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -35,15 +36,21 @@ def test_counts_code_lines_only():
     assert code_lines.code_lines(SAMPLE) == SAMPLE_CODE_LINES
 
 
-def test_tree_and_script_agree(tmp_path):
+@pytest.mark.parametrize(
+    "target, count",
+    [(".", SAMPLE_CODE_LINES + 1), ("a.py", SAMPLE_CODE_LINES)],
+    ids=["folder", "file"],
+)
+def test_tree_and_script_agree(tmp_path, target, count):
     (tmp_path / "a.py").write_text(SAMPLE)
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "b.py").write_text("x = 1\n\n# done\n")
-    assert code_lines.count_tree(tmp_path) == SAMPLE_CODE_LINES + 1
+    path = tmp_path / target
+    assert code_lines.count_tree(path) == count
     out = subprocess.run(
-        [sys.executable, code_lines.__file__, str(tmp_path)],
+        [sys.executable, code_lines.__file__, str(path)],
         capture_output=True,
         text=True,
         check=True,
     ).stdout
-    assert out.split() == [str(SAMPLE_CODE_LINES + 1), str(tmp_path)]
+    assert out.split() == [str(count), str(path)]

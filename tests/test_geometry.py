@@ -220,6 +220,19 @@ class TestVoxelDownsample:
             voxel_downsample(PointCloud([[0, 0, 0]]), 0.0)
 
 
+def far_lattice():
+    """The 6 x 5 x 3 integer lattice, shifted 1000 m out: distances tie exactly."""
+    grid = np.stack(np.meshgrid(range(6), range(5), range(3), indexing="ij"), -1)
+    return grid.reshape(-1, 3) + 1000.0
+
+
+def repeated_point():
+    """Twenty points, seven of them one point."""
+    pts = np.random.default_rng(30).uniform(-1, 1, (20, 3))
+    pts[[2, 5, 6, 11, 13, 17, 19]] = [0.3, -0.2, 0.1]
+    return pts
+
+
 class TestKnn:
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -244,21 +257,23 @@ class TestKnn:
         assert knn(cloud, [0.5, 0.5, 0.5], 3) == [0, 1, 2]
 
     @pytest.mark.parametrize(
-        "pts, query",
+        "pts, query, k",
         [
             ([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [5, 5, 5]],
-             [0, 0, 0]),
+             [0, 0, 0], 6),
             ([[2, 2, 2], [0.5, 0.5, 0.5], [2, 2, 2], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5]],
-             [0.5, 0.5, 0.5]),
-            ([[0.1, 0.2, 0.3]] * 6, [0, 0, 0]),
-            ([[1, 2, 3]], [0, 0, 0]),
+             [0.5, 0.5, 0.5], 5),
+            ([[0.1, 0.2, 0.3]] * 6, [0, 0, 0], 6),
+            ([[1, 2, 3]], [0, 0, 0], 1),
+            # the 10th and 11th nearest of an inner point are both at sqrt(2)
+            (far_lattice(), [1002, 1002, 1001], 10),
+            (repeated_point(), [0.3, -0.2, 0.1], 4),
         ],
-        ids=["equidistant", "duplicates", "all-equal", "single-point"],
+        ids=["equidistant", "duplicates", "all-equal", "single-point", "far-lattice", "repeated"],
     )
-    def test_k_equal_to_n_matches_linear_scan(self, pts, query):
+    def test_ties_match_linear_scan(self, pts, query, k):
         pts = np.asarray(pts, dtype=np.float64)
-        n = len(pts)
-        assert knn(PointCloud(pts), query, n) == oracles.knn_linear(pts, query, n)
+        assert knn(PointCloud(pts), query, k) == oracles.knn_linear(pts, query, k)
 
     def test_k_bounds(self):
         cloud = PointCloud([[0, 0, 0], [1, 1, 1]])

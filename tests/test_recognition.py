@@ -633,7 +633,7 @@ class TestSharedNeighborQuery:
                 monkeypatch.setattr(
                     recognition.os, "sched_getaffinity", lambda pid, c=cpus: set(range(c))
                 )
-                # a fresh cloud each time, so its kd-tree is built during the call
+                # a fresh cloud each time, so no cached state carries over
                 runs.append(recognize(PointCloud(pts), templates, "part").seed_scores)
         finally:
             sys.setswitchinterval(interval)
@@ -840,7 +840,7 @@ def _repeated_case():
 
 
 class TestSelection:
-    """Both routes' selections leave each order statistic where the routes read it."""
+    """Each route's `_select` leaves every order statistic where the route reads it."""
 
     CASES = {
         "bottle-body": lambda: _bench_case(
@@ -857,7 +857,7 @@ class TestSelection:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_order_statistics_in_place(self, case):
+    def test_order_statistics_in_place(self, case, monkeypatch):
         points, ks = self.CASES[case]()
         n = len(points)
         scene = recognition._scene(PointCloud(points), [SimpleNamespace(k=k) for k in ks])
@@ -865,31 +865,97 @@ class TestSelection:
             assert max(ks) >= n - min(ks)  # the far route's scenes
         if case == "mug-view":
             assert max(ks) < n - min(ks)  # the near route's
+        selections, nearest = [], []
+        select, certified_spread = recognition._select, recognition._certified_spread
+
+        def recorded_select(*args):
+            idx, side_d2 = select(*args)
+            selections.append((idx.copy(), side_d2.copy()))  # the near route takes roots in place
+            return idx, side_d2
+
+        def recorded_spread(mean, var, nearest_other, *rest):
+            nearest.append(nearest_other)
+            return certified_spread(mean, var, nearest_other, *rest)
+
+        monkeypatch.setattr(recognition, "_select", recorded_select)
+        monkeypatch.setattr(recognition, "_certified_spread", recorded_spread)
+        routes = {
+            "near": recognition._near_block,
+            "far": partial(recognition._far_block, whole=recognition._whole_sums(points)),
+        }
         for start in range(0, n, 250):
             own = np.arange(start, min(start + 250, n))
             d2 = sum((plane - seed[:, None]) ** 2 for plane, seed in zip(points.T, points[own].T))
             ordered = np.sort(d2, axis=1)
-            near = recognition._near_select(d2, scene)
-            far, nearest = recognition._far_select(d2.copy(), own, scene)
-            rows = np.arange(len(own))
-            assert np.array_equal(d2[rows, near[:, 0]], np.zeros(len(own)))
-            assert np.array_equal(d2[rows, near[:, 1]], ordered[:, 1])
-            assert np.array_equal(nearest, np.sqrt(ordered[:, 1]))
-            for idx in (near, far):
+            for name, route in routes.items():
+                selections.clear()
+                nearest.clear()
+                side_dist, side_start, _ = route(points, points[own], own, d2, scene)
+                [(idx, side_d2)] = selections
+                assert np.array_equal(side_d2, np.take_along_axis(d2, idx, axis=1))
+                assert np.array_equal(side_dist, np.sqrt(side_d2))  # what the tie test reads
+                if name == "near":
+                    assert side_start == 0
+                    assert np.array_equal(side_d2[:, 0], np.zeros(len(own)))
+                    assert np.array_equal(side_d2[:, 1], ordered[:, 1])
+                else:
+                    assert side_start == min(ks) - 1
+                # both routes hand the nearest other distance of every row,
+                # the second order statistic, to the spread
+                whole_block = [v for v in nearest if v.shape == (len(own),)]
+                assert len(whole_block) >= len(set(ks))
+                for nearest_other in whole_block:
+                    assert np.array_equal(nearest_other, np.sqrt(ordered[:, 1]))
                 for k in sorted(set(ks)):
                     at = [k - 1, k] if k < n else [k - 1]
-                    at_d2 = np.take_along_axis(d2, idx[:, at], axis=1)
-                    assert np.array_equal(at_d2, ordered[:, at])
-                    members = np.zeros(d2.shape, bool)
-                    np.put_along_axis(members, idx[:, :k], True, axis=1)
+                    assert np.array_equal(side_d2[:, np.subtract(at, side_start)], ordered[:, at])
+                    if name == "near":  # the k nearest before column k
+                        members = np.zeros(d2.shape, bool)
+                        np.put_along_axis(members, idx[:, :k], True, axis=1)
+                    else:  # all but the far side from column k on
+                        members = np.ones(d2.shape, bool)
+                        np.put_along_axis(members, idx[:, k - side_start :], False, axis=1)
                     untied = ordered[:, k - 1] < ordered[:, k] if k < n else np.ones(len(own), bool)
                     nearest_k = d2 <= ordered[:, k - 1 : k]
-                    assert np.array_equal(members[untied], nearest_k[untied])
+                    assert np.array_equal(members[untied], nearest_k[untied]), (name, k)
 
-    def test_far_selection_leaves_d2_as_it_was(self):
+    def test_far_block_leaves_d2_as_it_was(self):
+        # `_block_scores` repairs tied rows from d2 after the route has run
         points, ks = _repeated_case()
         scene = recognition._scene(PointCloud(points), [SimpleNamespace(k=k) for k in ks])
         d2 = sum((plane - plane[:, None]) ** 2 for plane in points.T)
         before = d2.copy()
-        recognition._far_select(d2, np.arange(len(points)), scene)
+        own = np.arange(len(points))
+        recognition._far_block(points, points, own, d2, scene, recognition._whole_sums(points))
         assert np.array_equal(d2, before)
+
+
+class TestNoKdTree:
+    """Recognition reads every neighbour, tie repairs included, from its own d2."""
+
+    CASES = {
+        "bottle-body": lambda: _bench_case(
+            Condition("body", "bottle", "body", n_points=300, partial=False),
+            (2, 0),
+            "bottle",
+            300,
+        ),
+        "mug-view": lambda: _bench_case(
+            Condition("mug-handle-partial", "mug", "handle", n_points=300), (1, 0, 0), "mug"
+        ),
+        "lattice": _lattice_case,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_recognize_without_a_kd_tree(self, case, routes, monkeypatch):
+        points, ks = self.CASES[case]()
+        n = len(points)
+
+        def no_tree(cloud):
+            raise AssertionError("recognition queried a kd-tree")
+
+        monkeypatch.setattr(PointCloud, "tree", property(no_tree))
+        whole = np.random.default_rng(29).uniform(-1, 1, size=(n, 3))
+        assert_matches_oracle(points, [(whole, whole[:k]) for k in ks])  # the same ks
+        route = "far" if case == "bottle-body" else "near"
+        assert routes[route] > 0 and sum(routes.values()) == routes[route]
