@@ -4,6 +4,13 @@ Clouds are immutable after construction (their backing arrays are marked
 read-only; the kd-tree and other derived data are built once, lazily);
 every operation here is a pure function, so recognition and registration
 can fan out over threads without locking. Units are meters throughout.
+
+One distance rule serves the engine: a squared distance is the sum of the
+squared x, y and z offsets, added in that order, and a distance is its square
+root. cKDTree sums the same way, so `knn`'s stable order, recognition's
+distance blocks, ICP's kd-tree certificate and the FPFH and RANSAC lengths
+all agree bit for bit. `squared_distances` and `norms` are the only places
+the sum is written.
 """
 
 from __future__ import annotations
@@ -233,12 +240,24 @@ def voxel_downsample(cloud: PointCloud, leaf: float) -> PointCloud:
     return PointCloud(centroids, labels)
 
 
+def squared_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(m, n) squared distances from m (m, 3) queries to n (n, 3) points, by the module's rule."""
+    d2 = (points[:, 0] - queries[:, :1]) ** 2
+    for axis in (1, 2):
+        d2 += (points[:, axis] - queries[:, axis, None]) ** 2
+    return d2
+
+
+def norms(planes: np.ndarray) -> np.ndarray:
+    """Vector lengths from (3, ...) coordinate planes, by the module's rule."""
+    return np.sqrt((planes[0] ** 2 + planes[1] ** 2) + planes[2] ** 2)
+
+
 def knn(cloud: PointCloud, query, k: int) -> list[int]:
     """Indices of the k nearest cloud points to ``query``, nearest first.
 
-    The rule is exact: the first k of the stable order of the squared
-    distances to every point, each summed x², y², z² in that order (the sum
-    recognition's distance blocks take), so exact ties break toward the
+    The rule is exact: the first k of the stable order of
+    `squared_distances` to every point, so exact ties break toward the
     smaller index and results are reproducible across platforms.
     """
     n = len(cloud)
@@ -246,10 +265,7 @@ def knn(cloud: PointCloud, query, k: int) -> list[int]:
         raise EmptyCloudError("knn on an empty cloud")
     if k < 1 or k > n:
         raise InsufficientPointsError(f"k={k} outside [1, {n}]")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    d2 = (cloud.points[:, 0] - q[0]) ** 2
-    for axis in (1, 2):
-        d2 += (cloud.points[:, axis] - q[axis]) ** 2
+    d2 = squared_distances(cloud.points, np.asarray(query, dtype=np.float64).reshape(1, 3))[0]
     return np.argsort(d2, kind="stable")[:k].tolist()
 
 
@@ -268,17 +284,13 @@ def knn_indices_batch(cloud: PointCloud, queries: np.ndarray, k: int) -> np.ndar
 
     Rows whose kth neighbor is distance-tied with the (k+1)th
     (`knn_boundary_ties`) are repaired through the exact single-query path,
-    so member *sets* match `knn`.
+    so member *sets* match `knn`. At k == n the kd-tree's (k+1)th distance
+    is inf, so every row is tied and takes `knn`'s order.
     """
     n = len(cloud)
     if k < 1 or k > n:
         raise InsufficientPointsError(f"k={k} outside [1, {n}]")
     queries = np.asarray(queries, dtype=np.float64)
-    if k == n:
-        idx = np.empty((len(queries), k), dtype=np.intp)
-        for i, q in enumerate(queries):
-            idx[i] = knn(cloud, q, k)
-        return idx
     d, idx = cloud.tree.query(queries, k=k + 1)
     ambiguous = np.nonzero(knn_boundary_ties(d[:, k - 1], d[:, k]))[0]
     idx = idx[:, :k]
@@ -322,8 +334,8 @@ def estimate_normals(cloud: PointCloud) -> np.ndarray:
     scatter = np.einsum("mki,mkj->mij", centered, centered)
     _, vecs = np.linalg.eigh(scatter)
     normals = vecs[:, :, 0]  # eigenvector of the smallest eigenvalue
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = np.divide(normals, norms, out=np.zeros_like(normals), where=norms > 0)
+    length = np.linalg.norm(normals, axis=1, keepdims=True)
+    normals = np.divide(normals, length, out=np.zeros_like(normals), where=length > 0)
     outward = cloud.points - cloud.points.mean(axis=0)
     flip = np.einsum("ij,ij->i", normals, outward) < 0
     normals[flip] *= -1

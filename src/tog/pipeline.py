@@ -34,7 +34,13 @@ from pathlib import Path
 import numpy as np
 
 from .cloud_io import load_cloud, save_ply
-from .errors import NoFeasibleGraspError, NoGraspError, SceneSpecError, TogError
+from .errors import (
+    NoFeasibleGraspError,
+    NoGraspError,
+    RegistrationFailureError,
+    SceneSpecError,
+    TogError,
+)
 from .geometry import PointCloud, apply_transform
 from .ontology import (
     ChatClient,
@@ -168,7 +174,7 @@ def register_all(
     1.0, so the rest are not tried (`skipped_templates` names them). Returns
     the registrations, per failed template its "code: message", and the
     winner's id, None when nothing registered. With `strict`, raises
-    SceneSpecError naming each failure when none succeeds.
+    RegistrationFailureError naming each failure when none succeeds.
     """
     registrations: dict[str, RegistrationResult] = {}
     errors: dict[str, str] = {}
@@ -185,7 +191,7 @@ def register_all(
         if reg.fitness == 1.0:  # fitness never exceeds 1: no later template wins
             break
     if winner is None and strict:
-        raise SceneSpecError(f"every template registration failed: {errors}")
+        raise RegistrationFailureError(f"every template registration failed: {errors}")
     return registrations, errors, winner
 
 

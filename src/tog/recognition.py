@@ -47,11 +47,11 @@ smallest value within rounding of zero; equidistant and coincident
 clusters fail it too, and keep the two-pass NaN decisions.
 
 Blocks of seeds are scored on a thread pool, shared by every template:
-per block, one exact (block, n) squared-distance matrix d2 (summed x², y²,
-z² in that order, as `_gather` and `knn` sum it, so its square roots are
-`_gather`'s distances bit for bit). In each row of a selection from it,
-each template's k nearest points are the prefix ``[:, :k]``, unordered, and
-columns k - 1 and k hold the kth and (k+1)th distances. The statistics are
+per block, one exact (block, n) matrix d2 of `geometry.squared_distances`,
+the rule `knn` sorts by, and every distance of the block is read from it
+(template parts take theirs the same way). In each row of a selection
+from it, each template's k nearest points are the prefix ``[:, :k]``,
+unordered, and columns k - 1 and k hold the kth and (k+1)th distances. The statistics are
 read from the smaller side of that partition, a choice that depends only on
 the templates' ks and n, and each route selects no more than it reads:
 `_select` does one `np.argpartition` of the full rows at a single kth, then
@@ -129,6 +129,7 @@ from .geometry import (
     knn,
     knn_boundary_ties,
     singular_values_batch,
+    squared_distances,
 )
 
 if TYPE_CHECKING:
@@ -250,30 +251,18 @@ def _template_stats(o_all: PointCloud, template: "Template", part_path: str) -> 
     return _TemplateStats(template, k, *stats)
 
 
-def _gather(points: np.ndarray, seeds: np.ndarray, idx: np.ndarray):
-    """Coordinate planes and member-to-seed distances of m clusters.
-
-    ``idx`` is (m, k) member indices, column 0 at its row's seed or a copy
-    of it (template parts start at their reference point). Returns the
-    members as (3, m, k), one plane per axis, gathered straight from the
-    points with no (m, k, 3) copy, and the (m, k) distances to the seed.
-    """
-    coords = np.take(points.T, idx, axis=1)
-    # minima, maxima and distances run along contiguous rows; summing x², y²,
-    # z² in that order gives np.linalg.norm(points[idx] - seed, axis=2) bit for bit
-    dist = np.zeros(coords.shape[1:])
-    for plane, seed_coord in zip(coords, seeds.T):
-        dist += (plane - seed_coord[:, None]) ** 2
-    np.sqrt(dist, out=dist)
-    return coords, dist
-
-
 def _gather_about(points: np.ndarray, ref: int):
-    """`_gather` of all points as one cluster about point ``ref``, nearer points first."""
+    """All points as one cluster about point ``ref``, nearer points first.
+
+    Returns its coordinates as (3, 1, n) planes and its (1, n) distances to
+    ``ref``, the two arrays `_cluster_stats` takes.
+    """
     order = np.r_[ref, np.delete(np.arange(len(points)), ref)]
-    coords, dist = _gather(points, points[[ref]], order[None])
+    dist = np.sqrt(squared_distances(points, points[[ref]])[:, order])
     nearer = np.r_[0, 1 + np.argsort(dist[0, 1:], kind="stable")]
-    return coords[:, :, nearer], dist[:, nearer]
+    # the fancy index leaves the planes strided, and `_cluster_stats` sums
+    # them in that memory order: a contiguous copy would move the spectra
+    return np.take(points.T, order[None], axis=1)[:, :, nearer], dist[:, nearer]
 
 
 # the six distinct entries of a symmetric 3x3 matrix, and where each of its
@@ -367,15 +356,17 @@ def _spread(dist: np.ndarray, k: int, d1: np.ndarray, d2: np.ndarray) -> np.ndar
 def _cluster_stats(coords: np.ndarray, dist: np.ndarray, ks, whole_box) -> list:
     """The three part statistics of m clusters at each size in ``ks``, NaN = degenerate.
 
-    The arguments are `_gather`'s two arrays, the distinct cluster sizes in
-    ascending order and the box of the whole cloud. For every k, the first
-    k columns hold the members: column 0 the seed or reference point (or a
-    copy), column 1 the nearest other member and column k - 1 the farthest,
-    as `np.argpartition` with kth 0, 1 and k - 1 leaves them. Returns one
-    (sigma_unit, spread, ratios) per k: the (m, 3) unit PCA spectra, the
-    (m,) spreads of the distances from column 0 to the other members, std
-    over largest deviation from their mean, and the (m,) offsets of the
-    cluster box centers from the whole's, over its half diagonal.
+    The arguments are the members' (3, m, k) coordinate planes and their
+    (m, k) distances to column 0 (square roots of `squared_distances`), the
+    distinct cluster sizes in ascending order and the box of the whole
+    cloud. For every k, the first k columns hold the members: column 0 the
+    seed or reference point (or a copy), column 1 the nearest other member
+    and column k - 1 the farthest, as `np.argpartition` with kth 0, 1 and
+    k - 1 leaves them. Returns one (sigma_unit, spread, ratios) per k: the
+    (m, 3) unit PCA spectra, the (m,) spreads of the distances from column
+    0 to the other members, std over largest deviation from their mean, and
+    the (m,) offsets of the cluster box centers from the whole's, over its
+    half diagonal.
     """
     m = coords.shape[1]
     rel = coords - coords[:, :, :1]
@@ -424,9 +415,15 @@ def _score(cluster: tuple, stats: _TemplateStats) -> np.ndarray:
     )
 
 
-def _restate(stats: tuple, points, seeds, rows, members, whole_box) -> None:
-    """Overwrite ``rows`` of one k's statistics with `_cluster_stats` of their ``members``."""
-    fixed = _cluster_stats(*_gather(points, seeds[rows], members), [members.shape[1]], whole_box)
+def _restate(stats: tuple, points, d2, rows, members, whole_box) -> None:
+    """Overwrite ``rows`` of one k's statistics with `_cluster_stats` of their ``members``.
+
+    ``members`` holds the rows' (m, k) point indices, the seed (or a copy)
+    first; their distances are the square roots of the block's d2.
+    """
+    coords = np.take(points.T, members, axis=1)
+    dist = np.sqrt(np.take_along_axis(d2[rows], members, axis=1))
+    fixed = _cluster_stats(coords, dist, [members.shape[1]], whole_box)
     for stat, fix in zip(stats, fixed[0]):
         stat[rows] = fix
 
@@ -447,16 +444,16 @@ def _select(d2: np.ndarray, split: int, side: slice, kth: np.ndarray):
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(side_d2, order, axis=1)
 
 
-def _near_block(points, seeds, own, d2, scene) -> tuple:
+def _near_block(points, own, d2, scene) -> tuple:
     """The near route of a block: its selection's distances and start, and `_cluster_stats` at every k.
 
     `_select` at kth k_max keeps the k_max + 1 nearest and partitions them
     at ``scene``'s kth (0, 1, every k - 1 and k): column 0 is at distance 0
     (the seed or a copy), column 1 at the nearest other point, and columns
     k - 1 and k at the kth and (k+1)th distances, the k nearest before
-    column k. The selection's d2 become its distances in place (`_gather`'s,
-    bit for bit), and one pass of `_cluster_stats` over the largest prefix,
-    its coordinates gathered, gives the statistics at every k.
+    column k. The selection's d2 become its distances in place, and one
+    pass of `_cluster_stats` over the largest prefix, its coordinates
+    gathered, gives the statistics at every k.
     """
     whole_box, ks, kth = scene
     idx, dist = _select(d2, min(ks[-1], d2.shape[1] - 1), slice(0, ks[-1] + 1), kth)
@@ -473,7 +470,7 @@ def _whole_sums(points: np.ndarray):
     return centered, centered.sum(axis=1), s2, orders, np.take_along_axis(points.T, orders, 1)
 
 
-def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
+def _far_block(points, own, d2, scene, whole) -> tuple:
     """The far route of a block: its selection's distances and start, and `_cluster_stats` at every k.
 
     `_select` at kth k_min - 1 keeps the n - k_min + 1 columns after the
@@ -511,8 +508,8 @@ def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
     # the kth (a row tied at the boundary is repaired by the caller)
     span = n - ks[0] + 1
     cand = [d2[:, orders[:, :span]], d2[:, orders[:, ::-1][:, :span]]]
-    s1, s2 = np.zeros((3, len(seeds))), np.zeros((6, len(seeds)))
-    f1, f2 = np.zeros(len(seeds)), np.zeros(len(seeds))
+    s1, s2 = np.zeros((3, len(own))), np.zeros((6, len(own)))
+    f1, f2 = np.zeros(len(own)), np.zeros(len(own))
     out, done = [], far_d2.shape[1]
     for k in reversed(ks):
         seg = slice(k - ks[0], done)
@@ -525,7 +522,7 @@ def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
         done = k - ks[0]
         delta = (20 * n + 100) * np.sqrt(n / k) * _U * scale
         sigma, doubt = _certified_sigma(
-            k, s1_all[:, None] - s1, s2_all[:, None] - s2, np.full(len(seeds), delta)
+            k, s1_all[:, None] - s1, s2_all[:, None] - s2, np.full(len(own), delta)
         )
         m = k - 1
         mean = (d1_all - f1) / m
@@ -546,7 +543,7 @@ def _far_block(points, seeds, own, d2, scene, whole) -> tuple:
         redo = np.flatnonzero(doubt | doubt_spread)
         if len(redo):
             members = np.argpartition(d2[redo], kth, axis=1)[:, :k]
-            _restate(stats, points, seeds, redo, members, whole_box)
+            _restate(stats, points, d2, redo, members, whole_box)
         out.append(stats)
     return side_dist, ks[0] - 1, out[::-1]
 
@@ -563,10 +560,9 @@ def _scene(o_all: PointCloud, stats: list[_TemplateStats]) -> tuple:
 def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], own, route, scene) -> np.ndarray:
     """(m, templates) combined scores of the seeds at indices ``own``, by `_near_block` or `_far_block`.
 
-    One exact (m, n) squared-distance matrix d2 (summed x², y², z² in that
-    order, as `_gather` and `knn` sum it) serves every template; the route
-    selects each k's members from it and returns its selection's distances
-    and start with the statistics. Rows whose kth and (k+1)th distances, read
+    One exact (m, n) matrix d2 of `squared_distances`, `knn`'s rule, serves
+    every template; the route selects each k's members from it and returns
+    its selection's distances and start with the statistics. Rows whose kth and (k+1)th distances, read
     from that selection, tie take as members the first k of a stable sort
     of their own d2, which is `knn`'s rule, and are scored by
     `_cluster_stats`. ``scene`` is `_scene(o_all, stats)`.
@@ -574,11 +570,8 @@ def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], own, route, sc
     points = o_all.points
     n = len(points)
     whole_box, ks, _ = scene
-    seeds = points[own]
-    d2 = (points[:, 0] - seeds[:, :1]) ** 2
-    for axis in (1, 2):
-        d2 += (points[:, axis] - seeds[:, axis, None]) ** 2
-    side_dist, start, by_k = route(points, seeds, own, d2, scene)
+    d2 = squared_distances(points, points[own])
+    side_dist, start, by_k = route(points, own, d2, scene)
     by_k = dict(zip(ks, by_k))
     for k in ks:
         if k < n:
@@ -586,7 +579,7 @@ def _block_scores(o_all: PointCloud, stats: list[_TemplateStats], own, route, sc
             tied = np.flatnonzero(knn_boundary_ties(gap[:, 0], gap[:, 1]))
             if len(tied):
                 exact = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-                _restate(by_k[k], points, seeds, tied, exact, whole_box)
+                _restate(by_k[k], points, d2, tied, exact, whole_box)
     return np.column_stack([_score(by_k[s.k], s) for s in stats])
 
 

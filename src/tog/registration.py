@@ -56,7 +56,7 @@ from .errors import (
     LocalRegistrationFailureError,
     RegistrationFailureError,
 )
-from .geometry import PointCloud, RigidTransform, estimate_normals, fit_rigid
+from .geometry import PointCloud, RigidTransform, estimate_normals, fit_rigid, norms
 
 MAX_ICP_ITERATIONS = 50
 ICP_RELATIVE_TOLERANCE = 1e-6
@@ -80,11 +80,6 @@ class IcpResult:
     rmse: float
     correspondences: int
     rmse_history: tuple
-
-
-def _norms(planes: np.ndarray) -> np.ndarray:
-    """Vector lengths from (3, m) coordinate planes, summing x², y², z² as cKDTree does."""
-    return np.sqrt((planes[0] ** 2 + planes[1] ** 2) + planes[2] ** 2)
 
 
 def icp(
@@ -112,7 +107,7 @@ def icp(
     d1 - delta > max_corr_dist + eps. Every other point is queried again
     and re-anchored. Where d1 == d2 the index comes from a k = 1 query, so
     ties break as the kd-tree breaks them. Each distance is then recomputed
-    from j as sqrt((dx² + dy²) + dz²), the kd-tree's own sum, so inliers,
+    from j by `geometry.norms`, which sums as the kd-tree does, so inliers,
     RMSE and fit are bitwise those of querying every point on every pass.
 
     Rounding: eps = 1e-9 * scale, where scale is 1 plus the largest
@@ -140,7 +135,7 @@ def icp(
         moved = current.apply(src)
         scale = max(scale, 1.0 + np.abs(moved).max())
         eps = 1e-9 * scale
-        drift = _norms((moved - anchor).T)
+        drift = norms((moved - anchor).T)
         kept = d12[:, 0] + 2 * drift + eps < d12[:, 1]
         rejected = d12[:, 0] - drift > max_corr_dist + eps
         stale = np.flatnonzero(~(kept | rejected))
@@ -151,7 +146,7 @@ def icp(
             tied = stale[d12[stale, 0] == d12[stale, 1]]
             if len(tied):
                 near[tied] = target.tree.query(moved[tied])[1]
-        d = _norms((moved - tgt[near]).T)
+        d = norms((moved - tgt[near]).T)
         inlier = d <= max_corr_dist
         count = int(inlier.sum())
         if count < 3:
@@ -194,7 +189,7 @@ def _pair_bins(d_hat, u, n_other):
     `u` the first point's normal and `n_other` the second's (Darboux frame).
     """
     v = _cross(d_hat, u)
-    v_norm = _norms(v)
+    v_norm = norms(v)
     ok = v_norm > 1e-12
     np.divide(v, v_norm, out=v, where=ok)
     w = _cross(u, v)
@@ -237,7 +232,7 @@ def _fpfh(cloud: PointCloud, radius: float) -> np.ndarray:
             part = slice(start, start + _PAIR_BLOCK)
             i, j = first[part], second[part]
             d = np.take(pts, j, axis=1) - np.take(pts, i, axis=1)
-            dist[part] = _norms(d)
+            dist[part] = norms(d)
             # a coincident pair keeps a zero direction, which `_pair_bins` rejects
             d_hat = np.divide(d, dist[part], out=np.zeros_like(d), where=dist[part] > 1e-12)
             n_i, n_j = np.take(normals, i, axis=1), np.take(normals, j, axis=1)
@@ -358,9 +353,7 @@ def coarse_align(
         keep = np.arange(len(sel))
         for i in range(3):  # edge i joins vertex i to vertex i - 1, gated where the others held
             d = np.take(ends_at, sel[keep, i], axis=1) - np.take(ends_at, sel[keep, i - 1], axis=1)
-            d **= 2
-            # lengths summed x², y², z² in order: np.linalg.norm(..., axis=2) bit for bit
-            s_edge, t_edge = np.sqrt((d[0] + d[1]) + d[2]), np.sqrt((d[3] + d[4]) + d[5])
+            s_edge, t_edge = norms(d[:3]), norms(d[3:])
             # a repeated index gives a zero edge, which the 1e-9 gates reject
             keep = keep[
                 (s_edge > 1e-9)

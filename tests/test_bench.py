@@ -596,7 +596,9 @@ class TestTrials:
         )
         report = run_trial(condition, mug_templates, np.random.default_rng(5))
         assert report.recognized and not report.planned
-        assert report.error.startswith("spec: [register] every template registration failed")
+        assert report.error.startswith(
+            "registration-failure: [register] every template registration failed"
+        )
         for tid in mug_templates:
             assert f"'{tid}': 'coarse-failure: [coarse] no hypothesis'" in report.error
 

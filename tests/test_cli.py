@@ -8,12 +8,15 @@ import shutil
 import subprocess
 import sys
 import urllib.error
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
 from tog.bench import Condition, desk_pose, generate_object, make_scene
@@ -522,6 +525,58 @@ class TestPlanCli:
              "--scene", ws["scene"]],
         )
         assert err["code"] == "spec"
+
+
+@pytest.fixture(scope="module")
+def one_mug(ws, tmp_path_factory):
+    """A one-template mug database, the recorded pour fixture and a scene path."""
+    root = tmp_path_factory.mktemp("one-mug")
+    db = root / "db"
+    with redirect_stdout(io.StringIO()):
+        assert main(["db", "build", "--out", str(db), "--synthetic", "mug=1"]) == 0
+    return {"db": str(db), "chat": ws["chat"], "scene": root / "scene.ply"}
+
+
+class TestFailureContract:
+    """A well-formed plan request ends in a plan or in a coded, staged error."""
+
+    @given(
+        n=st.integers(3, 200),
+        repeat=st.integers(1, 3),
+        rank=st.integers(0, 3),
+        offset=st.sampled_from([0.0, 100.0, 1e4]),
+        scale=st.sampled_from([1e-9, 1e-3, 1.0, 10.0]),
+        nan_row=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    def test_plan_exits_with_a_plan_or_a_staged_error(
+        self, one_mug, n, repeat, rank, offset, scale, nan_row, seed
+    ):
+        rng = np.random.default_rng(seed)
+        axes = np.linalg.qr(rng.normal(size=(3, 3)))[0][:rank]  # rank 0: one point
+        points = np.tile(rng.normal(size=(n, rank)) @ axes * scale + offset, (repeat, 1))
+        if nan_row:
+            points = np.insert(points, rng.integers(len(points) + 1), np.nan, axis=0)
+        header = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
+        header += [f"property float {axis}" for axis in "xyz"] + ["end_header"]
+        rows = [" ".join(f"{v:.17g}" for v in p) for p in points]
+        one_mug["scene"].write_text("\n".join(header + rows) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(
+                ["plan", "--db", one_mug["db"], "--fixtures", one_mug["chat"],
+                 "--instruction", POUR, "--scene", str(one_mug["scene"]), "--no-timings"]
+            )
+        if code == 0:
+            assert not nan_row and json.loads(out.getvalue())["grasps"]
+            return
+        assert code == 2, err.getvalue()
+        error = json.loads(err.getvalue())["error"]
+        assert error["code"] and error["stage"], error
+        assert error["code"] != "spec", error  # the request itself is well formed
+        if nan_row:
+            assert (error["code"], error["stage"]) == ("parse", "setup"), error
 
 
 class TestExportCli:

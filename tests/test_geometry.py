@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import oracles
 from tog.errors import EmptyCloudError, InsufficientPointsError
@@ -17,7 +18,9 @@ from tog.geometry import (
     fit_rigid,
     knn,
     knn_indices_batch,
+    norms,
     singular_values_batch,
+    squared_distances,
     voxel_downsample,
 )
 
@@ -282,16 +285,16 @@ class TestKnn:
         with pytest.raises(InsufficientPointsError):
             knn(cloud, [0, 0, 0], 0)
 
-    @given(st.integers(0, 10_000))
+    @given(st.integers(0, 10_000), st.integers(1, 50))
+    @example(seed=0, k=50)  # k == n: the kd-tree's (k+1)th distance is inf, so every row repairs
     @settings(max_examples=25, deadline=None)
-    def test_batch_member_sets_match_single(self, seed):
+    def test_batch_member_sets_match_single(self, seed, k):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-1, 1, size=(50, 3))
         cloud = PointCloud(pts)
-        k = int(rng.integers(1, 51))
         batch = knn_indices_batch(cloud, pts, k)
         for i in range(len(pts)):
-            assert set(batch[i].tolist()) == set(knn(cloud, pts[i], k))
+            assert batch[i].tolist() == knn(cloud, pts[i], k)
 
     def test_batch_repairs_tied_rows(self):
         # queries sit exactly between equidistant points
@@ -302,6 +305,28 @@ class TestKnn:
         batch = knn_indices_batch(cloud, np.zeros((4, 3)), 2)
         for row in batch:
             assert row.tolist() == [0, 1]
+        # at k == n the tied lattice rows come back in `knn`'s order
+        lattice = PointCloud(far_lattice())
+        batch = knn_indices_batch(lattice, lattice.points, len(lattice))
+        for row, query in zip(batch, lattice.points):
+            assert row.tolist() == knn(lattice, query, len(lattice))
+
+    @pytest.mark.parametrize("extent", [0.05, 100.0, 1e4])
+    def test_distance_rule_is_the_kd_trees(self, extent):
+        # ICP's certificate sets kd-tree distances against `norms` of offsets,
+        # and `knn_indices_batch` repairs kd-tree rows by `knn`'s rule: both
+        # rest on the kd-tree summing x², y², z² in the same order
+        rng = np.random.default_rng(31)
+        pts = rng.uniform(-extent, extent, size=(2000, 3))
+        queries = rng.uniform(-extent, extent, size=(20_000, 3))
+        d, idx = cKDTree(pts).query(queries, k=2)
+        for column in range(2):
+            offsets = queries - pts[idx[:, column]]
+            assert np.array_equal(norms(offsets.T), d[:, column])
+        for start in range(0, len(queries), 1000):
+            rows = slice(start, start + 1000)
+            d2 = np.take_along_axis(squared_distances(pts, queries[rows]), idx[rows], axis=1)
+            assert np.array_equal(np.sqrt(d2), d[rows])
 
 
 def planes(stack) -> np.ndarray:

@@ -19,6 +19,7 @@ from tog.cloud_io import load_ply, save_json
 from tog.errors import (
     CloudParseError,
     CoarseFailureError,
+    RegistrationFailureError,
     SceneSpecError,
     TogError,
     UnresolvedPartError,
@@ -268,7 +269,7 @@ class TestStages:
         assert errors == {"a": "coarse-failure: [coarse] no hypothesis"}
         assert skipped_templates(templates, registrations, errors) == ["d", "e"]
 
-        with pytest.raises(SceneSpecError, match="every template registration failed"):
+        with pytest.raises(RegistrationFailureError, match="every template registration failed"):
             register_all(None, None, {"b": bad}, 0)
         assert register_all(None, None, {"b": bad}, 0, strict=False) == (
             {}, {"b": "coarse-failure: [coarse] no hypothesis"}, None

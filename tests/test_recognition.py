@@ -22,7 +22,7 @@ from tog.errors import (
     SchemaError,
 )
 from tog.bench import Condition, build_class_templates, make_scene
-from tog.geometry import PointCloud, aabb, knn, knn_boundary_ties
+from tog.geometry import PointCloud, aabb, knn, knn_boundary_ties, squared_distances
 from tog.recognition import (
     cluster_size_from_counts,
     d_ccd,
@@ -352,14 +352,21 @@ class TestTemplateStats:
             assert recognition._score(cluster, stats).tolist() == [0.0], path
 
 
+def gather(points, seeds, idx):
+    """The (3, m, k) coordinate planes of m clusters' members ``idx`` and their
+    (m, k) distances to each row's seed, as the recognition routes read them."""
+    dist = [np.sqrt(squared_distances(points[row], seed[None])[0]) for row, seed in zip(idx, seeds)]
+    return np.take(points.T, idx, axis=1), np.array(dist)
+
+
 def gathered(stack):
-    """(m, k, 3) clusters, column 0 the seed, as `_gather` gives them, nearer others first."""
+    """(m, k, 3) clusters, column 0 the seed, as `gather` gives them, nearer others first."""
     stack = np.asarray(stack, dtype=np.float64)
     dist = np.linalg.norm(stack - stack[:, :1], axis=2)
     order = np.hstack([np.zeros((len(stack), 1), int), 1 + np.argsort(dist[:, 1:], axis=1)])
     stack = np.take_along_axis(stack, order[:, :, None], axis=1)
     idx = np.arange(stack.shape[0] * stack.shape[1]).reshape(stack.shape[:2])
-    return recognition._gather(stack.reshape(-1, 3), stack[:, 0], idx)
+    return gather(stack.reshape(-1, 3), stack[:, 0], idx)
 
 
 def cluster_stack(shape, rng, m=60, k=200):
@@ -420,7 +427,7 @@ class TestClusterStats:
 
         scene = PointCloud(make_scene(BY_NAME["mug-handle-partial"], 1, 1).points)
         idx = np.array([knn(scene, scene.points[1144], 173)])
-        coords, dist = recognition._gather(scene.points, scene.points[[1144]], idx)
+        coords, dist = gather(scene.points, scene.points[[1144]], idx)
         sigma_unit = recognition._cluster_stats(coords, dist, [173], aabb(scene))[0][0]
         assert sigma_unit[0, 2] <= 1e-15 * sigma_unit[0, 0]
 
@@ -436,7 +443,7 @@ class TestClusterStats:
         kth = sorted({0, 1} | {k - 1 for k in ks} | {k for k in ks if k < len(pts)})
         d2 = ((pts[None] - seeds[:, None]) ** 2).sum(axis=2)
         idx = np.argpartition(d2, kth, axis=1)[:, : ks[-1]]
-        coords, dist = recognition._gather(pts, seeds, idx)
+        coords, dist = gather(pts, seeds, idx)
         whole = aabb(PointCloud(pts))
         for k, got in zip(ks, recognition._cluster_stats(coords, dist, ks, whole)):
             want = oracles.cluster_stats_qr(coords[:, :, :k], dist[:, :k], whole)
@@ -885,12 +892,12 @@ class TestSelection:
         }
         for start in range(0, n, 250):
             own = np.arange(start, min(start + 250, n))
-            d2 = sum((plane - seed[:, None]) ** 2 for plane, seed in zip(points.T, points[own].T))
+            d2 = squared_distances(points, points[own])
             ordered = np.sort(d2, axis=1)
             for name, route in routes.items():
                 selections.clear()
                 nearest.clear()
-                side_dist, side_start, _ = route(points, points[own], own, d2, scene)
+                side_dist, side_start, _ = route(points, own, d2, scene)
                 [(idx, side_d2)] = selections
                 assert np.array_equal(side_d2, np.take_along_axis(d2, idx, axis=1))
                 assert np.array_equal(side_dist, np.sqrt(side_d2))  # what the tie test reads
@@ -923,10 +930,10 @@ class TestSelection:
         # `_block_scores` repairs tied rows from d2 after the route has run
         points, ks = _repeated_case()
         scene = recognition._scene(PointCloud(points), [SimpleNamespace(k=k) for k in ks])
-        d2 = sum((plane - plane[:, None]) ** 2 for plane in points.T)
+        d2 = squared_distances(points, points)
         before = d2.copy()
         own = np.arange(len(points))
-        recognition._far_block(points, points, own, d2, scene, recognition._whole_sums(points))
+        recognition._far_block(points, own, d2, scene, recognition._whole_sums(points))
         assert np.array_equal(d2, before)
 
 
