@@ -15,6 +15,7 @@ the shipped code and tag each failure with its stage.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
@@ -348,7 +349,7 @@ def partial_view(cloud: PointCloud, camera):
     flipped = rel * ((2.0 * radius / norms - 1.0))[:, None]
     try:
         hull = ConvexHull(np.vstack([flipped, np.zeros(3)]))
-    except QhullError as exc:
+    except (QhullError, ValueError) as exc:  # ValueError: NaN from an overflowing flip
         raise SceneSpecError(f"hidden point removal failed: {exc}") from exc
     visible = np.sort(hull.vertices[hull.vertices < len(cloud)])
     if visible.size == 0:
@@ -387,6 +388,8 @@ def perturb(
         out = out.select(keep)
     if noise_sigma > 0.0 and len(out) > 0:
         jittered = out.points + rng.normal(0.0, noise_sigma, size=(len(out), 3))
+        if not np.isfinite(jittered).all():
+            raise SceneSpecError(f"noise_sigma {noise_sigma!r} jitters points past the float range")
         out = PointCloud(jittered, out.labels)
     if smooth_k >= 2 and len(out) >= smooth_k:
         idx = knn_indices_batch(out, out.points, smooth_k)
@@ -471,9 +474,9 @@ class Condition:
             ("n_points", self.n_points >= 10, "at least 10"),
             ("dims_fraction", 0 <= self.dims_fraction < 1, "in [0, 1)"),
             ("occlusion", 0 <= self.occlusion < 1, "in [0, 1)"),
-            ("noise_sigma", self.noise_sigma >= 0, "non-negative"),
+            ("noise_sigma", 0 <= self.noise_sigma < math.inf, "finite and non-negative"),
             ("smooth_k", self.smooth_k >= 0, "non-negative"),
-            ("scale", self.scale > 0, "positive"),
+            ("scale", 0 < self.scale < math.inf, "finite and positive"),
             ("min_part_visibility", 0 < self.min_part_visibility <= 1, "in (0, 1]"),
         )
         for name, ok, rule in ranges:

@@ -599,6 +599,8 @@ def _score_all_seeds(o_all: PointCloud, stats: list[_TemplateStats]) -> np.ndarr
     whole_box, ks, _ = scene = _scene(o_all, stats)
     if whole_box.half_diagonal <= 0:
         raise DegenerateClusterError("observed cloud has zero bounding-box diagonal")
+    if not np.isfinite(n * whole_box.diagonal * whole_box.diagonal):  # bounds every sum the blocks form
+        raise DegenerateClusterError("observed cloud is too large for its sums to stay finite")
     route = _near_block
     if ks[-1] >= n - ks[0]:
         route = partial(_far_block, whole=_whole_sums(points))

@@ -17,9 +17,11 @@ changed, and queries only the rest. FPFH computes each unordered point
 pair's offset once and takes the reverse pair's as its exact negation.
 RANSAC draws each 1024-hypothesis batch by its own `rng.integers` call, but
 gates (edge by edge, each edge only where the earlier ones held), fits and
-counts the batches in fixed groups (breadth-first, as preemptive RANSAC
-scores hypotheses: Nister 2003). It then replays the one-batch-at-a-time
-rule in order and discards the draws past its stopping point. Each fit is
+counts a group of up to 8 batches at once (breadth-first, as preemptive
+RANSAC scores hypotheses: Nister 2003), each starting before the hypotheses
+still needed. A gated-out hypothesis counts -1, so it never wins. The
+one-batch-at-a-time rule is then replayed over the group's own draws in
+order, and the draws past its stopping point are discarded. Each fit is
 computed per matrix (batched SVD, determinant and three-term products), so
 grouping does not change it. Inliers are bounded from one matmul of squared
 pair distances, whose terms sum in magnitude to under 6 scale^2 (scale = 1
@@ -316,12 +318,15 @@ def coarse_align(
     past the draws the result used). Descriptor pairs are cached on the
     source per radius and target, so retries skip the descriptor search.
 
-    Hypotheses are drawn in batches of 1024. A batch's first hypothesis with
-    the most inliers replaces the best so far when it has strictly more (and
-    at least 3), and each replacement recomputes how many hypotheses the
-    RANSAC confidence needs. Batches are scored in groups of
-    `_GROUP_BATCHES`, never past the hypotheses still needed, and the rule
-    is replayed batch by batch, so draws past its stop are discarded.
+    Hypotheses are drawn in batches of 1024, up to `MAX_RANSAC_HYPOTHESES`.
+    A batch's first hypothesis with the most inliers replaces the best so far
+    when it has strictly more (and at least 3), and each replacement lowers
+    the hypotheses needed to the RANSAC confidence estimate, or to those
+    tried when every pair is an inlier; the search stops once that many have
+    been tried. A group of up to `_GROUP_BATCHES` batches, each starting
+    before the hypotheses needed, is drawn, gated and counted at once, a
+    gated-out hypothesis counting -1. The rule is then replayed over the
+    group's draws batch by batch, so the draws past its stop are discarded.
     """
     if len(source) < 10 or len(target) < 10:
         raise InsufficientPointsError("coarse alignment needs >= 10 points per cloud")
@@ -338,18 +343,11 @@ def coarse_align(
     ends_at = np.vstack([src_pts.T, tgt_pts.T])  # each pair's two points, as coordinate planes
 
     best = None  # (count, transform)
-    tried = 0
-    needed = MAX_RANSAC_HYPOTHESES
-    while tried < min(needed, MAX_RANSAC_HYPOTHESES):
-        draws, ends = [], []
-        drawn = tried
-        while len(draws) < _GROUP_BATCHES and drawn < min(needed, MAX_RANSAC_HYPOTHESES):
-            m = min(_BATCH, MAX_RANSAC_HYPOTHESES - drawn)
-            draws.append(rng.integers(0, n_pairs, size=(m, 3)))
-            drawn += m
-            ends.append(drawn)
-        sel = np.concatenate(draws)
-        batch = np.repeat(np.arange(len(draws)), [len(d) for d in draws])
+    tried, needed = 0, MAX_RANSAC_HYPOTHESES
+    while tried < needed:
+        starts = range(tried, needed, _BATCH)[:_GROUP_BATCHES]
+        sizes = [min(_BATCH, MAX_RANSAC_HYPOTHESES - start) for start in starts]
+        sel = np.concatenate([rng.integers(0, n_pairs, size=(m, 3)) for m in sizes])
         keep = np.arange(len(sel))
         for i in range(3):  # edge i joins vertex i to vertex i - 1, gated where the others held
             d = np.take(ends_at, sel[keep, i], axis=1) - np.take(ends_at, sel[keep, i - 1], axis=1)
@@ -361,9 +359,9 @@ def coarse_align(
                 & (t_edge >= EDGE_RATIO * s_edge)
                 & (s_edge >= EDGE_RATIO * t_edge)
             ]
-        sel, batch = sel[keep], batch[keep]
-        if len(sel):
-            s3, t3 = src_pts[sel], tgt_pts[sel]  # (m, 3, 3)
+        counts = np.full(len(sel), -1)  # a gated-out hypothesis never wins its batch
+        if len(keep):
+            s3, t3 = src_pts[sel[keep]], tgt_pts[sel[keep]]  # (m, 3, 3)
             # batched Kabsch over all surviving 3-point hypotheses
             sc = s3.mean(axis=1, keepdims=True)
             tc = t3.mean(axis=1, keepdims=True)
@@ -374,25 +372,21 @@ def coarse_align(
             flip[:, 2, 2] = np.sign(det)
             rot = np.einsum("mij,mjk,mkl->mil", vt.transpose(0, 2, 1), flip, u.transpose(0, 2, 1))
             trans = tc[:, 0, :] - np.einsum("mij,mj->mi", rot, sc[:, 0, :])
-            counts = count_of(rot, trans)
-        bounds = np.searchsorted(batch, np.arange(len(draws) + 1))
-        for lo, hi, tried in zip(bounds, bounds[1:], ends):  # replay batch by batch
-            if hi > lo:
-                top = lo + int(np.argmax(counts[lo:hi]))
-                count = int(counts[top])
-                if count >= 3 and (best is None or count > best[0]):
-                    best = (count, RigidTransform(rot[top], trans[top]))
-                    ratio = best[0] / n_pairs
-                    if 0 < ratio < 1:
-                        needed = int(
-                            min(
-                                MAX_RANSAC_HYPOTHESES,
-                                np.ceil(np.log(1 - RANSAC_CONFIDENCE) / np.log(1 - ratio**3)),
-                            )
-                        )
-                    else:
-                        needed = tried
-            if tried >= min(needed, MAX_RANSAC_HYPOTHESES):
+            counts[keep] = count_of(rot, trans)
+        for lo, m in zip(range(0, len(sel), _BATCH), sizes):  # replay batch by batch
+            top = lo + int(np.argmax(counts[lo : lo + m]))
+            count = int(counts[top])
+            tried += m
+            if count >= 3 and (best is None or count > best[0]):
+                fit = np.searchsorted(keep, top)
+                best = (count, RigidTransform(rot[fit], trans[fit]))
+                ratio = count / n_pairs
+                if ratio < 1:
+                    estimate = np.ceil(np.log(1 - RANSAC_CONFIDENCE) / np.log(1 - ratio**3))
+                    needed = int(min(MAX_RANSAC_HYPOTHESES, estimate))
+                else:
+                    needed = tried
+            if tried >= needed:
                 break
     if best is None:
         raise CoarseFailureError(

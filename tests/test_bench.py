@@ -1,6 +1,7 @@
 """Benchmark-harness tests: generators, view synthesis, scoring, trials."""
 
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -219,6 +220,12 @@ class TestPartialView:
         with pytest.raises(SceneSpecError):
             partial_view(cloud, camera=[0.0, 0.0, 0.0])
 
+    def test_overflowing_flip_is_a_spec_error(self):
+        # the flip's norms overflow to inf, and the hull's input holds NaN
+        cloud = PointCloud(make_mug(600, np.random.default_rng(2)).points * 1e200)
+        with pytest.raises(SceneSpecError, match="hidden point removal failed"):
+            partial_view(cloud, camera=[0.0, 0.0, 1e201])
+
 
 class TestPerturb:
     def test_noop_returns_same_geometry(self):
@@ -274,6 +281,11 @@ class TestPerturb:
         for i in range(len(pts)):
             nbrs = oracles.knn_linear(pts, pts[i], 3)
             assert np.allclose(out.points[i], pts[nbrs].mean(axis=0), atol=1e-12)
+
+    def test_jitter_past_the_float_range_is_a_spec_error(self):
+        cloud = make_mug(100, np.random.default_rng(10))
+        with pytest.raises(SceneSpecError, match="float range"):
+            perturb(cloud, np.random.default_rng(0), noise_sigma=1e308)
 
     def test_bad_occlusion_fraction(self):
         cloud = make_mug(100, np.random.default_rng(10))
@@ -514,7 +526,7 @@ class TestTrials:
          ("scale", 0.0), ("scale", -1.0), ("noise_sigma", -0.001), ("smooth_k", -1),
          ("min_part_visibility", 0.0), ("min_part_visibility", 1.5),
          ("n_points", 9), ("occlusion", 1.0), ("occlusion", -0.2),
-         ("scale", float("nan"))],
+         ("scale", float("nan")), ("scale", math.inf), ("noise_sigma", math.inf)],
     )
     def test_condition_field_ranges_checked(self, field, value):
         with pytest.raises(SceneSpecError, match=f"condition {field} must be"):

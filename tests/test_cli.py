@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -540,12 +541,34 @@ def one_mug(ws, tmp_path_factory):
 class TestFailureContract:
     """A well-formed plan request ends in a plan or in a coded, staged error."""
 
+    @staticmethod
+    def plan(one_mug, points):
+        """Run `tog plan` on `points` as ASCII PLY; None for a plan, else its JSON error."""
+        header = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
+        header += [f"property float {axis}" for axis in "xyz"] + ["end_header"]
+        rows = [" ".join(f"{v:.17g}" for v in p) for p in points]
+        one_mug["scene"].write_text("\n".join(header + rows) + "\n")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(
+                ["plan", "--db", one_mug["db"], "--fixtures", one_mug["chat"],
+                 "--instruction", POUR, "--scene", str(one_mug["scene"]), "--no-timings"]
+            )
+        if code == 0:
+            assert json.loads(out.getvalue())["grasps"]
+            return None
+        assert code == 2, err.getvalue()
+        error = json.loads(err.getvalue())["error"]
+        assert error["code"] and error["stage"], error
+        assert error["code"] != "spec", error  # the request itself is well formed
+        return error
+
     @given(
         n=st.integers(3, 200),
         repeat=st.integers(1, 3),
         rank=st.integers(0, 3),
         offset=st.sampled_from([0.0, 100.0, 1e4]),
-        scale=st.sampled_from([1e-9, 1e-3, 1.0, 10.0]),
+        scale=st.sampled_from([1e-9, 1e-3, 1.0, 10.0, 1e200]),
         nan_row=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -558,25 +581,17 @@ class TestFailureContract:
         points = np.tile(rng.normal(size=(n, rank)) @ axes * scale + offset, (repeat, 1))
         if nan_row:
             points = np.insert(points, rng.integers(len(points) + 1), np.nan, axis=0)
-        header = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
-        header += [f"property float {axis}" for axis in "xyz"] + ["end_header"]
-        rows = [" ".join(f"{v:.17g}" for v in p) for p in points]
-        one_mug["scene"].write_text("\n".join(header + rows) + "\n")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(
-                ["plan", "--db", one_mug["db"], "--fixtures", one_mug["chat"],
-                 "--instruction", POUR, "--scene", str(one_mug["scene"]), "--no-timings"]
-            )
-        if code == 0:
-            assert not nan_row and json.loads(out.getvalue())["grasps"]
-            return
-        assert code == 2, err.getvalue()
-        error = json.loads(err.getvalue())["error"]
-        assert error["code"] and error["stage"], error
-        assert error["code"] != "spec", error  # the request itself is well formed
+        error = self.plan(one_mug, points)
         if nan_row:
-            assert (error["code"], error["stage"]) == ("parse", "setup"), error
+            assert error and (error["code"], error["stage"]) == ("parse", "setup"), error
+
+    def test_scaled_mug_view_is_a_degenerate_cluster(self, one_mug):
+        # the mug-handle-partial view of seed 1, scene 0: scaled by 1e160,
+        # recognition's sums would overflow, and eigvalsh did not converge
+        mug = Condition(name="mug", object_class="mug", part_path="handle", n_points=1500)
+        view = make_scene(mug, default_rng(SeedSequence((1, 0, 0))))
+        error = self.plan(one_mug, view.points * 1e160)
+        assert (error["code"], error["stage"]) == ("degenerate-cluster", "recognize"), error
 
 
 class TestExportCli:
@@ -725,9 +740,10 @@ class TestBenchCli:
             {"name": "x", "object_class": "mug", "part_path": "handle", "template_ids": 5},
             {"name": "x", "object_class": "mug", "part_path": "handle",
              "dims_fraction": 1.5},
+            {"name": "x", "object_class": "mug", "part_path": "handle", "scale": 1e999},
         ],
         ids=["missing-fields", "n_points-string", "template_ids-number",
-             "dims_fraction-out-of-range"],
+             "dims_fraction-out-of-range", "scale-1e999"],
     )
     def test_bad_conditions_file(self, ws, capsys, tmp_path, row):
         cond_path = tmp_path / "conditions.json"
@@ -737,6 +753,37 @@ class TestBenchCli:
             ["bench", "run", "--db", ws["db"], "--conditions", str(cond_path)],
         )
         assert err["code"] == "spec"
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            '"noise_sigma": 1e999',
+            '"scale": 1e999',
+            '"noise_sigma": 1e308',
+            '"partial": true, "scale": 1e200',
+            '"partial": true, "scale": 1e308',
+            '"partial": false, "scale": 1e200',
+            '"partial": false, "scale": 1e308',
+            '"partial": false, "noise_sigma": 1e300',
+        ],
+    )
+    def test_extreme_condition_ends_in_a_coded_error(self, ws, capsys, tmp_path, fields):
+        # JSON reads 1e999 as inf; the rest overflow in the jitter, the
+        # hidden point removal or recognition's sums
+        cond_path = tmp_path / "conditions.json"
+        cond_path.write_text(
+            '[{"name": "x", "object_class": "mug", "part_path": "handle", '
+            f'"n_points": 200, {fields}}}]'
+        )
+        argv = ["bench", "run", "--db", ws["db"], "--conditions", str(cond_path), "--trials", "1"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if code == 2:
+            assert json.loads(captured.err)["error"]["code"] == "spec"
+            return
+        assert code == 0, captured.err
+        (trial,) = json.loads(captured.out)["trials"]
+        assert re.fullmatch(r"[a-z-]+: \[[a-z]+\] .+", trial["error"]), trial["error"]
 
     def test_repeated_condition_name_is_a_spec_error(self, ws, capsys, tmp_path):
         row = {"name": "same", "object_class": "mug", "part_path": "handle",
